@@ -15,6 +15,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import approx, exact, experiments, graph, montecarlo as mc, sis
 from .contagion import ConstantDelta, CuringDelta, UrnInit
 from .errors import ParseError, PolyaNetError, ValidationError
@@ -270,6 +272,9 @@ def _cmd_sis(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    for flag in ("trials", "threads"):
+        value = getattr(args, flag)
+        _require(value is None or value >= 1, f"--{flag} must be >= 1, got {value}")
     out_dir = args.out_dir or "results"
     os.makedirs(out_dir, exist_ok=True)
     threads = args.threads or experiments.default_threads()
@@ -289,6 +294,12 @@ def _cmd_reproduce(args) -> int:
             hist = mc.histogram(stats.sample_averages[:, node], bins=40)
             path = os.path.join(out_dir, f"histogram_{name}.csv")
             mc.write_histogram_csv(hist, cfg, path)
+            density_path = os.path.join(out_dir, f"beta_density_{name}.csv")
+            with open(density_path, "w") as fh:
+                fh.write(f"# alpha={beta.alpha!r} beta={beta.beta!r} node={node}\n")
+                fh.write("x,pdf\n")
+                for x in np.linspace(0.005, 0.995, 199):
+                    fh.write(f"{x:.3f},{exact.beta_pdf(beta, x)!r}\n")
             print(f"wrote {path}; node={node} beta=({beta.alpha:.4f},{beta.beta:.4f}) "
                   f"ks={ks:.4f}")
         return 0
@@ -312,7 +323,7 @@ def _cmd_reproduce(args) -> int:
                          f"lambda_max={lam!r}\n")
                 fh.write("t,mean\n")
                 for t, v in enumerate(traj.mean):
-                    fh.write(f"{t},{v!r}\n")
+                    fh.write(f"{t},{float(v)!r}\n")
             print(f"wrote {path}")
         return 0
     raise ValidationError(f"unknown figure {args.figure!r}")

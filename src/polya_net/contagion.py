@@ -5,6 +5,10 @@ draws from its *super urn*, the pooled contents of its closed neighborhood,
 and the drawn color's reinforcement mass is added to the node's own urn.
 All mass arithmetic is type-agnostic: exact ``Fraction`` inputs stay exact,
 floats stay floats.  States are values (copy, never mutate in place).
+
+:class:`UrnBatch` is the float64 counterpart for many copies of the process
+at once (Monte Carlo trials, enumerated histories); it applies the same
+update rule as :func:`apply_draws` to every row.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
+import scipy.sparse as sp
 
 from .errors import HypothesisViolation, InvalidParameter, SizeMismatch
 from .graph import Network
@@ -55,6 +62,11 @@ class DeltaSchedule:
     at time t (t >= 1) is red, ``black_mass`` likewise for black.  Both are
     nonnegative; a schedule that is identically zero everywhere degenerates
     into sampling with replacement and is rejected where detectable.
+
+    ``masses(t, u, s)`` is the batched float form used by :class:`UrnBatch`:
+    given the (rows, N) urn proportions ``u`` and super-urn proportions
+    ``s`` before step t, it returns float (red, black) masses broadcastable
+    to (rows, N).
     """
 
     def red_mass(self, i: int, t: int, state: "NetworkState | None" = None,
@@ -63,6 +75,9 @@ class DeltaSchedule:
 
     def black_mass(self, i: int, t: int, state: "NetworkState | None" = None,
                    net: Network | None = None):
+        raise NotImplementedError
+
+    def masses(self, t: int, u: np.ndarray, s: np.ndarray):
         raise NotImplementedError
 
     def describe(self) -> dict:
@@ -83,6 +98,10 @@ class ConstantDelta(DeltaSchedule):
             for x in v if isinstance(v, (tuple, list)) else (v,):
                 if x < 0:
                     raise InvalidParameter("reinforcement masses must be >= 0")
+        self._floats = tuple(
+            np.array([float(x) for x in v]) if isinstance(v, (tuple, list)) else float(v)
+            for v in (self.red, self.black)
+        )
 
     def _get(self, v, i):
         return v[i] if isinstance(v, (tuple, list)) else v
@@ -92,6 +111,9 @@ class ConstantDelta(DeltaSchedule):
 
     def black_mass(self, i, t, state=None, net=None):
         return self._get(self.black, i)
+
+    def masses(self, t, u, s):
+        return self._floats
 
     def describe(self):
         fmt = lambda v: [str(x) for x in v] if isinstance(v, (tuple, list)) else str(v)
@@ -116,12 +138,19 @@ class TabulatedDelta(DeltaSchedule):
             for row in rows:
                 if any(x < 0 for x in row):
                     raise InvalidParameter("reinforcement masses must be >= 0")
+        self._floats = [
+            (np.array([float(x) for x in r]), np.array([float(x) for x in b]))
+            for r, b in zip(self.red_rows, self.black_rows)
+        ]
 
     def red_mass(self, i, t, state=None, net=None):
         return self.red_rows[t - 1][i]
 
     def black_mass(self, i, t, state=None, net=None):
         return self.black_rows[t - 1][i]
+
+    def masses(self, t, u, s):
+        return self._floats[t - 1]
 
     def describe(self):
         return {
@@ -149,6 +178,7 @@ class CuringDelta(DeltaSchedule):
             raise InvalidParameter("delta_red and multiplier must be >= 0")
         self.delta_red = delta_red
         self.multiplier = multiplier
+        self._floats = (float(delta_red), float(multiplier))
 
     def red_mass(self, i, t, state=None, net=None):
         return self.delta_red
@@ -157,6 +187,10 @@ class CuringDelta(DeltaSchedule):
         if state is None or net is None:
             raise InvalidParameter("curing schedule needs the current state and network")
         return self.multiplier * curing_delta_bound(state, net, i, self.delta_red)
+
+    def masses(self, t, u, s):
+        dr, mult = self._floats
+        return dr, mult * dr * (1.0 - u) * s / (u * (1.0 - s))
 
     def describe(self):
         return {
@@ -316,6 +350,57 @@ def simulate_path(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: in
         draws, state = sample_step(state, net, sched, rng)
         steps.append(draws)
     return DrawRecord(steps=tuple(steps)), state
+
+
+class UrnBatch:
+    """Float64 urn masses (``red``, ``total``: rows x N) of many copies of
+    the process.  With finite memory M a ring keeps the last M steps'
+    additions so they can be expired, as in :func:`apply_draws`."""
+
+    def __init__(self, net: Network, init: UrnInit, rows: int, memory: int | None = None):
+        start = initial_state(net, init, memory=memory)
+        n = net.node_count
+        self.red = np.tile([float(v) for v in start.red_mass], (rows, 1))
+        self.total = np.tile([float(v) for v in start.total_mass], (rows, 1))
+        self.memory = memory
+        # ring[0] holds red additions, ring[1] black ones, slot (t-1) % M for step t
+        self._ring = None if memory is None else np.zeros((2, memory, rows, n))
+        if n <= 32:  # dense neighborhood sums beat CSR on small networks
+            dense = net.closed_adjacency
+            self._pool = lambda m: m @ dense
+        else:
+            csr = sp.csr_matrix(net.closed_adjacency)
+            self._pool = lambda m: np.asarray(m @ csr)
+
+    def proportions(self) -> np.ndarray:
+        return self.red / self.total
+
+    def super_urn(self) -> np.ndarray:
+        """Red fraction of every node's super urn, per row."""
+        return self._pool(self.red) / self._pool(self.total)
+
+    def tile(self, reps: int) -> None:
+        """Repeat the rows ``reps`` times: row c * rows + r copies row r."""
+        self.red = np.tile(self.red, (reps, 1))
+        self.total = np.tile(self.total, (reps, 1))
+        if self._ring is not None:
+            self._ring = np.tile(self._ring, (1, 1, reps, 1))
+
+    def step(self, t: int, z: np.ndarray, s: np.ndarray, sched: DeltaSchedule) -> None:
+        """Apply step t's draws ``z`` (bool, rows x N) drawn at super-urn
+        proportions ``s``: expire the additions of step t-M, then reinforce."""
+        dr, db = sched.masses(t, self.proportions(), s)
+        add_red = np.where(z, dr, 0.0)
+        add_black = np.where(z, 0.0, db)
+        if self._ring is not None:
+            ring_red, ring_black = self._ring[:, (t - 1) % self.memory]
+            if t > self.memory:
+                self.red -= ring_red
+                self.total -= ring_red + ring_black
+            ring_red[...] = add_red
+            ring_black[...] = add_black
+        self.red += add_red
+        self.total += add_red + add_black
 
 
 def finite_memory_conditional(state: NetworkState, net: Network, i: int):

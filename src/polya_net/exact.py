@@ -202,18 +202,26 @@ def enumerate_joint(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: 
     """Full assignment table at the given horizon.
 
     Exact mode requires rational inputs and produces a table with total mass
-    exactly 1.  Float mode expands level by level with numpy and handles the
-    full default cap (2^24) in bounded memory.
+    exactly 1.  Float mode expands all histories level by level with numpy;
+    its peak memory is a small multiple of the 2^(N * horizon) float64 table
+    (128 MiB at the default cap), since the urn state of every history is
+    kept for all but the last level.
     """
     if horizon < 1:
         raise InvalidParameter("horizon must be >= 1")
     bits = _check_cap(net.node_count, horizon, cap)
-    if exact:
-        probs: list = [None] * (1 << bits)
-        start = contagion.initial_state(net, init, memory=memory)
-        _enumerate_exact(net, sched, start, Fraction(1), 0, horizon, probs)
-        return JointTable(net.node_count, horizon, probs, exact=True)
-    return _enumerate_float(net, init, sched, horizon, memory=memory)
+    if not exact:
+        return _float_table(net, init, sched, horizon, memory)
+    n = net.node_count
+    stride = 1 << (n * (horizon - 1))  # code step between last-level draw combos
+    probs: list = [None] * (1 << bits)
+    for prefix, prob, state in iter_histories(net, init, sched, horizon - 1,
+                                              memory=memory, cap=cap):
+        code = sum(d << (t * n + i) for t, draws in enumerate(prefix)
+                   for i, d in enumerate(draws))
+        s = contagion.conditional_draw_probabilities(state, net)
+        probs[code::stride] = _combo_products(prob, s)
+    return JointTable(n, horizon, probs, exact=True)
 
 
 def _combo_products(prob, s):
@@ -225,72 +233,27 @@ def _combo_products(prob, s):
     return products
 
 
-def _enumerate_exact(net, sched, state, prob, code, remaining, probs):
+def _float_table(net, init, sched, horizon, memory):
+    """Float64 level-by-level expansion; row c * width + r of level t extends
+    history r of level t-1 by draw combo c, which is its assignment code."""
     n = net.node_count
-    s = contagion.conditional_draw_probabilities(state, net)
-    shift = state.time * n
-    products = _combo_products(prob, s)
-    if remaining == 1:
-        for combo in range(1 << n):
-            probs[code | (combo << shift)] = products[combo]
-        return
-    for combo in range(1 << n):
-        draws = tuple((combo >> i) & 1 for i in range(n))
-        child = contagion.apply_draws(state, net, draws, sched)
-        _enumerate_exact(net, sched, child, products[combo],
-                         code | (combo << shift), remaining - 1, probs)
-
-
-def _enumerate_float(net, init, sched, horizon, memory=None):
-    """Vectorized level-by-level expansion in float64.
-
-    Finite memory is supported for time-only schedules by replaying the
-    expiring step's additions, which are then reconstructable from the code
-    itself; state-dependent (curing) schedules require infinite memory here.
-    """
-    n = net.node_count
-    state_dependent = isinstance(sched, contagion.CuringDelta)
-    if state_dependent and memory is not None:
-        raise InvalidParameter(
-            "float enumeration does not support curing schedules with finite memory"
-        )
-    closed = net.closed_adjacency
-    probs = np.array([1.0], dtype=np.float64)
-    red = np.array([[float(r) for r in init.red]])
-    total = np.array([[float(v) for v in init.totals]])
-    combos = np.array([[(c >> i) & 1 for i in range(n)] for c in range(1 << n)],
-                      dtype=np.float64)
+    batch = contagion.UrnBatch(net, init, 1, memory=memory)
+    probs = np.ones(1)
     for t in range(1, horizon + 1):
-        s = (red @ closed) / (total @ closed)
+        s = batch.super_urn()
         width = probs.shape[0]
-        new_probs = np.empty(width << n, dtype=np.float64)
-        new_red = np.empty((width << n, n), dtype=np.float64)
-        new_total = np.empty_like(new_red)
-        if state_dependent:
-            dr = float(sched.delta_red) * np.ones_like(red)
-            u = red / total
-            db = float(sched.multiplier) * float(sched.delta_red) \
-                * (1 - u) * s / (u * (1 - s))
-        else:
-            dr = np.array([float(sched.red_mass(i, t)) for i in range(n)])[None, :]
-            db = np.array([float(sched.black_mass(i, t)) for i in range(n)])[None, :]
-        for c in range(1 << n):
-            z = combos[c]
-            factor = np.prod(np.where(z > 0, s, 1.0 - s), axis=1)
-            block = slice(c * width, (c + 1) * width)
-            new_probs[block] = probs * factor
-            new_red[block] = red + z * dr
-            new_total[block] = total + z * dr + (1 - z) * db
-        if memory is not None and t > memory:
-            expire_t = t - memory
-            er = np.array([float(sched.red_mass(i, expire_t)) for i in range(n)])
-            eb = np.array([float(sched.black_mass(i, expire_t)) for i in range(n)])
-            codes = np.arange(width << n, dtype=np.int64)
-            for i in range(n):
-                bit = ((codes >> ((expire_t - 1) * n + i)) & 1).astype(np.float64)
-                new_red[:, i] -= bit * er[i]
-                new_total[:, i] -= bit * er[i] + (1 - bit) * eb[i]
-        probs, red, total = new_probs, new_red, new_total
+        # the array form of _combo_products: row c holds combo c's products
+        level = np.empty((1 << n, width))
+        level[0] = probs
+        for i in range(n):
+            half = level[:1 << i]
+            np.multiply(half, s[:, i], out=level[1 << i:2 << i])
+            half *= 1.0 - s[:, i]
+        probs = level.reshape(-1)
+        if t < horizon:
+            combos = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+            batch.tile(1 << n)
+            batch.step(t, np.repeat(combos, width, axis=0), np.tile(s, (1 << n, 1)), sched)
     return JointTable(n, horizon, probs, exact=False)
 
 
@@ -309,11 +272,8 @@ def _iter_histories(net, sched, state, prefix, prob, remaining):
         return
     n = net.node_count
     s = contagion.conditional_draw_probabilities(state, net)
-    for combo in range(1 << n):
+    for combo, p in enumerate(_combo_products(prob, s)):
         draws = tuple((combo >> i) & 1 for i in range(n))
-        p = prob
-        for i, d in enumerate(draws):
-            p = p * (s[i] if d else 1 - s[i])
         child = contagion.apply_draws(state, net, draws, sched)
         yield from _iter_histories(net, sched, child, prefix + (draws,), p, remaining - 1)
 

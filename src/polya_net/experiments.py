@@ -1,4 +1,4 @@
-"""Canned experiment definitions shared by the CLI, the scripts and the
+"""Canned experiment definitions shared by ``polya-net reproduce`` and the
 acceptance suite, so a figure reproduction is one config in one place.
 
 Parameter choices the model itself does not force (networks, seeds, urn
@@ -14,6 +14,7 @@ import numpy as np
 
 from . import approx, exact, graph, montecarlo as mc, sis
 from .contagion import ConstantDelta, UrnInit, uniform_init
+from .errors import ValidationError
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +171,8 @@ def run_sis_reference(ratio: float, horizon: int = SIS_HORIZON):
 
 def default_threads() -> int:
     env = os.environ.get("POLYA_NET_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValidationError(f"POLYA_NET_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)

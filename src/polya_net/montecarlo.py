@@ -20,16 +20,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import exact
-from .contagion import (
-    ConstantDelta,
-    CuringDelta,
-    DeltaSchedule,
-    TabulatedDelta,
-    UrnInit,
-)
+from . import contagion, exact
+from .contagion import ConstantDelta, DeltaSchedule, UrnBatch, UrnInit
 from .errors import DomainError, HypothesisViolation, InvalidParameter
 from .graph import Network, classify
 
@@ -62,9 +55,13 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1 or self.horizon < 1:
             raise InvalidParameter("trials and horizon must be >= 1")
-        if self.collect_assignments and self.net.node_count * self.horizon > 62:
+        if (self.chunk_size is not None and self.chunk_size < 1) or self.threads < 1:
+            raise InvalidParameter("chunk_size (None for auto) and threads must be >= 1")
+        contagion.initial_state(self.net, self.init, memory=self.memory)
+        if (self.collect_assignments
+                and self.net.node_count * self.horizon > exact.ENUMERATION_CAP):
             raise InvalidParameter(
-                "assignment collection needs node_count * horizon <= 62"
+                f"assignment collection needs node_count * horizon <= {exact.ENUMERATION_CAP}"
             )
 
     def describe(self) -> dict:
@@ -152,42 +149,6 @@ def _auto_chunk(cfg: RunConfig) -> int:
     return max(16, min(cfg.trials, UNIFORM_BUFFER_BYTES // max(per_trial, 1)))
 
 
-def _neighbor_op(net: Network):
-    dense = net.closed_adjacency
-    if net.node_count <= 32:
-        return lambda m: m @ dense
-    csr = sp.csr_matrix(dense)
-    return lambda m: np.asarray(m @ csr)
-
-
-def _mass_plan(sched: DeltaSchedule, n: int):
-    """Step-mass closure: (t, u, s) -> (red, black) arrays, precomputing
-    whatever the schedule kind allows."""
-    if isinstance(sched, CuringDelta):
-        dr = float(sched.delta_red)
-        mult = float(sched.multiplier)
-
-        def curing(t, u, s):
-            return dr, mult * dr * (1.0 - u) * s / (u * (1.0 - s))
-
-        return curing
-    if isinstance(sched, ConstantDelta):
-        dr = np.array([float(sched.red_mass(i, 1)) for i in range(n)])
-        db = np.array([float(sched.black_mass(i, 1)) for i in range(n)])
-        return lambda t, u, s: (dr, db)
-    if isinstance(sched, TabulatedDelta):
-        reds = [np.array([float(v) for v in row]) for row in sched.red_rows]
-        blacks = [np.array([float(v) for v in row]) for row in sched.black_rows]
-        return lambda t, u, s: (reds[t - 1], blacks[t - 1])
-
-    def generic(t, u, s):
-        dr = np.array([float(sched.red_mass(i, t)) for i in range(n)])
-        db = np.array([float(sched.black_mass(i, t)) for i in range(n)])
-        return dr, db
-
-    return generic
-
-
 @dataclass
 class _ChunkResult:
     lo: int
@@ -204,17 +165,10 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
     net, n = cfg.net, cfg.net.node_count
     k = hi - lo
     h = cfg.horizon
-    neighbor = _neighbor_op(net)
     uniforms = np.empty((k, h, n))
     for j in range(k):
         uniforms[j] = trial_generator(cfg.seed, lo + j).random((h, n))
-
-    red = np.tile([float(v) for v in cfg.init.red], (k, 1))
-    total = np.tile([float(v) for v in cfg.init.totals], (k, 1))
-    buf_red = buf_black = None
-    if cfg.memory is not None:
-        buf_red = np.zeros((cfg.memory, k, n))
-        buf_black = np.zeros((cfg.memory, k, n))
+    batch = UrnBatch(net, cfg.init, k, memory=cfg.memory)
 
     red_counts = np.zeros((h + 1, n), dtype=np.int64)
     susc_sum = np.zeros(h + 1)
@@ -224,30 +178,16 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
     z_count = np.zeros((k, n)) if cfg.collect_sample_averages else None
     codes = np.zeros(k, dtype=np.int64) if cfg.collect_assignments else None
 
-    masses = _mass_plan(cfg.sched, n)
-    u_mean = (red / total).mean(axis=1)
+    u_mean = batch.proportions().mean(axis=1)
     susc_sum[0] = u_mean.sum()
     z_prev = None
     for t in range(1, h + 1):
-        nbr_red = neighbor(red)
-        nbr_total = neighbor(total)
-        s = nbr_red / nbr_total
+        s = batch.super_urn()
         z = uniforms[:, t - 1, :] < s
-        dr, db = masses(t, red / total, s)
-        add_red = np.where(z, dr, 0.0)
-        add_black = np.where(z, 0.0, db)
-        if cfg.memory is not None:
-            slot = (t - 1) % cfg.memory
-            if t > cfg.memory:
-                red -= buf_red[slot]
-                total -= buf_red[slot] + buf_black[slot]
-            buf_red[slot] = add_red
-            buf_black[slot] = add_black
-        red += add_red
-        total += add_red + add_black
+        batch.step(t, z, s, cfg.sched)
 
         red_counts[t] = z.sum(axis=0)
-        u_mean_next = (red / total).mean(axis=1)
+        u_mean_next = batch.proportions().mean(axis=1)
         susc_sum[t] = u_mean_next.sum()
         inc = u_mean_next - u_mean
         inc_sum[t] = inc.sum()

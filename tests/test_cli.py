@@ -152,6 +152,33 @@ def test_config_rejects_unknown_fields_and_bad_json(tmp_path, k2_path):
     assert run("simulate", "--config", str(unknown)) == 1
 
 
+def test_bad_thread_environment_is_a_usage_error(k2_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("POLYA_NET_THREADS", "abc")
+    assert run("simulate", "--graph", k2_path, "--delta", "1", "--horizon", "2",
+               "--trials", "1") == 1
+    assert run("reproduce", "fig5", "--out-dir", str(tmp_path / "r"), "--trials", "1") == 1
+    err = capsys.readouterr().err
+    assert err.count("POLYA_NET_THREADS must be an integer") == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--threads"])
+def test_reproduce_rejects_nonpositive_counts(flag, tmp_path, capsys):
+    out = tmp_path / "results"
+    assert run("reproduce", "fig5", "--out-dir", str(out), flag, "0") == 1
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def assert_numeric_csvs(out):
+    """Every data field of every CSV in ``out`` parses as a float."""
+    for path in out.glob("*.csv"):
+        rows = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+        for row in rows[1:]:
+            for cell in row.split(","):
+                float(cell)
+
+
 def test_reproduce_smoke_runs_scaled_down(tmp_path):
     out = tmp_path / "results"
     assert run("reproduce", "fig5", "--out-dir", str(out), "--trials", "4",
@@ -159,6 +186,8 @@ def test_reproduce_smoke_runs_scaled_down(tmp_path):
     files = sorted(p.name for p in out.iterdir())
     assert "sis_comparison_low_inf.csv" in files
     assert "sis_reference_same.csv" in files
+    assert (out / "sis_reference_low.csv").read_text().splitlines()[1] == "t,mean"
+    assert_numeric_csvs(out)
 
 
 def test_reproduce_fig2_smoke(tmp_path):
@@ -174,3 +203,5 @@ def test_reproduce_fig4_smoke(tmp_path):
                "--threads", "1") == 0
     assert (out / "histogram_classical.csv").exists()
     assert (out / "histogram_ba100.csv").exists()
+    assert (out / "beta_density_ba100.csv").read_text().splitlines()[1] == "x,pdf"
+    assert_numeric_csvs(out)

@@ -111,6 +111,14 @@ def test_float_enumeration_finite_memory_matches_exact():
     assert max(diffs) < 1e-14
 
 
+def test_float_enumeration_at_the_cap_has_unit_mass():
+    star = graph.generate_star(exact.ENUMERATION_CAP)
+    table = exact.enumerate_joint(star, cg.uniform_init(star.node_count, 1.0, 1.0),
+                                  cg.ConstantDelta(1.0), 1, exact=False)
+    assert table.probs.shape == (1 << exact.ENUMERATION_CAP,)
+    assert table.total() == pytest.approx(1.0, abs=1e-9)
+
+
 def test_node_marginal_sums_to_one_and_windows():
     table = exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(2)), 3)
     marg = table.node_marginal(0)

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polya_net import contagion as cg, exact, graph, montecarlo as mc
-from polya_net.errors import HypothesisViolation, InvalidParameter
+from polya_net.errors import HypothesisViolation, InvalidParameter, SizeMismatch
 
 K2 = graph.generate_complete(2)
 CYCLE4 = graph.generate_cycle(4)
@@ -105,6 +106,78 @@ def test_run_config_validation():
         small_cfg(trials=0)
     with pytest.raises(InvalidParameter):
         small_cfg(horizon=100, collect_assignments=True)
+
+
+@pytest.mark.parametrize("kw, error", [
+    (dict(memory=0), InvalidParameter),
+    (dict(memory=-2), InvalidParameter),
+    (dict(init=float_init(3)), SizeMismatch),
+    (dict(chunk_size=0), InvalidParameter),
+    (dict(chunk_size=-1), InvalidParameter),  # ran no chunk and reported zero draws
+    (dict(threads=0), InvalidParameter),
+    (dict(horizon=13, collect_assignments=True), InvalidParameter),  # 2 * 13 > cap
+])
+def test_run_config_rejects_bad_input_with_typed_errors(kw, error):
+    with pytest.raises(error):
+        small_cfg(**kw)
+
+
+SMALL_NETS = (graph.generate_complete(1), K2, graph.build_network(3, [(0, 1), (1, 2)]),
+              graph.generate_complete(3), STAR4, CYCLE4)
+
+
+@st.composite
+def small_processes(draw, kind):
+    """(net, horizon, memory, build) with build(conv) -> (init, schedule) made
+    from the same rational parameters, converted by ``conv``."""
+    net = draw(st.sampled_from(SMALL_NETS))
+    n = net.node_count
+    h = draw(st.integers(2, 4))
+    memory = draw(st.sampled_from([None, 1, 2, 3]))
+    positive = st.sampled_from([F(1), F(2), F(3), F(1, 2)])
+    mass = st.sampled_from([F(0), F(1, 2), F(1), F(2)])
+    red = [draw(positive) for _ in range(n)]
+    black = [draw(positive) for _ in range(n)]
+    if kind == "constant":
+        params = ([draw(mass) for _ in range(n)], [draw(mass) for _ in range(n)])
+    elif kind == "tabulated":
+        params = tuple([[draw(mass) for _ in range(n)] for _ in range(h)] for _ in "rb")
+    else:
+        params = (draw(mass), draw(st.sampled_from([F(0), F(1, 2), F(1), F(3, 2)])))
+
+    def build(conv):
+        init = cg.UrnInit(red=tuple(map(conv, red)), black=tuple(map(conv, black)))
+        if kind == "constant":
+            sched = cg.ConstantDelta(*(tuple(map(conv, v)) for v in params))
+        elif kind == "tabulated":
+            sched = cg.TabulatedDelta(*([list(map(conv, row)) for row in rows]
+                                        for rows in params))
+        else:
+            sched = cg.CuringDelta(*map(conv, params))
+        return init, sched
+
+    return net, h, memory, build
+
+
+@pytest.mark.parametrize("kind", ["constant", "tabulated", "curing"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_shared_step_matches_scalar_and_exact_references(kind, data):
+    net, h, memory, build = data.draw(small_processes(kind))
+    init, sched = build(float)
+    cfg = mc.RunConfig(net=net, init=init, sched=sched, horizon=h, trials=5, seed=3,
+                       memory=memory)
+    counts = np.zeros((h + 1, net.node_count), dtype=np.int64)
+    for k in range(cfg.trials):
+        rec, _ = cg.simulate_path(net, init, sched, h, mc.trial_generator(cfg.seed, k),
+                                  memory=memory)
+        counts[1:] += np.array(rec.steps)
+    assert np.array_equal(mc.run_trials(cfg).red_draw_counts, counts)
+
+    floats = exact.enumerate_joint(net, init, sched, h, exact=False, memory=memory)
+    rationals = exact.enumerate_joint(net, *build(F), h, memory=memory)
+    assert rationals.total() == 1
+    assert max(abs(float(p) - q) for p, q in zip(rationals.probs, floats.probs)) < 1e-12
 
 
 def test_assignment_counts_total():
