@@ -189,9 +189,9 @@ def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
                           cap: int = exact.ENUMERATION_CAP) -> Mapping:
     """Marginal of node i's first n draws under constant reinforcement.
 
-    Complete networks go through the count dynamic program; others enumerate,
-    rationally while the assignment space is small enough for that to be
-    quick (fits are float-valued downstream either way).
+    Complete networks go through the count dynamic program; others enumerate
+    in float, whatever the input arithmetic (fits are float-valued downstream
+    either way).
     """
     from .graph import classify
 
@@ -199,9 +199,7 @@ def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
         rho = float(rho_for_node(net, init, i))
         d = float(node_delta(net, init, i, delta))
         return exact.complete_node_marginal(rho, d, net.node_count, n)
-    use_exact = _rational(init, delta) and net.node_count * n <= 16
-    table = exact.enumerate_joint(net, init, ConstantDelta(delta), n,
-                                  exact=use_exact, cap=cap)
+    table = exact.enumerate_joint(net, init, ConstantDelta(delta), n, exact=False, cap=cap)
     return table.node_marginal(i)
 
 

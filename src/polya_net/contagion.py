@@ -80,6 +80,11 @@ class DeltaSchedule:
     def masses(self, t: int, u: np.ndarray, s: np.ndarray):
         raise NotImplementedError
 
+    def check_size(self, node_count: int, steps: int) -> None:
+        """Raise ``SizeMismatch`` unless the schedule gives masses for
+        ``node_count`` nodes at steps 1..``steps``.  Schedules computed
+        from the state fit any size."""
+
     def describe(self) -> dict:
         raise NotImplementedError
 
@@ -114,6 +119,12 @@ class ConstantDelta(DeltaSchedule):
 
     def masses(self, t, u, s):
         return self._floats
+
+    def check_size(self, node_count, steps):
+        for v in (self.red, self.black):
+            if isinstance(v, (tuple, list)) and len(v) != node_count:
+                raise SizeMismatch(
+                    f"schedule has masses for {len(v)} nodes, network has {node_count}")
 
     def describe(self):
         fmt = lambda v: [str(x) for x in v] if isinstance(v, (tuple, list)) else str(v)
@@ -151,6 +162,14 @@ class TabulatedDelta(DeltaSchedule):
 
     def masses(self, t, u, s):
         return self._floats[t - 1]
+
+    def check_size(self, node_count, steps):
+        if len(self.red_rows) < steps:
+            raise SizeMismatch(f"schedule has {len(self.red_rows)} steps, need {steps}")
+        for row in self.red_rows + self.black_rows:
+            if len(row) != node_count:
+                raise SizeMismatch(
+                    f"schedule has masses for {len(row)} nodes, network has {node_count}")
 
     def describe(self):
         return {
@@ -345,6 +364,7 @@ def simulate_path(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: in
                   rng, memory: int | None = None):
     """Reference scalar sampler: returns (DrawRecord, final NetworkState)."""
     state = initial_state(net, init, memory=memory)
+    sched.check_size(net.node_count, horizon)
     steps = []
     for _ in range(horizon):
         draws, state = sample_step(state, net, sched, rng)

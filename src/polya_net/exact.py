@@ -82,7 +82,10 @@ class JointTable:
 
     Assignments are encoded as integers with bit (t-1)*N + i holding node
     i's draw at time t.  ``probs`` is a list of Fractions in exact mode or a
-    float ndarray otherwise, indexed by that code.
+    float ndarray otherwise, indexed by that code.  Marginals and event
+    probabilities are axis sums over one view of it, an array with a
+    length-2 axis per bit (axis (t-1)*N + i for node i at time t), in
+    ``Fraction`` or float64 arithmetic as the table is.
     """
 
     node_count: int
@@ -113,37 +116,33 @@ class JointTable:
             return sum(self.probs)
         return float(np.sum(self.probs))
 
-    def items(self):
-        return enumerate(self.probs)
+    def _cube(self) -> np.ndarray:
+        """The table viewed with one length-2 axis per assignment bit, so
+        that axis (t-1)*N + i is node i's draw at time t."""
+        probs = np.asarray(self.probs, dtype=object if self.exact else np.float64)
+        return probs.reshape((2,) * self._bits).T
 
     def node_marginal(self, i: int, window: tuple[int, int] | None = None) -> dict:
         """Distribution of node i's draws over the window (1-indexed, inclusive),
-        summing out all other coordinates.  Defaults to the full horizon."""
+        summing out all other coordinates.  Defaults to the full horizon.
+        Keys are draw tuples, in the order of their assignment codes."""
         lo, hi = window if window is not None else (1, self.horizon)
         if not (1 <= lo <= hi <= self.horizon):
             raise InvalidParameter(f"window {window} not within horizon {self.horizon}")
-        shifts = [(t - 1) * self.node_count + i for t in range(lo, hi + 1)]
-        out: dict = {}
-        for code, p in enumerate(self.probs):
-            key = tuple((code >> s) & 1 for s in shifts)
-            if key in out:
-                out[key] = out[key] + p
-            else:
-                out[key] = p
-        return out
+        keep = {(t - 1) * self.node_count + i for t in range(lo, hi + 1)}
+        m = self._cube().sum(axis=tuple(a for a in range(self._bits) if a not in keep))
+        return {k[::-1]: m[k[::-1]] for k in np.ndindex(m.shape)}
 
     def event_probability(self, fixed: Mapping[tuple[int, int], int]):
         """Probability that each (node, time) in ``fixed`` drew the given bit."""
-        shifts = {}
+        index = [slice(None)] * self._bits
         for (i, t), bit in fixed.items():
             if not (0 <= i < self.node_count and 1 <= t <= self.horizon):
                 raise InvalidParameter(f"(node={i}, time={t}) outside the table")
-            shifts[(t - 1) * self.node_count + i] = bit
-        total = None
-        for code, p in enumerate(self.probs):
-            if all((code >> s) & 1 == bit for s, bit in shifts.items()):
-                total = p if total is None else total + p
-        return 0 if total is None else total
+            if bit not in (0, 1):
+                raise InvalidParameter(f"draw at (node={i}, time={t}) must be 0 or 1, got {bit}")
+            index[(t - 1) * self.node_count + i] = int(bit)
+        return np.sum(self._cube()[tuple(index)])
 
     def write_csv(self, target, header_lines: Sequence[str] = ()) -> None:
         """One row per assignment: a_i_t columns node-major, then the
@@ -181,6 +180,7 @@ def joint_probability(net: Network, init: UrnInit, sched: DeltaSchedule,
     """Chain-rule probability of one full assignment (node-major sequences)."""
     n = len(assignment[0])
     state = contagion.initial_state(net, init, memory=memory)
+    sched.check_size(net.node_count, n)
     prob = Fraction(1) if _is_exact(init, sched) else 1.0
     for t in range(1, n + 1):
         draws = tuple(assignment[i][t - 1] for i in range(net.node_count))
@@ -210,6 +210,7 @@ def enumerate_joint(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: 
     if horizon < 1:
         raise InvalidParameter("horizon must be >= 1")
     bits = _check_cap(net.node_count, horizon, cap)
+    sched.check_size(net.node_count, horizon - 1)  # masses added after the last draw never count
     if not exact:
         return _float_table(net, init, sched, horizon, memory)
     n = net.node_count
@@ -262,6 +263,7 @@ def iter_histories(net: Network, init: UrnInit, sched: DeltaSchedule, steps: int
     """Yield (draw steps, probability, state) for every history of the given length."""
     _check_cap(net.node_count, steps, cap)
     start = contagion.initial_state(net, init, memory=memory)
+    sched.check_size(net.node_count, steps)
     one = Fraction(1) if _is_exact(init, sched) else 1.0
     yield from _iter_histories(net, sched, start, (), one, steps)
 
@@ -469,12 +471,16 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
     so the marginal is computable by a count-state dynamic program instead
     of full enumeration: per step, the other N-1 nodes contribute a
     binomial count transition.  Cost grows like 2^horizon * (N * horizon)^2
-    rather than 2^(N * horizon).
+    rather than 2^(N * horizon).  The rows of the final level are indexed
+    by the node's own draws, so they form the node's one-node joint table,
+    and the marginal is read off it like any other table's.
     """
     from scipy.stats import binom
 
     if not 0 < rho < 1 or delta < 0:
         raise InvalidParameter("need 0 < rho < 1 and delta >= 0")
+    if node_count < 1 or horizon < 1:
+        raise InvalidParameter("need node_count >= 1 and horizon >= 1")
     n_nodes, n = node_count, horizon
     # rows: per own-draw-prefix (code bit t-1 = draw at time t) state vectors
     # over the total red count c
@@ -492,9 +498,4 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
         k0[rows, cols] = (1 - s)[:, None] * pmf
         k1[rows, cols + 1] = s[:, None] * pmf
         level = np.concatenate([level @ k0, level @ k1], axis=0)
-    out = {}
-    mass = level.sum(axis=1)
-    for code in range(1 << n):
-        draws = tuple((code >> (t - 1)) & 1 for t in range(1, n + 1))
-        out[draws] = float(mass[code])
-    return out
+    return JointTable(1, horizon, level.sum(axis=1), exact=False).node_marginal(0)

@@ -17,6 +17,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     NonConvergence,
+    ParseError,
     SelfLoop,
 )
 
@@ -239,16 +240,20 @@ def write_edge_list(net: Network, path) -> None:
 
 
 def read_edge_list(path) -> Network:
+    """Read the format of :func:`write_edge_list`; a file that is not in it
+    raises ``ParseError``."""
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
-        raise InvalidParameter(f"empty edge-list file {path}")
-    n = int(tokens[0])
-    body = tokens[1:]
-    if len(body) % 2 != 0:
-        raise InvalidParameter(f"odd number of node indices in {path}")
-    pairs = [(int(body[k]), int(body[k + 1])) for k in range(0, len(body), 2)]
-    return build_network(n, pairs)
+        raise ParseError(f"empty edge-list file {path}")
+    if len(tokens) % 2 == 0:
+        raise ParseError(f"odd number of node indices in {path}")
+    try:
+        values = [int(tok) for tok in tokens]
+    except ValueError as e:
+        raise ParseError(f"edge-list file {path} holds a non-integer token: {e}") from e
+    n, body = values[0], values[1:]
+    return build_network(n, list(zip(body[::2], body[1::2])))
 
 
 def degree_sequence(edges: Sequence[tuple[int, int]], n: int) -> list[int]:

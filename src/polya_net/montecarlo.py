@@ -23,7 +23,7 @@ import numpy as np
 
 from . import contagion, exact
 from .contagion import ConstantDelta, DeltaSchedule, UrnBatch, UrnInit
-from .errors import DomainError, HypothesisViolation, InvalidParameter
+from .errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch
 from .graph import Network, classify
 
 UNIFORM_BUFFER_BYTES = 64 << 20  # target per-chunk uniform block size
@@ -58,6 +58,7 @@ class RunConfig:
         if (self.chunk_size is not None and self.chunk_size < 1) or self.threads < 1:
             raise InvalidParameter("chunk_size (None for auto) and threads must be >= 1")
         contagion.initial_state(self.net, self.init, memory=self.memory)
+        self.sched.check_size(self.net.node_count, self.horizon)
         if (self.collect_assignments
                 and self.net.node_count * self.horizon > exact.ENUMERATION_CAP):
             raise InvalidParameter(
@@ -357,6 +358,10 @@ def least_squares_trend(y: Sequence[float], t: Sequence[float] | None = None):
     """OLS slope and its standard error for a time series."""
     y = np.asarray(y, dtype=np.float64)
     x = np.arange(len(y), dtype=np.float64) if t is None else np.asarray(t, float)
+    if x.shape != y.shape:
+        raise SizeMismatch(f"{len(x)} times for {len(y)} values")
+    if len(y) < 2 or np.all(x == x[0]):
+        raise InvalidParameter("a trend needs at least two distinct times")
     x_c = x - x.mean()
     denom = float(np.dot(x_c, x_c))
     slope = float(np.dot(x_c, y)) / denom

@@ -113,6 +113,15 @@ def test_usage_errors_return_one(k2_path, capsys):
                "--node", "7") == 1
 
 
+@pytest.mark.parametrize("text", ["2\n0 x\n", "abc"], ids=["letter", "no_count"])
+def test_malformed_edge_list_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    assert run("fit", "--graph", str(path), "--delta", "1", "--horizon", "2") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 def test_runtime_errors_return_two(k2_path, capsys):
     assert run("fit", "--graph", "missing.edges", "--delta", "1", "--horizon", "2") == 2
     assert run("enumerate", "--graph", k2_path, "--delta", "1",

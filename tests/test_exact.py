@@ -156,6 +156,74 @@ def test_two_step_window_pair_value():
     assert marg[(1, 1)] == F(5, 16)
 
 
+@st.composite
+def small_tables(draw):
+    """A rational joint table and the float table of the same process, on a
+    random connected network of <= 4 nodes with h <= 4."""
+    n = draw(st.integers(1, 4))
+    h = draw(st.integers(1, 4))
+    edges = [(draw(st.integers(0, j - 1)), j) for j in range(1, n)]  # spanning tree
+    edges += [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    net = graph.build_network(n, edges)
+    positive = st.sampled_from([F(1), F(2), F(3), F(1, 2)])
+    red, black = ([draw(positive) for _ in range(n)] for _ in "rb")
+    masses = [draw(st.sampled_from([F(0), F(1, 2), F(1), F(2)])) for _ in range(n)]
+    memory = draw(st.sampled_from([None, 1, 2]))
+    tables = []
+    for conv, is_exact in ((F, True), (float, False)):
+        init = cg.UrnInit(red=tuple(map(conv, red)), black=tuple(map(conv, black)))
+        sched = cg.ConstantDelta(tuple(map(conv, masses)))
+        tables.append(exact.enumerate_joint(net, init, sched, h, exact=is_exact,
+                                            memory=memory))
+    return tables
+
+
+def reference_marginal(table, i, lo, hi):
+    out = {}
+    for code, p in enumerate(table.probs):
+        key = tuple((code >> ((t - 1) * table.node_count + i)) & 1 for t in range(lo, hi + 1))
+        out[key] = out.get(key, 0) + p
+    return out
+
+
+def reference_event(table, fixed):
+    return sum(p for code, p in enumerate(table.probs)
+               if all((code >> ((t - 1) * table.node_count + i)) & 1 == bit
+                      for (i, t), bit in fixed.items()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_tables(), st.data())
+def test_marginals_and_events_match_a_per_code_sum(tables, data):
+    n, h = tables[0].node_count, tables[0].horizon
+    i = data.draw(st.integers(0, n - 1))
+    lo = data.draw(st.integers(1, h))
+    hi = data.draw(st.integers(lo, h))
+    cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, h)),
+                               unique=True, max_size=n * h))
+    fixed = {cell: data.draw(st.integers(0, 1)) for cell in cells}
+    width = hi - lo + 1
+    code_order = [tuple((v >> k) & 1 for k in range(width)) for v in range(1 << width)]
+    for table in tables:
+        marg = table.node_marginal(i, window=(lo, hi))
+        ref = reference_marginal(table, i, lo, hi)
+        assert list(marg) == code_order
+        event = table.event_probability(fixed)
+        if table.exact:
+            assert marg == ref
+            assert event == reference_event(table, fixed)
+        else:
+            assert all(abs(marg[k] - ref[k]) <= 1e-12 for k in ref)
+            assert abs(event - reference_event(table, fixed)) <= 1e-12
+
+
+def test_event_probability_rejects_a_bit_outside_zero_one():
+    table = exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(1)), 2)
+    for bit in (2, -1):
+        with pytest.raises(InvalidParameter):
+            table.event_probability({(0, 1): bit})
+
+
 def test_average_infection_rate_complete_is_constant():
     init = cg.UrnInit(red=(F(3), F(1)), black=(F(1), F(2)))
     for n in (1, 2, 3):
@@ -359,6 +427,12 @@ def test_complete_node_marginal_matches_enumeration(net, delta, n):
     dp = exact.complete_node_marginal(float(rho), float(d), nn, n)
     for key, value in marg.items():
         assert dp[key] == pytest.approx(float(value), abs=1e-14)
+
+
+def test_complete_node_marginal_rejects_empty_sizes():
+    for nodes, horizon in ((0, 2), (2, 0)):
+        with pytest.raises(InvalidParameter):
+            exact.complete_node_marginal(0.5, 1.0, nodes, horizon)
 
 
 def test_iter_histories_probabilities_sum_to_one():

@@ -8,6 +8,7 @@ from polya_net.errors import (
     IndexOutOfRange,
     InvalidParameter,
     NonConvergence,
+    ParseError,
     SelfLoop,
 )
 
@@ -123,6 +124,15 @@ def test_edge_list_round_trip(tmp_path):
     back = graph.read_edge_list(path)
     assert back.node_count == net.node_count
     assert back.edges == net.edges
+
+
+@pytest.mark.parametrize("text", ["2\n0 x\n", "abc", "", "2\n0 1 1\n", "1.5\n"],
+                         ids=["letter", "no_count", "empty", "odd_count", "fraction"])
+def test_malformed_edge_list_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        graph.read_edge_list(path)
 
 
 @st.composite

@@ -300,6 +300,41 @@ def test_least_squares_trend_recovers_slope():
     assert slope / se > 10
 
 
+def test_least_squares_trend_needs_two_distinct_times():
+    for y, t in (([0.5], None), ([], None), ([0.1, 0.2, 0.3], [2.0, 2.0, 2.0])):
+        with pytest.raises(InvalidParameter):
+            mc.least_squares_trend(y, t)
+    with pytest.raises(SizeMismatch):
+        mc.least_squares_trend([0.1, 0.2, 0.3], [0.0, 1.0])
+
+
+BAD_SCHEDULES = {
+    "three_node_constant": cg.ConstantDelta((F(1), F(1), F(1))),
+    "one_node_constant": cg.ConstantDelta((F(1),)),
+    "three_node_black": cg.ConstantDelta(F(1), (F(1), F(2), F(1))),
+    "short_table": cg.TabulatedDelta([(F(1), F(1))], [(F(1), F(1))]),
+    "narrow_table": cg.TabulatedDelta([(F(1),)] * 3, [(F(1),)] * 3),
+}
+K2_INIT = cg.uniform_init(2, F(1), F(1))
+SCHEDULE_PATHS = {
+    "run_config": lambda sched: mc.RunConfig(net=K2, init=K2_INIT, sched=sched,
+                                             horizon=3, trials=4, seed=0),
+    "exact_enumeration": lambda sched: exact.enumerate_joint(K2, K2_INIT, sched, 3),
+    "float_enumeration": lambda sched: exact.enumerate_joint(K2, K2_INIT, sched, 3,
+                                                             exact=False),
+    "iter_histories": lambda sched: list(exact.iter_histories(K2, K2_INIT, sched, 3)),
+    "simulate_path": lambda sched: cg.simulate_path(K2, K2_INIT, sched, 3,
+                                                    np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("path", SCHEDULE_PATHS)
+@pytest.mark.parametrize("bad", BAD_SCHEDULES)
+def test_schedule_of_the_wrong_size_is_rejected_on_every_path(bad, path):
+    with pytest.raises(SizeMismatch):
+        SCHEDULE_PATHS[path](BAD_SCHEDULES[bad])
+
+
 def test_complete_network_infection_rate_time_invariant():
     # asymmetric urns on a complete triangle: the empirical red fraction
     # stays within binomial noise of the initial pooled fraction at every step
