@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -373,54 +372,77 @@ def simulate_path(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: in
 
 
 class UrnBatch:
-    """Float64 urn masses (``red``, ``total``: rows x N) of many copies of
-    the process.  With finite memory M a ring keeps the last M steps'
-    additions so they can be expired, as in :func:`apply_draws`."""
+    """Float64 urn masses of many copies of the process: ``red`` and
+    ``total`` (rows x N) are the two planes of one (2, rows, N) array.  With
+    finite memory M a ring keeps the last M steps' additions so they can be
+    expired, as in :func:`apply_draws`.
+
+    Networks of at most 32 nodes pool neighbourhoods by dense BLAS products,
+    larger ones by CSR sums.  The split is part of the output bits: the two
+    sum a neighbourhood in different orders, and their results differ in the
+    last bit for some networks of 20 nodes and more.
+    """
 
     def __init__(self, net: Network, init: UrnInit, rows: int, memory: int | None = None):
         start = initial_state(net, init, memory=memory)
         n = net.node_count
-        self.red = np.tile([float(v) for v in start.red_mass], (rows, 1))
-        self.total = np.tile([float(v) for v in start.total_mass], (rows, 1))
+        first = np.array([[float(v) for v in start.red_mass],
+                          [float(v) for v in start.total_mass]])
+        self._set_masses(np.repeat(first[:, None, :], rows, axis=1))
         self.memory = memory
         # ring[0] holds red additions, ring[1] black ones, slot (t-1) % M for step t
         self._ring = None if memory is None else np.zeros((2, memory, rows, n))
-        if n <= 32:  # dense neighborhood sums beat CSR on small networks
-            dense = net.closed_adjacency
-            self._pool = lambda m: m @ dense
-        else:
-            csr = sp.csr_matrix(net.closed_adjacency)
-            self._pool = lambda m: np.asarray(m @ csr)
+        # dense neighborhood sums beat CSR on small networks
+        self._dense = net.closed_adjacency if n <= 32 else None
+        self._csr = None if n <= 32 else sp.csr_matrix(net.closed_adjacency)
+
+    def _set_masses(self, masses: np.ndarray) -> None:
+        self._masses = masses
+        self.red, self.total = masses
+        self._u = masses[0] / masses[1]
 
     def proportions(self) -> np.ndarray:
-        return self.red / self.total
+        """``red / total``, kept up to date by :meth:`step`; read-only."""
+        return self._u
 
     def super_urn(self) -> np.ndarray:
         """Red fraction of every node's super urn, per row."""
-        return self._pool(self.red) / self._pool(self.total)
+        if self._csr is None:
+            # one product per plane: a stacked product moves rows across the
+            # BLAS kernels' row tails, which changes last bits
+            return (self.red @ self._dense) / (self.total @ self._dense)
+        # the closed adjacency is symmetric, so csr @ m.T sums every
+        # neighbourhood in the same ascending order as m @ csr, without the
+        # transposed copy of csr that scipy builds for m @ csr
+        rows = self.red.shape[0]
+        both = (self._csr @ self._masses.reshape(2 * rows, -1).T).T
+        return both[:rows] / both[rows:]
 
     def tile(self, reps: int) -> None:
         """Repeat the rows ``reps`` times: row c * rows + r copies row r."""
-        self.red = np.tile(self.red, (reps, 1))
-        self.total = np.tile(self.total, (reps, 1))
+        self._set_masses(np.tile(self._masses, (1, reps, 1)))
         if self._ring is not None:
             self._ring = np.tile(self._ring, (1, 1, reps, 1))
 
     def step(self, t: int, z: np.ndarray, s: np.ndarray, sched: DeltaSchedule) -> None:
-        """Apply step t's draws ``z`` (bool, rows x N) drawn at super-urn
-        proportions ``s``: expire the additions of step t-M, then reinforce."""
-        dr, db = sched.masses(t, self.proportions(), s)
-        add_red = np.where(z, dr, 0.0)
-        add_black = np.where(z, 0.0, db)
-        if self._ring is not None:
-            ring_red, ring_black = self._ring[:, (t - 1) % self.memory]
+        """Apply step t's draws ``z`` (0/1 floats, rows x N) drawn at
+        super-urn proportions ``s``: expire the additions of step t-M, then
+        reinforce.  Multiplying the masses by the draw mask selects them
+        exactly while they are finite; the curing mass is infinite only
+        where s == 1 or the urn proportion is 0."""
+        dr, db = sched.masses(t, self._u, s)
+        if self._ring is None:
+            add_red, add_black = z * dr, (1.0 - z) * db
+        else:
+            add_red, add_black = self._ring[:, (t - 1) % self.memory]
             if t > self.memory:
-                self.red -= ring_red
-                self.total -= ring_red + ring_black
-            ring_red[...] = add_red
-            ring_black[...] = add_black
+                self.red -= add_red
+                self.total -= add_red + add_black
+            np.multiply(z, dr, out=add_red)
+            np.multiply(1.0 - z, db, out=add_black)
         self.red += add_red
         self.total += add_red + add_black
+        np.divide(self.red, self.total, out=self._u)
 
 
 def finite_memory_conditional(state: NetworkState, net: Network, i: int):

@@ -252,7 +252,7 @@ def _float_table(net, init, sched, horizon, memory):
             half *= 1.0 - s[:, i]
         probs = level.reshape(-1)
         if t < horizon:
-            combos = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+            combos = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
             batch.tile(1 << n)
             batch.step(t, np.repeat(combos, width, axis=0), np.tile(s, (1 << n, 1)), sched)
     return JointTable(n, horizon, probs, exact=False)
@@ -260,12 +260,15 @@ def _float_table(net, init, sched, horizon, memory):
 
 def iter_histories(net: Network, init: UrnInit, sched: DeltaSchedule, steps: int,
                    memory: int | None = None, cap: int = ENUMERATION_CAP):
-    """Yield (draw steps, probability, state) for every history of the given length."""
+    """Iterate (draw steps, probability, state) over every history of the
+    given length; the arguments are checked before the first history."""
+    if steps < 0:
+        raise InvalidParameter(f"steps must be >= 0, got {steps}")
     _check_cap(net.node_count, steps, cap)
     start = contagion.initial_state(net, init, memory=memory)
     sched.check_size(net.node_count, steps)
     one = Fraction(1) if _is_exact(init, sched) else 1.0
-    yield from _iter_histories(net, sched, start, (), one, steps)
+    return _iter_histories(net, sched, start, (), one, steps)
 
 
 def _iter_histories(net, sched, state, prefix, prob, remaining):
@@ -296,6 +299,8 @@ def average_infection_rate(net: Network, init: UrnInit, sched: DeltaSchedule, n:
     ``mode='exact'`` enumerates and raises ``CapExceeded`` past the cap;
     ``mode='auto'`` falls back to a Monte Carlo estimate flagged as inexact.
     """
+    if n < 1:
+        raise InvalidParameter(f"the draw time n must be >= 1, got {n}")
     try:
         _check_cap(net.node_count, n - 1, cap)
     except CapExceeded:

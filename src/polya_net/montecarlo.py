@@ -26,7 +26,9 @@ from .contagion import ConstantDelta, DeltaSchedule, UrnBatch, UrnInit
 from .errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch
 from .graph import Network, classify
 
-UNIFORM_BUFFER_BYTES = 64 << 20  # target per-chunk uniform block size
+# bounds the trials per chunk: chunk * horizon * N doubles fit in this many
+# bytes; the uniforms themselves are drawn in time blocks (_time_block)
+UNIFORM_BUFFER_BYTES = 64 << 20
 
 
 def trial_generator(master_seed: int, trial: int) -> np.random.Generator:
@@ -162,13 +164,25 @@ class _ChunkResult:
     assignment_counts: np.ndarray | None
 
 
+def _time_block(h: int, n: int) -> int:
+    """Steps of uniforms drawn per generator call: at most 8 calls per
+    horizon and at least 8192 doubles a call (every call releases and
+    re-takes the GIL), never more than the horizon."""
+    return min(h, max(-(-h // 8), -(-8192 // n)))
+
+
 def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
     net, n = cfg.net, cfg.net.node_count
     k = hi - lo
     h = cfg.horizon
-    uniforms = np.empty((k, h, n))
-    for j in range(k):
-        uniforms[j] = trial_generator(cfg.seed, lo + j).random((h, n))
+    block = _time_block(h, n)
+    gens = (trial_generator(cfg.seed, lo + j) for j in range(k))
+    if block < h:  # keep each trial's stream for its later blocks
+        gens = list(gens)
+    # buf[j, i] holds trial j's uniforms for one step of the block; each
+    # step overwrites its uniforms with its 0/1 draws, so after the block
+    # buf is the block's draw record
+    buf = np.empty((k, block, n))
     batch = UrnBatch(net, cfg.init, k, memory=cfg.memory)
 
     red_counts = np.zeros((h + 1, n), dtype=np.int64)
@@ -181,27 +195,36 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
 
     u_mean = batch.proportions().mean(axis=1)
     susc_sum[0] = u_mean.sum()
-    z_prev = None
-    for t in range(1, h + 1):
-        s = batch.super_urn()
-        z = uniforms[:, t - 1, :] < s
-        batch.step(t, z, s, cfg.sched)
+    z_last = None
+    for t0 in range(0, h, block):
+        b = min(block, h - t0)
+        for j, g in enumerate(gens):
+            g.random(out=buf[j, :b])
+        for i in range(b):
+            t = t0 + i + 1
+            s = batch.super_urn()
+            z = np.less(buf[:, i], s, out=buf[:, i])
+            batch.step(t, z, s, cfg.sched)
+            u_mean_next = batch.proportions().mean(axis=1)
+            susc_sum[t] = u_mean_next.sum()
+            inc = u_mean_next - u_mean
+            inc_sum[t] = inc.sum()
+            inc_sumsq[t] = (inc ** 2).sum()
+            u_mean = u_mean_next
 
-        red_counts[t] = z.sum(axis=0)
-        u_mean_next = batch.proportions().mean(axis=1)
-        susc_sum[t] = u_mean_next.sum()
-        inc = u_mean_next - u_mean
-        inc_sum[t] = inc.sum()
-        inc_sumsq[t] = (inc ** 2).sum()
-        u_mean = u_mean_next
-        if pair is not None and z_prev is not None:
-            pair[t] = (z & z_prev).sum(axis=0)
+        draws = buf[:, :b]
+        red_counts[t0 + 1:t0 + b + 1] = draws.sum(axis=0)
+        if pair is not None:
+            # einsum reduces without a block-sized temporary
+            if z_last is not None:
+                pair[t0 + 1] = np.einsum("kn,kn->n", draws[:, 0], z_last)
+            pair[t0 + 2:t0 + b + 1] = np.einsum("kbn,kbn->bn", draws[:, 1:], draws[:, :-1])
+            z_last = draws[:, -1].copy()
         if z_count is not None:
-            z_count += z
+            z_count += draws.sum(axis=1)
         if codes is not None:
-            weights = (1 << (np.arange(n, dtype=np.int64) + n * (t - 1)))
-            codes += z.astype(np.int64) @ weights
-        z_prev = z
+            weights = 1 << (np.arange(b * n, dtype=np.int64) + n * t0)
+            codes += draws.reshape(k, b * n).astype(np.int64) @ weights
 
     counts = None
     if codes is not None:

@@ -257,6 +257,17 @@ def test_average_infection_rate_cap_and_fallback():
     assert 0.3 < est.value < 0.7
 
 
+
+@pytest.mark.parametrize("call", [
+    lambda sched: exact.iter_histories(K2, unit_init(2), sched, -1),
+    lambda sched: exact.average_infection_rate(K2, unit_init(2), sched, 0),
+    lambda sched: exact.average_infection_rate(K2, unit_init(2), sched, -1, mode="auto"),
+], ids=["iter_histories_steps_-1", "average_infection_rate_n_0", "average_infection_rate_n_-1"])
+def test_negative_step_counts_are_rejected_at_entry(call):
+    # these recursed until RecursionError, never reaching the zero-steps base case
+    with pytest.raises(InvalidParameter):
+        call(cg.ConstantDelta(F(1)))
+
 def test_complete_n1_joint_values():
     assert exact.complete_n1_joint(F(1, 2), F(1), 2) == F(5, 16)
     assert exact.complete_n1_joint(F(2, 5), F(0), 3) == F(4, 25)  # rho^2 at delta=0

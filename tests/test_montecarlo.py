@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -32,6 +33,15 @@ def test_trial_streams_depend_only_on_seed_and_index():
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
 
+
+
+def test_blocked_uniform_draws_continue_the_trial_stream():
+    whole = mc.trial_generator(123, 4).random((23, 5))
+    gen = mc.trial_generator(123, 4)
+    pieces = np.empty((23, 5))
+    for lo, hi in ((0, 9), (9, 18), (18, 23)):
+        gen.random(out=pieces[lo:hi])
+    assert np.array_equal(pieces, whole)
 
 def test_run_trials_matches_scalar_reference():
     cfg = small_cfg(trials=9, collect_pair_freq=True, collect_sample_averages=True)
@@ -72,6 +82,82 @@ def test_run_trials_curing_schedule_matches_scalar_reference():
             counts[t] += step
     assert np.array_equal(stats.red_draw_counts, counts)
 
+
+
+BA60 = graph.generate("ba", 60, m=2, seed=5)
+
+
+def scalar_tallies(cfg):
+    """Red draw counts, pair counts and sample averages of the scalar paths."""
+    h, n = cfg.horizon, cfg.net.node_count
+    counts = np.zeros((h + 1, n), dtype=np.int64)
+    pairs = np.zeros((h + 1, n), dtype=np.int64)
+    averages = np.zeros((cfg.trials, n))
+    for k in range(cfg.trials):
+        rec, _ = cg.simulate_path(cfg.net, cfg.init, cfg.sched, h,
+                                  mc.trial_generator(cfg.seed, k), memory=cfg.memory)
+        z = np.array(rec.steps)
+        counts[1:] += z
+        pairs[2:] += z[1:] & z[:-1]
+        averages[k] = z.sum(axis=0) / h
+    return counts, pairs, averages
+
+
+@pytest.mark.parametrize("memory", [None, 4])
+@pytest.mark.parametrize("kind", ["constant", "tabulated", "curing"])
+def test_sparse_multi_block_run_matches_scalar_reference(kind, memory):
+    net, h = BA60, 300
+    n = net.node_count
+    block = mc._time_block(h, n)
+    # CSR neighbourhood sums, at least three uniform blocks, a partial last one
+    assert n > 32 and h > 2 * block and h % block
+    rng = np.random.default_rng(21)
+    init = cg.UrnInit(red=tuple(rng.integers(1, 4, n) * 1.0),
+                      black=tuple(rng.integers(1, 4, n) * 1.0))
+    if kind == "constant":
+        sched = cg.ConstantDelta(tuple(rng.random(n) * 2), tuple(rng.random(n) * 2))
+    elif kind == "tabulated":
+        sched = cg.TabulatedDelta((rng.random((h, n)) * 2).tolist(),
+                                  (rng.random((h, n)) * 2).tolist())
+    else:
+        sched = cg.CuringDelta(2.0, multiplier=1.5)
+    cfg = mc.RunConfig(net=net, init=init, sched=sched, horizon=h, trials=3, seed=17,
+                       memory=memory, collect_pair_freq=True, collect_sample_averages=True)
+    stats = mc.run_trials(cfg)
+    counts, pairs, averages = scalar_tallies(cfg)
+    assert np.array_equal(stats.red_draw_counts, counts)
+    assert np.array_equal(stats.pair_counts, pairs)
+    assert np.array_equal(stats.sample_averages, averages)
+
+
+def test_assignment_counts_match_scalar_codes():
+    cfg = mc.RunConfig(net=CYCLE4, init=float_init(4), sched=cg.ConstantDelta(1.0),
+                       horizon=4, trials=60, seed=8, chunk_size=25,
+                       collect_assignments=True)
+    n = cfg.net.node_count
+    expected = np.zeros(1 << (n * cfg.horizon), dtype=np.int64)
+    for k in range(cfg.trials):
+        rec, _ = cg.simulate_path(cfg.net, cfg.init, cfg.sched, cfg.horizon,
+                                  mc.trial_generator(cfg.seed, k))
+        # bit (t-1) * N + i is node i's draw at time t, as in exact.JointTable
+        expected[sum(d << (n * t + i) for t, step in enumerate(rec.steps)
+                     for i, d in enumerate(step))] += 1
+    assert np.array_equal(mc.run_trials(cfg).assignment_counts, expected)
+
+
+def test_chunk_memory_is_bounded_by_a_time_block():
+    net = graph.generate("ba", 100, m=2, seed=3)
+    cfg = mc.RunConfig(net=net, init=float_init(100), sched=cg.ConstantDelta(1.0),
+                       horizon=1000, trials=83, seed=1, collect_pair_freq=True,
+                       collect_sample_averages=True)
+    tracemalloc.start()
+    try:
+        mc.run_trials(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk of all 83 trials, whose uniforms alone would take k * h * N * 8 bytes
+    assert peak <= cfg.trials * cfg.horizon * net.node_count * 8 / 4
 
 def test_identical_configs_reproduce_bitwise():
     cfg = small_cfg(trials=40, collect_pair_freq=True)
