@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import approx, exact, experiments, graph, montecarlo as mc, sis
 from .contagion import ConstantDelta, CuringDelta, UrnInit
-from .errors import ParseError, PolyaNetError, ValidationError
+from .errors import InvalidParameter, ParseError, PolyaNetError, ValidationError
 
 
 class _Usage(Exception):
@@ -35,18 +36,22 @@ def load_config(path) -> dict:
     """Read a JSON config file; errors carry position information."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(
             f"config {path} is not valid JSON (line {e.lineno}, column {e.colno}): {e.msg}"
         ) from e
+    if not isinstance(data, dict):
+        raise ValidationError(
+            f"config {path} must be a JSON object of fields, got a {type(data).__name__}")
+    return data
 
 
 def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
     """Overlay: defaults < config file < explicitly given flags."""
-    cfg = dict(load_config(args.config)) if getattr(args, "config", None) else {}
+    cfg = load_config(args.config) if getattr(args, "config", None) else {}
     unknown = set(cfg) - set(keys)
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
@@ -62,6 +67,19 @@ def _fraction(text, field: str) -> Fraction:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as e:
         raise ValidationError(f"{field} must be a decimal or rational string, got {text!r}") from e
+
+
+def _float(value: Fraction, field: str) -> float:
+    """``float(value)``; a value that overflows, or that is nonzero and
+    rounds to zero, is outside the float range and a usage error."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if math.isinf(out) or (out == 0 and value != 0):
+        exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        raise ValidationError(f"{field} of about 1e{exponent:+.0f} is outside the float range")
+    return out
 
 
 def _mass_list(text, field: str, n: int, *, positive: bool) -> tuple:
@@ -124,26 +142,34 @@ def _schedule(settings, n: int, exact_mode: bool):
     mult = settings.get("curing_multiplier")
     if delta is not None and (delta_red is not None or delta_black is not None):
         raise ValidationError("give either --delta or --delta-red/--delta-black, not both")
-    conv = (lambda v: v) if exact_mode else float
+
+    def conv(v, field):  # every schedule keeps float masses for the batched paths
+        f = _float(v, field)
+        return v if exact_mode else f
+
     if mult is not None:
         dr = _fraction(delta_red if delta_red is not None else delta or 0, "delta_red")
         _require(dr >= 0, f"delta_red must be >= 0, got {dr}")
         m = _fraction(mult, "curing_multiplier")
         _require(m >= 0, f"curing_multiplier must be >= 0, got {m}")
-        return CuringDelta(conv(dr), conv(m))
+        return CuringDelta(conv(dr, "delta_red"), conv(m, "curing_multiplier"))
     if delta is not None:
         masses = _mass_list(delta, "delta", n, positive=False)
-        return ConstantDelta(tuple(conv(v) for v in masses))
+        return ConstantDelta(tuple(conv(v, "delta") for v in masses))
     red = _mass_list(delta_red if delta_red is not None else "0", "delta_red", n,
                      positive=False)
     black = _mass_list(delta_black if delta_black is not None else "0", "delta_black", n,
                        positive=False)
-    return ConstantDelta(tuple(conv(v) for v in red), tuple(conv(v) for v in black))
+    return ConstantDelta(tuple(conv(v, "delta_red") for v in red),
+                         tuple(conv(v, "delta_black") for v in black))
 
 
 def _to_float_init(init: UrnInit) -> UrnInit:
-    return UrnInit(red=tuple(float(v) for v in init.red),
-                   black=tuple(float(v) for v in init.black))
+    try:
+        return UrnInit(red=tuple(_float(v, "red") for v in init.red),
+                       black=tuple(_float(v, "black") for v in init.black))
+    except InvalidParameter as e:  # finite masses whose totals overflow
+        raise ValidationError(str(e)) from e
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +257,8 @@ def _cmd_fit(args) -> int:
     init = _urns(s, net.node_count)
     delta = _fraction(s.get("delta", "1") or "1", "delta")
     _require(delta >= 0, f"delta must be >= 0, got {delta}")
+    _to_float_init(init)  # the fits enumerate and search in floats
+    _float(delta, "delta")
     horizon = _int_field(s, "horizon", minimum=1)
     node = _int_field(s, "node", default=0, minimum=0)
     _require(node < net.node_count, f"node {node} not in the network")
@@ -249,8 +277,9 @@ def _cmd_sis(args) -> int:
     init = _urns(s, net.node_count)
     _require(s.get("beta") is not None, "--beta is required")
     _require(s.get("delta_sis") is not None, "--delta-sis is required")
-    beta = float(_fraction(s["beta"], "beta"))
-    delta_sis = float(_fraction(s["delta_sis"], "delta_sis"))
+    _to_float_init(init)  # the recursion starts from float(red) / float(total)
+    beta = _float(_fraction(s["beta"], "beta"), "beta")
+    delta_sis = _float(_fraction(s["delta_sis"], "delta_sis"), "delta_sis")
     horizon = _int_field(s, "horizon", minimum=0)
     params = sis.SisParams(beta=beta, delta_sis=delta_sis)
     traj = sis.sis_run(net, sis.default_initial_probs(init), params, horizon)

@@ -13,6 +13,7 @@ update rule as :func:`apply_draws` to every row.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -40,6 +41,11 @@ class UrnInit:
                     f"initial masses must be positive on both colors (node {i}: "
                     f"red={r}, black={b})"
                 )
+            total = r + b
+            if isinstance(total, float) and not math.isfinite(total):
+                raise InvalidParameter(
+                    f"initial urn totals must be finite (node {i}: red={r}, black={b})"
+                )
 
     @property
     def node_count(self) -> int:
@@ -52,6 +58,17 @@ class UrnInit:
 
 def uniform_init(n: int, red=1, black=1) -> UrnInit:
     return UrnInit(red=(red,) * n, black=(black,) * n)
+
+
+def _finite_float(x) -> float:
+    """``float(x)`` of a reinforcement mass, which must be finite."""
+    try:
+        out = float(x)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise InvalidParameter(f"reinforcement masses must be finite floats, got {x}")
+    return out
 
 
 class DeltaSchedule:
@@ -103,7 +120,8 @@ class ConstantDelta(DeltaSchedule):
                 if x < 0:
                     raise InvalidParameter("reinforcement masses must be >= 0")
         self._floats = tuple(
-            np.array([float(x) for x in v]) if isinstance(v, (tuple, list)) else float(v)
+            np.array([_finite_float(x) for x in v]) if isinstance(v, (tuple, list))
+            else _finite_float(v)
             for v in (self.red, self.black)
         )
 
@@ -149,7 +167,7 @@ class TabulatedDelta(DeltaSchedule):
                 if any(x < 0 for x in row):
                     raise InvalidParameter("reinforcement masses must be >= 0")
         self._floats = [
-            (np.array([float(x) for x in r]), np.array([float(x) for x in b]))
+            (np.array([_finite_float(x) for x in r]), np.array([_finite_float(x) for x in b]))
             for r, b in zip(self.red_rows, self.black_rows)
         ]
 
@@ -196,7 +214,7 @@ class CuringDelta(DeltaSchedule):
             raise InvalidParameter("delta_red and multiplier must be >= 0")
         self.delta_red = delta_red
         self.multiplier = multiplier
-        self._floats = (float(delta_red), float(multiplier))
+        self._floats = (_finite_float(delta_red), _finite_float(multiplier))
 
     def red_mass(self, i, t, state=None, net=None):
         return self.delta_red

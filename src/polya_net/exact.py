@@ -113,7 +113,7 @@ class JointTable:
 
     def total(self):
         if self.exact:
-            return sum(self.probs)
+            return self._sum_out(self._cube())
         return float(np.sum(self.probs))
 
     def _cube(self) -> np.ndarray:
@@ -121,6 +121,18 @@ class JointTable:
         that axis (t-1)*N + i is node i's draw at time t."""
         probs = np.asarray(self.probs, dtype=object if self.exact else np.float64)
         return probs.reshape((2,) * self._bits).T
+
+    def _sum_out(self, view, axes=None):
+        """``np.sum(view, axis=axes)`` (all axes by default).  Exact tables
+        sum one axis at a time from the last, i.e. from the last draw
+        backwards: siblings that share a history prefix share most of their
+        denominator, so the partial sums stay small; adding a curing table's
+        Fractions in code order grows them without bound."""
+        if not self.exact:
+            return np.sum(view, axis=axes)
+        for a in sorted(range(np.ndim(view)) if axes is None else axes, reverse=True):
+            view = view.sum(axis=a)
+        return view
 
     def node_marginal(self, i: int, window: tuple[int, int] | None = None) -> dict:
         """Distribution of node i's draws over the window (1-indexed, inclusive),
@@ -130,7 +142,8 @@ class JointTable:
         if not (1 <= lo <= hi <= self.horizon):
             raise InvalidParameter(f"window {window} not within horizon {self.horizon}")
         keep = {(t - 1) * self.node_count + i for t in range(lo, hi + 1)}
-        m = self._cube().sum(axis=tuple(a for a in range(self._bits) if a not in keep))
+        m = self._sum_out(self._cube(),
+                          tuple(a for a in range(self._bits) if a not in keep))
         return {k[::-1]: m[k[::-1]] for k in np.ndindex(m.shape)}
 
     def event_probability(self, fixed: Mapping[tuple[int, int], int]):
@@ -142,7 +155,7 @@ class JointTable:
             if bit not in (0, 1):
                 raise InvalidParameter(f"draw at (node={i}, time={t}) must be 0 or 1, got {bit}")
             index[(t - 1) * self.node_count + i] = int(bit)
-        return np.sum(self._cube()[tuple(index)])
+        return self._sum_out(self._cube()[tuple(index)])
 
     def write_csv(self, target, header_lines: Sequence[str] = ()) -> None:
         """One row per assignment: a_i_t columns node-major, then the

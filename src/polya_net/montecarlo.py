@@ -8,6 +8,14 @@ index): results are independent of chunking or thread scheduling, and a
 single trial can be replayed in isolation.  Aggregation is associative
 (integer draw counts, per-chunk float partials merged in chunk order), so
 identical configurations produce bit-identical statistics.
+
+A chunk of k trials works through the horizon in time blocks
+(:func:`_time_block`).  The block's uniforms live in a step-major draw
+record ``buf[block, k, N]``, so each step reads and writes one contiguous
+(k, N) slab.  They are drawn trial by trial, a fill group of trials at a
+time (:func:`_fill_group`) into a ``(group, block, N)`` scratch, and copied
+transposed into the record; each step then overwrites its uniforms
+with its 0/1 draws, and the block's counts are reduced from the record.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ from .graph import Network, classify
 # bounds the trials per chunk: chunk * horizon * N doubles fit in this many
 # bytes; the uniforms themselves are drawn in time blocks (_time_block)
 UNIFORM_BUFFER_BYTES = 64 << 20
+# bounds the scratch that a fill group of trials' uniforms is drawn into:
+# 16 trials of fig2's block, and small enough to stay in cache
+_FILL_SCRATCH_BYTES = 640 << 10
 
 
 def trial_generator(master_seed: int, trial: int) -> np.random.Generator:
@@ -164,6 +175,21 @@ class _ChunkResult:
     assignment_counts: np.ndarray | None
 
 
+def _row_mean(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``u.mean(axis=1)`` into ``out``.  Below 8 columns numpy's pairwise
+    sum is a plain left-to-right loop, so column adds and one divide give
+    the same bits without an inner loop per row (a rule that is part of the
+    output bits, see README "Reproducibility")."""
+    n = u.shape[1]
+    if n >= 8:
+        return u.mean(axis=1, out=out)
+    np.copyto(out, u[:, 0])
+    for c in range(1, n):
+        out += u[:, c]
+    out /= n
+    return out
+
+
 def _time_block(h: int, n: int) -> int:
     """Steps of uniforms drawn per generator call: at most 8 calls per
     horizon and at least 8192 doubles a call (every call releases and
@@ -171,18 +197,47 @@ def _time_block(h: int, n: int) -> int:
     return min(h, max(-(-h // 8), -(-8192 // n)))
 
 
+def _fill_group(k: int, block: int, n: int) -> int:
+    """Trials drawn into the scratch before each transposing copy."""
+    return max(1, min(k, _FILL_SCRATCH_BYTES // (8 * block * n)))
+
+
+def _stream_starts(seed: int, lo: int, k: int):
+    """Trials ``lo .. lo + k - 1``'s generators, each at the start of its
+    documented stream, one after another: a single reused ``Philox`` whose
+    state is set per trial (key (seed mod 2^64, trial), counter 0, empty
+    buffer), which skips the ``SeedSequence`` that ``Philox(key=...)``
+    builds and discards.  Each yielded generator is valid until the next."""
+    key = np.array([seed % (1 << 64), lo], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, empty buffer
+    state["state"]["key"] = key
+    for trial in range(lo, lo + k):
+        key[1] = trial
+        bitgen.state = state
+        yield gen
+
+
 def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
     net, n = cfg.net, cfg.net.node_count
     k = hi - lo
     h = cfg.horizon
     block = _time_block(h, n)
-    gens = (trial_generator(cfg.seed, lo + j) for j in range(k))
     if block < h:  # keep each trial's stream for its later blocks
-        gens = list(gens)
-    # buf[j, i] holds trial j's uniforms for one step of the block; each
-    # step overwrites its uniforms with its 0/1 draws, so after the block
-    # buf is the block's draw record
-    buf = np.empty((k, block, n))
+        gens = [trial_generator(cfg.seed, lo + j) for j in range(k)]
+    else:
+        gens = _stream_starts(cfg.seed, lo, k)
+    # step-major draw record: buf[i] holds step i of the block for every
+    # trial as one contiguous (k, N) slab; each step overwrites its uniforms
+    # with its 0/1 draws, so after the block buf is the block's draw record
+    buf = np.empty((block, k, n))
+    # each trial's uniforms are drawn into scratch[j, :b], then a fill group
+    # at a time is copied transposed into buf, a step's N doubles as one item
+    group = _fill_group(k, block, n)
+    scratch = np.empty((group, block, n))
+    step_item = np.dtype((np.void, 8 * n))
+    buf_steps, scratch_steps = buf.view(step_item)[..., 0], scratch.view(step_item)[..., 0]
     batch = UrnBatch(net, cfg.init, k, memory=cfg.memory)
 
     red_counts = np.zeros((h + 1, n), dtype=np.int64)
@@ -193,38 +248,46 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
     z_count = np.zeros((k, n)) if cfg.collect_sample_averages else None
     codes = np.zeros(k, dtype=np.int64) if cfg.collect_assignments else None
 
-    u_mean = batch.proportions().mean(axis=1)
+    u_mean, u_mean_next = np.empty(k), np.empty(k)
+    ones = np.ones(k)
+    _row_mean(batch.proportions(), out=u_mean)
     susc_sum[0] = u_mean.sum()
     z_last = None
     for t0 in range(0, h, block):
         b = min(block, h - t0)
-        for j, g in enumerate(gens):
-            g.random(out=buf[j, :b])
+        streams = iter(gens)
+        for g0 in range(0, k, group):
+            g = min(group, k - g0)
+            for j in range(g):
+                next(streams).random(out=scratch[j, :b])
+            np.copyto(buf_steps[:b, g0:g0 + g], scratch_steps[:g, :b].T)
         for i in range(b):
             t = t0 + i + 1
             s = batch.super_urn()
-            z = np.less(buf[:, i], s, out=buf[:, i])
+            z = np.less(buf[i], s, out=buf[i])
             batch.step(t, z, s, cfg.sched)
-            u_mean_next = batch.proportions().mean(axis=1)
+            _row_mean(batch.proportions(), out=u_mean_next)
             susc_sum[t] = u_mean_next.sum()
             inc = u_mean_next - u_mean
             inc_sum[t] = inc.sum()
             inc_sumsq[t] = (inc ** 2).sum()
-            u_mean = u_mean_next
+            u_mean, u_mean_next = u_mean_next, u_mean
 
-        draws = buf[:, :b]
-        red_counts[t0 + 1:t0 + b + 1] = draws.sum(axis=0)
+        # every reduction below adds 0/1 values (the codes: distinct powers
+        # of two below 2^24), so it is exact in any order
+        draws = buf[:b]
+        red_counts[t0 + 1:t0 + b + 1] = ones @ draws
         if pair is not None:
             # einsum reduces without a block-sized temporary
             if z_last is not None:
-                pair[t0 + 1] = np.einsum("kn,kn->n", draws[:, 0], z_last)
-            pair[t0 + 2:t0 + b + 1] = np.einsum("kbn,kbn->bn", draws[:, 1:], draws[:, :-1])
-            z_last = draws[:, -1].copy()
+                pair[t0 + 1] = np.einsum("kn,kn->n", draws[0], z_last)
+            pair[t0 + 2:t0 + b + 1] = np.einsum("bkn,bkn->bn", draws[1:], draws[:-1])
+            z_last = draws[-1].copy()
         if z_count is not None:
-            z_count += draws.sum(axis=1)
+            z_count += draws.sum(axis=0)
         if codes is not None:
-            weights = 1 << (np.arange(b * n, dtype=np.int64) + n * t0)
-            codes += draws.reshape(k, b * n).astype(np.int64) @ weights
+            weights = 2.0 ** (np.arange(b * n) + n * t0).reshape(b, n)
+            codes += np.einsum("bkn,bn->k", draws, weights).astype(np.int64)
 
     counts = None
     if codes is not None:

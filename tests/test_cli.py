@@ -161,6 +161,46 @@ def test_config_rejects_unknown_fields_and_bad_json(tmp_path, k2_path):
     assert run("simulate", "--config", str(unknown)) == 1
 
 
+@pytest.mark.parametrize("top", ["[1, 2]", "\"graph\"", "3", "null"])
+def test_config_that_is_not_an_object_is_a_usage_error(top, tmp_path, capsys):
+    path = tmp_path / "top.json"
+    path.write_text(top)
+    assert run("simulate", "--config", str(path)) == 1
+    err = capsys.readouterr().err
+    assert "must be a JSON object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sis", "--beta", "1e999", "--delta-sis", "0.1", "--horizon", "3"],
+    ["sis", "--beta", "1e-999", "--delta-sis", "0.1", "--horizon", "3"],
+    ["sis", "--red", "1e999", "--beta", "0.1", "--delta-sis", "0.1", "--horizon", "3"],
+    ["simulate", "--red", "1e999", "--horizon", "3", "--trials", "2"],
+    ["simulate", "--delta", "1e999", "--horizon", "3", "--trials", "2"],
+    ["simulate", "--curing-multiplier", "1e999", "--horizon", "3", "--trials", "2"],
+    ["enumerate", "--delta-black", "1e999", "--horizon", "2"],
+    ["fit", "--delta", "1e999", "--horizon", "2"],
+    ["fit", "--black", "1e999", "--horizon", "2"],
+], ids=lambda argv: "_".join(argv[:3]))
+def test_values_outside_the_float_range_are_usage_errors(argv, k2_path, capsys):
+    assert run(*argv, "--graph", k2_path) == 1
+    err = capsys.readouterr().err
+    assert "outside the float range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--trials", "2"],
+    ["fit"],
+    ["sis", "--beta", "0.1", "--delta-sis", "0.1"],
+], ids=lambda argv: argv[0])
+def test_urn_totals_that_overflow_are_usage_errors(argv, k2_path, capsys):
+    # simulate used to run on infinite totals: every proportion NaN, every
+    # draw black, where the true rate is 1/2
+    assert run(*argv, "--graph", k2_path, "--red", "1e308", "--black", "1e308",
+               "--horizon", "3") == 1
+    err = capsys.readouterr().err
+    assert "urn totals must be finite" in err and "Traceback" not in err
+
+
 def test_bad_thread_environment_is_a_usage_error(k2_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("POLYA_NET_THREADS", "abc")
     assert run("simulate", "--graph", k2_path, "--delta", "1", "--horizon", "2",

@@ -23,6 +23,27 @@ def test_urn_init_requires_both_colors():
         cg.UrnInit(red=(1, 1), black=(1,))
 
 
+def test_urn_init_rejects_totals_that_are_not_finite():
+    for red, black in ((1e308, 1e308), (float("nan"), 1.0), (float("inf"), 1.0)):
+        with pytest.raises(InvalidParameter, match="finite"):
+            cg.UrnInit(red=(1.0, red), black=(1.0, black))
+    # exact masses have no float range
+    assert cg.UrnInit(red=(F(10) ** 400,), black=(F(10) ** 400,)).totals == (2 * F(10) ** 400,)
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: cg.ConstantDelta(x),
+    lambda x: cg.ConstantDelta((1.0, x), 1.0),
+    lambda x: cg.TabulatedDelta([(1.0, 1.0), (1.0, x)], [(1.0, 1.0)] * 2),
+    lambda x: cg.CuringDelta(x),
+    lambda x: cg.CuringDelta(1.0, multiplier=x),
+], ids=["constant", "per_node", "tabulated", "curing_red", "curing_multiplier"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), F(10) ** 400])
+def test_schedules_reject_masses_without_a_finite_float(build, value):
+    with pytest.raises(InvalidParameter, match="finite"):
+        build(value)
+
+
 def test_initial_state_symmetric():
     state = cg.initial_state(K2, exact_init((1, 1), (1, 1)))
     assert cg.conditional_draw_probabilities(state, K2) == [F(1, 2), F(1, 2)]

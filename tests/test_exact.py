@@ -217,6 +217,18 @@ def test_marginals_and_events_match_a_per_code_sum(tables, data):
             assert abs(event - reference_event(table, fixed)) <= 1e-12
 
 
+def test_rational_curing_table_reductions_are_exact():
+    # 65,536 leaves whose denominators run to ~80 digits; added in code order
+    # the total took minutes
+    init = cg.UrnInit(red=(F(1), F(2), F(1, 2), F(3)), black=(F(2), F(1), F(3), F(1, 2)))
+    table = exact.enumerate_joint(graph.generate_complete(4), init,
+                                  cg.CuringDelta(F(2), F(3, 2)), 4)
+    assert table.total() == 1
+    marg = table.node_marginal(3, window=(3, 4))
+    assert sum(marg.values()) == 1
+    assert table.event_probability({(3, 3): 1}) == marg[(1, 0)] + marg[(1, 1)]
+
+
 def test_event_probability_rejects_a_bit_outside_zero_one():
     table = exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(1)), 2)
     for bit in (2, -1):

@@ -130,6 +130,68 @@ def test_sparse_multi_block_run_matches_scalar_reference(kind, memory):
     assert np.array_equal(stats.sample_averages, averages)
 
 
+BA5 = graph.generate("ba", 5, m=1, seed=1)
+
+
+@pytest.mark.parametrize("memory", [None, 3])
+@pytest.mark.parametrize("kind", ["constant", "tabulated", "curing"])
+def test_dense_multi_block_run_matches_scalar_reference(kind, memory):
+    net, h = BA5, 1700
+    n = net.node_count
+    # dense neighbourhood sums, column-sum means, per-trial generators kept
+    # across a full block and a short last one
+    assert mc._time_block(h, n) == 1639
+    rng = np.random.default_rng(5)
+    init = cg.UrnInit(red=tuple(rng.integers(1, 4, n) * 1.0),
+                      black=tuple(rng.integers(1, 4, n) * 1.0))
+    if kind == "constant":
+        sched = cg.ConstantDelta(tuple(rng.random(n) * 2), tuple(rng.random(n) * 2))
+    elif kind == "tabulated":
+        sched = cg.TabulatedDelta((rng.random((h, n)) * 2).tolist(),
+                                  (rng.random((h, n)) * 2).tolist())
+    else:
+        sched = cg.CuringDelta(2.0, multiplier=1.5)
+    cfg = mc.RunConfig(net=net, init=init, sched=sched, horizon=h, trials=3, seed=23,
+                       memory=memory, collect_pair_freq=True, collect_sample_averages=True)
+    stats = mc.run_trials(cfg)
+    counts, pairs, averages = scalar_tallies(cfg)
+    assert np.array_equal(stats.red_draw_counts, counts)
+    assert np.array_equal(stats.pair_counts, pairs)
+    assert np.array_equal(stats.sample_averages, averages)
+
+
+def test_chunks_that_end_in_a_partial_fill_group_match_scalar_reference():
+    cfg = mc.RunConfig(net=BA5, init=float_init(5), sched=cg.ConstantDelta(1.0, 2.0),
+                       horizon=1000, trials=25, seed=4, chunk_size=20, threads=2,
+                       collect_pair_freq=True, collect_sample_averages=True)
+    # a chunk of 20 trials in fill groups of 16 and 4, then one of 5
+    group = mc._fill_group(20, mc._time_block(cfg.horizon, 5), 5)
+    assert 5 < group < 20 and 20 % group
+    stats = mc.run_trials(cfg)
+    counts, pairs, averages = scalar_tallies(cfg)
+    assert np.array_equal(stats.red_draw_counts, counts)
+    assert np.array_equal(stats.pair_counts, pairs)
+    assert np.array_equal(stats.sample_averages, averages)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8])
+def test_row_mean_equals_numpy_mean(n):
+    rng = np.random.default_rng(n)
+    # proportions of urns spread over many magnitudes, so rounding is exercised
+    u = rng.random((20_000, n)) * 10.0 ** rng.integers(-8, 1, (20_000, n))
+    out = np.empty(u.shape[0])
+    assert mc._row_mean(u, out=out) is out
+    assert np.array_equal(out, u.mean(axis=1))
+
+
+def test_reused_philox_streams_equal_trial_generators():
+    seed, lo = (1 << 64) + 987, 40
+    # 3 steps x 5 nodes: each trial leaves a part-used Philox output block
+    for j, gen in enumerate(mc._stream_starts(seed, lo, 1000)):
+        assert np.array_equal(gen.random((3, 5)), mc.trial_generator(seed, lo + j).random((3, 5)))
+    assert j == 999
+
+
 def test_assignment_counts_match_scalar_codes():
     cfg = mc.RunConfig(net=CYCLE4, init=float_init(4), sched=cg.ConstantDelta(1.0),
                        horizon=4, trials=60, seed=8, chunk_size=25,
