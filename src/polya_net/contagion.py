@@ -436,6 +436,13 @@ class UrnBatch:
         both = (self._csr @ self._masses.reshape(2 * rows, -1).T).T
         return both[:rows] / both[rows:]
 
+    def pooled_totals_finite(self) -> bool:
+        """Whether every super urn's total mass, a closed-neighbourhood sum
+        of ``total``, is a finite float; a node's own urn is in its sum, so
+        an infinite or NaN urn fails too."""
+        pooled = self.total @ self._dense if self._csr is None else self._csr @ self.total.T
+        return bool(np.isfinite(pooled).all())
+
     def tile(self, reps: int) -> None:
         """Repeat the rows ``reps`` times: row c * rows + r copies row r."""
         self._set_masses(np.tile(self._masses, (1, reps, 1)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -160,12 +161,29 @@ class JointTable:
     def write_csv(self, target, header_lines: Sequence[str] = ()) -> None:
         """One row per assignment: a_i_t columns node-major, then the
         probability as num/den (exact) or a float column.  ``target`` is a
-        path or a text stream."""
+        path or a text stream.  An exact numerator or denominator with more
+        digits than the interpreter converts to a string raises
+        ``DomainError`` before anything is written."""
+        if self.exact:
+            self._check_str_digits()
         if hasattr(target, "write"):
             self._write_csv(target, header_lines)
         else:
             with open(target, "w", newline="") as fh:
                 self._write_csv(fh, header_lines)
+
+    def _check_str_digits(self) -> None:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if not limit:
+            return
+        bound = 10 ** limit
+        for code, p in enumerate(self.probs):
+            frac = Fraction(p)
+            if abs(frac.numerator) >= bound or frac.denominator >= bound:
+                raise DomainError(
+                    f"the exact probability of assignment code {code} has a numerator "
+                    f"or denominator of more than {limit} digits, the interpreter's "
+                    "int-to-string limit; write a float table instead")
 
     def _write_csv(self, fh, header_lines) -> None:
         for line in header_lines:

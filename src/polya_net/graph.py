@@ -71,6 +71,17 @@ class Network:
         return tuple(tuple(sorted(v)) for v in out)
 
     @cached_property
+    def neighbor_table(self) -> np.ndarray:
+        """Row i lists ``neighbors[i]`` in order, padded to the largest degree
+        with the index ``node_count``; shape (N, max degree), read-only."""
+        n = self.node_count
+        table = np.full((n, max(self.degrees)), n, dtype=np.intp)
+        for i, nbrs in enumerate(self.neighbors):
+            table[i, :len(nbrs)] = nbrs
+        table.setflags(write=False)
+        return table
+
+    @cached_property
     def closed_neighbors(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
             tuple(sorted((i, *nbrs))) for i, nbrs in enumerate(self.neighbors)

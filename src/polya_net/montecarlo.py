@@ -253,6 +253,7 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
     _row_mean(batch.proportions(), out=u_mean)
     susc_sum[0] = u_mean.sum()
     z_last = None
+    faults: list[str] = []
     for t0 in range(0, h, block):
         b = min(block, h - t0)
         streams = iter(gens)
@@ -261,17 +262,26 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
             for j in range(g):
                 next(streams).random(out=scratch[j, :b])
             np.copyto(buf_steps[:b, g0:g0 + g], scratch_steps[:g, :b].T)
-        for i in range(b):
-            t = t0 + i + 1
-            s = batch.super_urn()
-            z = np.less(buf[i], s, out=buf[i])
-            batch.step(t, z, s, cfg.sched)
-            _row_mean(batch.proportions(), out=u_mean_next)
-            susc_sum[t] = u_mean_next.sum()
-            inc = u_mean_next - u_mean
-            inc_sum[t] = inc.sum()
-            inc_sumsq[t] = (inc ** 2).sum()
-            u_mean, u_mean_next = u_mean_next, u_mean
+        # a float range fault (an overflowed mass, a NaN proportion) makes
+        # every later step meaningless; numpy reports it to `faults`, and a
+        # pooled sum that overflowed in scipy's CSR product is caught below
+        with np.errstate(over="call", invalid="call", divide="call",
+                         call=lambda kind, flag: faults.append(kind)):
+            for i in range(b):
+                t = t0 + i + 1
+                s = batch.super_urn()
+                z = np.less(buf[i], s, out=buf[i])
+                batch.step(t, z, s, cfg.sched)
+                _row_mean(batch.proportions(), out=u_mean_next)
+                susc_sum[t] = u_mean_next.sum()
+                inc = u_mean_next - u_mean
+                inc_sum[t] = inc.sum()
+                inc_sumsq[t] = (inc ** 2).sum()
+                u_mean, u_mean_next = u_mean_next, u_mean
+            if faults or not batch.pooled_totals_finite():
+                raise DomainError(
+                    f"urn masses left the float range during steps {t0 + 1}-{t0 + b}; "
+                    "use smaller urn masses or reinforcements")
 
         # every reduction below adds 0/1 values (the codes: distinct powers
         # of two below 2^24), so it is exact in any order

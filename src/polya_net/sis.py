@@ -1,5 +1,12 @@
 """Discrete-time SIS comparator: mean-field probability recursion and the
-spectral epidemic threshold."""
+spectral epidemic threshold.
+
+The escape probability prod_{j ~ i} (1 - beta P_j) is multiplied left to
+right in ``net.neighbors`` order: one column of ``net.neighbor_table`` per
+factor, padded rows multiplying by exactly 1.0.  This order fixes the
+output bits of the recursion, and with them of the ``sis`` command's CSV and
+the fig5 ``sis_reference_*.csv`` files.
+"""
 
 from __future__ import annotations
 
@@ -38,6 +45,25 @@ def default_initial_probs(init: UrnInit) -> np.ndarray:
     return np.array([float(r) / float(t) for r, t in zip(init.red, init.totals)])
 
 
+def _recursion(net: Network, params: SisParams):
+    """The update P(t) -> P(t+1) as ``advance(p, out)``.  ``factors`` holds
+    1 - beta P_j for every node and, in slot N, the 1.0 that padded table
+    entries select."""
+    n = net.node_count
+    columns = np.ascontiguousarray(net.neighbor_table.T)
+    factors = np.ones(n + 1)
+    keep = 1.0 - params.delta_sis
+
+    def advance(p: np.ndarray, out: np.ndarray) -> None:
+        np.subtract(1.0, params.beta * p, out=factors[:n])
+        escape = np.ones(n)
+        for col in columns:  # left to right in net.neighbors order
+            escape *= factors[col]
+        np.add(p * keep, (1.0 - p) * (1.0 - escape), out=out)
+
+    return advance
+
+
 def sis_step(state: SisState, net: Network, params: SisParams) -> SisState:
     """One update of the mean-field recursion.
 
@@ -45,14 +71,11 @@ def sis_step(state: SisState, net: Network, params: SisParams) -> SisState:
              + (1 - P_i(t)) (1 - prod_{j ~ i} (1 - beta P_j(t))).
     Preserves [0, 1] for valid parameters.
     """
-    p = state.probs
-    if p.shape[0] != net.node_count:
+    p = np.asarray(state.probs, dtype=np.float64)
+    if p.shape != (net.node_count,):
         raise SizeMismatch("probability vector does not match the network")
-    escape = np.array([
-        np.prod(1.0 - params.beta * p[list(net.neighbors[i])])
-        for i in range(net.node_count)
-    ])
-    nxt = p * (1.0 - params.delta_sis) + (1.0 - p) * (1.0 - escape)
+    nxt = np.empty(net.node_count)
+    _recursion(net, params)(p, nxt)
     return SisState(time=state.time + 1, probs=nxt)
 
 
@@ -68,15 +91,18 @@ class SisTrajectory:
 
 def sis_run(net: Network, init_probs, params: SisParams, horizon: int) -> SisTrajectory:
     """Iterate the recursion, recording the per-node and mean probabilities."""
+    if horizon < 0:
+        raise ParameterOutOfRange(f"horizon must be >= 0, got {horizon}")
     p0 = np.asarray(init_probs, dtype=np.float64)
-    if np.any(p0 < 0) or np.any(p0 > 1):
+    if p0.shape != (net.node_count,):
+        raise SizeMismatch("initial probability vector does not match the network")
+    if not np.all((p0 >= 0) & (p0 <= 1)):
         raise ParameterOutOfRange("initial probabilities must lie in [0, 1]")
-    state = SisState(time=0, probs=p0)
-    rows = [p0]
-    for _ in range(horizon):
-        state = sis_step(state, net, params)
-        rows.append(state.probs)
-    probs = np.vstack(rows)
+    probs = np.empty((horizon + 1, net.node_count))
+    probs[0] = p0
+    advance = _recursion(net, params)
+    for t in range(horizon):
+        advance(probs[t], probs[t + 1])
     return SisTrajectory(probs=probs, mean=probs.mean(axis=1))
 
 

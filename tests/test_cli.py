@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -254,3 +255,40 @@ def test_reproduce_fig4_smoke(tmp_path):
     assert (out / "histogram_ba100.csv").exists()
     assert (out / "beta_density_ba100.csv").read_text().splitlines()[1] == "x,pdf"
     assert_numeric_csvs(out)
+
+
+@pytest.fixture
+def path3(tmp_path):
+    path = tmp_path / "path3.edges"
+    graph.write_edge_list(graph.build_network(3, [(0, 1), (1, 2)]), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("masses", [
+    ["--delta-red", "1e308", "--delta-black", "1e308"],  # totals overflow mid-run
+    ["--red", "5e307", "--black", "5e307", "--delta", "1"],  # pooled totals from step 1
+], ids=["reinforcements", "pooled"])
+def test_urn_masses_that_overflow_mid_run_are_runtime_errors(masses, path3, tmp_path, capsys):
+    # both used to exit 0 with numpy warnings and an all-zero trajectory
+    out = tmp_path / "traj.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("simulate", "--graph", path3, *masses, "--horizon", "20",
+                   "--trials", "4", "--threads", "1", "--out", str(out)) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert err.startswith("error: urn masses left the float range during steps 1-20")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_exact_table_beyond_the_int_string_limit_is_a_runtime_error(path3, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert run("enumerate", "--graph", path3, "--red", "1e999", "--horizon", "2",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "int-to-string limit" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+    assert run("enumerate", "--graph", path3, "--red", "1e999", "--horizon", "2") == 2
+    assert capsys.readouterr().out == ""

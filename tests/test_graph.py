@@ -174,3 +174,14 @@ def test_spectral_radius_sandwich_and_stability(net):
     assert lam == pytest.approx(graph.largest_eigenvalue(net, tol=1e-12), abs=1e-8)
     # independent dense eigensolver agrees
     assert lam == pytest.approx(np.linalg.eigvalsh(net.adjacency).max(), abs=1e-8)
+
+
+def test_neighbor_table_lists_neighbors_in_order_padded_with_n():
+    star = graph.generate_star(4)
+    assert star.neighbor_table.tolist() == [[1, 2, 3], [0, 4, 4], [0, 4, 4], [0, 4, 4]]
+    assert not star.neighbor_table.flags.writeable
+    assert graph.generate_complete(1).neighbor_table.shape == (1, 0)
+    net = graph.generate_barabasi_albert(30, 2, seed=1)
+    for i, nbrs in enumerate(net.neighbors):
+        row = net.neighbor_table[i]
+        assert tuple(row[:len(nbrs)]) == nbrs and np.all(row[len(nbrs):] == 30)

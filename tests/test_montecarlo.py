@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polya_net import contagion as cg, exact, graph, montecarlo as mc
-from polya_net.errors import HypothesisViolation, InvalidParameter, SizeMismatch
+from polya_net.errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch
 
 K2 = graph.generate_complete(2)
 CYCLE4 = graph.generate_cycle(4)
@@ -220,6 +221,39 @@ def test_chunk_memory_is_bounded_by_a_time_block():
         tracemalloc.stop()
     # one chunk of all 83 trials, whose uniforms alone would take k * h * N * 8 bytes
     assert peak <= cfg.trials * cfg.horizon * net.node_count * 8 / 4
+
+def test_urn_totals_that_overflow_in_a_later_block_raise_with_its_steps():
+    # K2's pooled total passes the float range near step 4500, in the second
+    # of three blocks of 4096 steps
+    cfg = small_cfg(sched=cg.ConstantDelta(2e304), horizon=10_000, trials=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="during steps 4097-8192"):
+            mc.run_trials(cfg)
+
+
+def test_pooled_totals_that_overflow_in_csr_sums_raise():
+    # every urn total is finite, but the super urns of nodes of degree >= 3
+    # overflow; scipy's CSR sums raise no float flag, and the red sums stay
+    # finite, so the super-urn proportions read 0 instead of NaN
+    net = graph.generate("ba", 40, m=2, seed=3)
+    cfg = mc.RunConfig(net=net, init=cg.uniform_init(40, 1.0, 5e307),
+                       sched=cg.ConstantDelta(1.0), horizon=5, trials=6, seed=0,
+                       chunk_size=2, threads=2)
+    with pytest.raises(DomainError, match="during steps 1-5"):
+        mc.run_trials(cfg)
+
+
+def test_pooled_totals_that_overflow_for_one_step_raise():
+    # with memory 1 every urn total stays finite, and the middle node's super
+    # urn overflows only on steps where all three nodes drew red: at step 30
+    # of this trial it is finite again
+    cfg = mc.RunConfig(net=graph.build_network(3, [(0, 1), (1, 2)]), init=float_init(3),
+                       sched=cg.ConstantDelta(6e307, 1.0), horizon=30, trials=1, seed=0,
+                       memory=1)
+    with pytest.raises(DomainError, match="during steps 1-30"):
+        mc.run_trials(cfg)
+
 
 def test_identical_configs_reproduce_bitwise():
     cfg = small_cfg(trials=40, collect_pair_freq=True)

@@ -106,3 +106,57 @@ def test_unit_interval_preserved(net, beta, delta_sis, horizon, seed):
     traj = sis.sis_run(net, p0, sis.SisParams(beta=beta, delta_sis=delta_sis), horizon)
     assert np.all(traj.probs >= 0.0)
     assert np.all(traj.probs <= 1.0)
+
+
+BIT_NETS = {
+    "K1": graph.generate_complete(1),  # no neighbours: the escape product is 1
+    "K2": K2,
+    "star101": graph.generate_star(101),  # hub of degree 100
+    "cycle9": graph.generate_cycle(9),
+    "BA100": graph.generate_barabasi_albert(100, 2, seed=5),
+}
+
+
+def per_node_trajectory(net, p0, params, horizon):
+    """The recursion with one ``np.prod`` per node and step."""
+    rows = [np.asarray(p0, dtype=np.float64)]
+    for _ in range(horizon):
+        p = rows[-1]
+        escape = np.array([
+            np.prod(1.0 - params.beta * p[list(net.neighbors[i])])
+            for i in range(net.node_count)
+        ])
+        rows.append(p * (1.0 - params.delta_sis) + (1.0 - p) * (1.0 - escape))
+    return np.vstack(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(BIT_NETS)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.integers(0, 25),
+    st.integers(0, 2 ** 31 - 1),
+)
+def test_run_is_bit_identical_to_the_per_node_formula(name, beta, delta_sis, horizon, seed):
+    net = BIT_NETS[name]
+    params = sis.SisParams(beta=beta, delta_sis=delta_sis)
+    p0 = np.random.default_rng(seed).random(net.node_count)
+    traj = sis.sis_run(net, p0, params, horizon)
+    expected = per_node_trajectory(net, p0, params, horizon)
+    assert np.array_equal(traj.probs, expected)
+    assert np.array_equal(traj.mean, expected.mean(axis=1))
+    for t in range(horizon):
+        nxt = sis.sis_step(sis.SisState(time=t, probs=traj.probs[t]), net, params)
+        assert nxt.time == t + 1
+        assert np.array_equal(nxt.probs, traj.probs[t + 1])
+
+
+def test_run_rejects_initial_vectors_that_do_not_fit():
+    params = sis.SisParams(beta=0.1, delta_sis=0.1)
+    with pytest.raises(SizeMismatch):
+        sis.sis_run(K2, [0.1, 0.2, 0.3], params, 0)
+    with pytest.raises(ParameterOutOfRange):
+        sis.sis_run(K2, [0.1, float("nan")], params, 1)
+    with pytest.raises(ParameterOutOfRange):
+        sis.sis_run(K2, [0.1, 0.2], params, -1)
