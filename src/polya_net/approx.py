@@ -191,11 +191,13 @@ def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
 
     Complete networks go through the count dynamic program; others enumerate
     in float, whatever the input arithmetic (fits are float-valued downstream
-    either way).
+    either way).  Both are held to ``cap``: 2^cap float64 cells in the DP's
+    final level, 2^cap assignments in the enumeration.
     """
     from .graph import classify
 
     if classify(net) == "complete":
+        exact.check_count_dp_cap(net.node_count, n, cap)
         rho = float(rho_for_node(net, init, i))
         d = float(node_delta(net, init, i, delta))
         return exact.complete_node_marginal(rho, d, net.node_count, n)

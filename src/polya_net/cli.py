@@ -295,7 +295,7 @@ def _cmd_sis(args) -> int:
             for t in range(horizon + 1):
                 row = ",".join(repr(float(v)) for v in traj.probs[t])
                 fh.write(f"{t},{row},{float(traj.mean[t])!r}\n")
-    print(f"classification={verdict} lambda_max={graph.largest_eigenvalue(net):.6f} "
+    print(f"classification={verdict} lambda_max={net.spectral_radius:.6f} "
           f"final_mean={traj.mean[-1]:.3e}")
     return 0
 
@@ -335,7 +335,7 @@ def _cmd_reproduce(args) -> int:
     if args.figure == "fig5":
         trials = args.trials or experiments.SIS_TRIALS
         net = experiments.sis_comparison_network()
-        lam = graph.largest_eigenvalue(net)
+        lam = net.spectral_radius
         for name, ratio in experiments.sis_ratio_cases(net).items():
             for memory in (None, experiments.SIS_MEMORY):
                 cfg, stats = experiments.run_sis_comparison(

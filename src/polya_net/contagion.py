@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -51,8 +52,9 @@ class UrnInit:
     def node_count(self) -> int:
         return len(self.red)
 
-    @property
+    @cached_property
     def totals(self) -> tuple:
+        """Per-node red + black, summed once per instance."""
         return tuple(r + b for r, b in zip(self.red, self.black))
 
 

@@ -498,6 +498,19 @@ def beta_cdf(params: BetaParams, x: float) -> float:
 # Complete-network node marginal beyond the enumeration cap
 # ----------------------------------------------------------------------
 
+def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP) -> None:
+    """Raise ``CapExceeded`` when the final level of ``complete_node_marginal``,
+    2^horizon x (node_count * horizon + 1) float64 cells, exceeds 2^cap cells,
+    the budget of a float enumeration table."""
+    cells = (node_count * horizon + 1) << max(horizon, 0)
+    if cells > 1 << cap:
+        raise CapExceeded(
+            f"the count DP for {node_count} nodes x {horizon} steps needs "
+            f"2^{horizon} x {node_count * horizon + 1} = {cells} cells, "
+            f"more than the cap of 2^{cap}"
+        )
+
+
 def complete_node_marginal(rho: float, delta: float, node_count: int,
                            horizon: int) -> dict:
     """Exact-in-float marginal of one node's draw sequence, complete network.
@@ -506,10 +519,17 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
     proportion depends on the history only through the total red-draw count,
     so the marginal is computable by a count-state dynamic program instead
     of full enumeration: per step, the other N-1 nodes contribute a
-    binomial count transition.  Cost grows like 2^horizon * (N * horizon)^2
-    rather than 2^(N * horizon).  The rows of the final level are indexed
+    binomial count transition.  The rows of the final level are indexed
     by the node's own draws, so they form the node's one-node joint table,
     and the marginal is read off it like any other table's.
+
+    A count c moves to c + j (own draw black) or c + j + 1 (red) for
+    j < N, so each kernel row is a band of N entries.  The next level is
+    filled in column blocks of width ``max(N, 64)``: only the counts within
+    N - 1 below a block reach it, so each block is one product of those
+    level columns with the matching slice of the band.  Cost grows like
+    2^horizon * N^2 * horizon rather than 2^(N * horizon); peak memory is
+    the previous level plus the next one, 2^t * (N * t + 1) doubles at step t.
     """
     from scipy.stats import binom
 
@@ -518,6 +538,7 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
     if node_count < 1 or horizon < 1:
         raise InvalidParameter("need node_count >= 1 and horizon >= 1")
     n_nodes, n = node_count, horizon
+    block = max(n_nodes, 64)
     # rows: per own-draw-prefix (code bit t-1 = draw at time t) state vectors
     # over the total red count c
     level = np.ones((1, 1), dtype=np.float64)
@@ -527,11 +548,29 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
         s = (rho + (delta / n_nodes) * c) / (1 + (t - 1) * delta)
         pmf = binom.pmf(np.arange(n_nodes)[None, :], n_nodes - 1, s[:, None])
         width = n_nodes * t + 1
-        k0 = np.zeros((c_max + 1, width))
-        k1 = np.zeros((c_max + 1, width))
-        rows = np.arange(c_max + 1)[:, None]
-        cols = rows + np.arange(n_nodes)[None, :]
-        k0[rows, cols] = (1 - s)[:, None] * pmf
-        k1[rows, cols + 1] = s[:, None] * pmf
-        level = np.concatenate([level @ k0, level @ k1], axis=0)
+        # new[d] extends every prefix by own draw d, which is code bit t-1
+        new = np.empty((2, level.shape[0], width))
+        for shift, weights in enumerate(((1 - s)[:, None] * pmf, s[:, None] * pmf)):
+            for o0 in range(0, width, block):
+                o1 = min(o0 + block, width)
+                lo, hi = max(0, o0 - shift - n_nodes + 1), min(c_max + 1, o1 - shift)
+                np.matmul(level[:, lo:hi], _band(weights, lo, hi, o0, o1, shift),
+                          out=new[shift, :, o0:o1])
+        level = new.reshape(-1, width)
     return JointTable(1, horizon, level.sum(axis=1), exact=False).node_marginal(0)
+
+
+def _band(weights, lo, hi, o0, o1, shift):
+    """Rows lo..hi-1, columns o0..o1-1 of the count kernel whose row c holds
+    ``weights[c, j]`` at column c + j + shift, for every j < N.
+
+    The rows are written into a buffer N columns wider on each side, through
+    a view whose rows are one element longer, so that row r's weights start
+    r columns further right; the band is the middle of that buffer."""
+    n = weights.shape[1]
+    rows, cols = hi - lo, o1 - o0
+    wide = cols + 2 * n
+    skew = lo + shift - o0 + n  # column of weights[lo, 0] in the buffer, >= 1
+    flat = np.zeros(skew + rows * (wide + 1))
+    flat[skew:].reshape(rows, wide + 1)[:, :n] = weights[lo:hi]
+    return flat[:rows * wide].reshape(rows, wide)[:, n:n + cols]

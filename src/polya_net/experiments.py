@@ -138,7 +138,7 @@ def sis_comparison_init(net: graph.Network) -> UrnInit:
 
 
 def sis_ratio_cases(net: graph.Network) -> dict:
-    lam = graph.largest_eigenvalue(net)
+    lam = net.spectral_radius
     return {"low": lam / 10.0, "met": 1.01 * lam, "same": 1.0}
 
 

@@ -88,6 +88,11 @@ class Network:
         )
 
     @cached_property
+    def spectral_radius(self) -> float:
+        """``largest_eigenvalue`` at its default tolerance, computed once."""
+        return largest_eigenvalue(self)
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self.neighbors)
 
@@ -158,14 +163,14 @@ def largest_eigenvalue(
     """
     if tol <= 0:
         raise InvalidParameter("tol must be positive")
-    shifted = net.adjacency + np.eye(net.node_count)
+    shifted = net.closed_adjacency
     v = np.ones(net.node_count) / np.sqrt(net.node_count)
-    lam = float(v @ (shifted @ v))
+    w = shifted @ v
     for _ in range(max_steps):
-        w = shifted @ v
         v = w / np.linalg.norm(w)
-        lam = float(v @ (shifted @ v))
-        residual = np.linalg.norm(shifted @ v - lam * v)
+        w = shifted @ v  # serves the Rayleigh quotient, the residual and the next step
+        lam = float(v @ w)
+        residual = np.linalg.norm(w - lam * v)
         if residual <= tol:
             return lam - 1.0
     raise NonConvergence(

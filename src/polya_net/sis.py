@@ -16,7 +16,7 @@ import numpy as np
 
 from .contagion import UrnInit
 from .errors import ParameterOutOfRange, SizeMismatch
-from .graph import Network, largest_eigenvalue
+from .graph import Network
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,7 @@ def sis_run(net: Network, init_probs, params: SisParams, horizon: int) -> SisTra
 def threshold_classify(net: Network, params: SisParams, tol: float = 1e-9) -> str:
     """'dies_out' when delta_sis > beta * lambda_max, 'endemic' when smaller,
     'critical' within tol of equality."""
-    lam = largest_eigenvalue(net)
-    gap = params.delta_sis - params.beta * lam
+    gap = params.delta_sis - params.beta * net.spectral_radius
     if abs(gap) <= tol:
         return "critical"
     return "dies_out" if gap > 0 else "endemic"

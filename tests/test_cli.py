@@ -130,6 +130,15 @@ def test_runtime_errors_return_two(k2_path, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+def test_fit_count_dp_past_the_cap_is_a_runtime_error(tmp_path, capsys):
+    # 2^40 x 121 cells: rejected before the count DP allocates its first level
+    path = tmp_path / "k3.edges"
+    graph.write_edge_list(graph.generate_complete(3), path)
+    assert run("fit", "--graph", str(path), "--delta", "1", "--horizon", "40") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "more than the cap of 2^24" in err
+
+
 def test_config_file_with_flag_override(k2_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -456,6 +457,78 @@ def test_complete_node_marginal_rejects_empty_sizes():
     for nodes, horizon in ((0, 2), (2, 0)):
         with pytest.raises(InvalidParameter):
             exact.complete_node_marginal(0.5, 1.0, nodes, horizon)
+
+
+def _dense_count_dp(rho, delta, n_nodes, horizon):
+    """The count DP with full (N(t-1)+1) x (Nt+1) kernels, as it was written
+    before the banded product; returns the final level's row sums."""
+    from scipy.stats import binom
+
+    level = np.ones((1, 1))
+    for t in range(1, horizon + 1):
+        c_max = n_nodes * (t - 1)
+        c = np.arange(c_max + 1, dtype=np.float64)
+        s = (rho + (delta / n_nodes) * c) / (1 + (t - 1) * delta)
+        pmf = binom.pmf(np.arange(n_nodes)[None, :], n_nodes - 1, s[:, None])
+        width = n_nodes * t + 1
+        k0 = np.zeros((c_max + 1, width))
+        k1 = np.zeros((c_max + 1, width))
+        rows = np.arange(c_max + 1)[:, None]
+        cols = rows + np.arange(n_nodes)[None, :]
+        k0[rows, cols] = (1 - s)[:, None] * pmf
+        k1[rows, cols + 1] = s[:, None] * pmf
+        level = np.concatenate([level @ k0, level @ k1], axis=0)
+    return level.sum(axis=1)
+
+
+@pytest.mark.parametrize("nodes,horizon", [(70, 5), (130, 4)])
+def test_banded_count_dp_matches_dense_kernels(nodes, horizon):
+    # widths 351 and 521 cut into blocks of 70 and 130 columns: several
+    # blocks per step and a one-column last block
+    banded = exact.complete_node_marginal(0.3, 0.02, nodes, horizon)
+    dense = _dense_count_dp(0.3, 0.02, nodes, horizon)
+    assert list(banded) == [tuple((code >> t) & 1 for t in range(horizon))
+                            for code in range(1 << horizon)]
+    np.testing.assert_allclose(list(banded.values()), dense, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("nodes", [4, 5])
+def test_banded_count_dp_matches_float_enumeration(nodes):
+    net = graph.generate_complete(nodes)
+    init = cg.uniform_init(nodes, 1.0, 1.0)
+    probs = exact.enumerate_joint(net, init, cg.ConstantDelta(1.0), 4, exact=False).probs
+    # node 0's draws, packed as in a one-node table; fsum keeps the reference
+    # exact-in-float (node_marginal's sums over 2^16 cells are off by ~1e-14 on K5)
+    codes = np.arange(probs.size)
+    own = sum(((codes >> (t * nodes)) & 1) << t for t in range(4))
+    dp = exact.complete_node_marginal(0.5, 0.5, nodes, 4)
+    for code, key in enumerate(dp):
+        assert dp[key] == pytest.approx(math.fsum(probs[own == code]), abs=1e-14)
+
+
+def test_banded_count_dp_single_node_is_classical():
+    dp = exact.complete_node_marginal(0.25, 0.75, 1, 6)
+    for key, value in exact.classical_polya_table(exact.PolyaParams(0.25, 0.75), 6).items():
+        assert dp[key] == pytest.approx(value, abs=1e-15)
+
+
+def test_banded_count_dp_peak_memory_is_two_levels():
+    import tracemalloc
+
+    final_level_bytes = (1 << 12) * (100 * 12 + 1) * 8
+    tracemalloc.start()
+    try:
+        exact.complete_node_marginal(0.5, 0.01, 100, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * final_level_bytes + 10 * 2 ** 20
+
+
+def test_count_dp_cap_bounds_the_final_level():
+    exact.check_count_dp_cap(100, 13)  # 2^13 x 1301 cells fit in 2^24
+    with pytest.raises(CapExceeded):
+        exact.check_count_dp_cap(100, 14)  # 2^14 x 1401 do not
 
 
 def test_iter_histories_probabilities_sum_to_one():

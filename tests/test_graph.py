@@ -83,6 +83,33 @@ def test_largest_eigenvalue_convergence_guard():
         graph.largest_eigenvalue(graph.generate_complete(3), tol=0.0)
 
 
+def _three_product_power_iteration(net, tol=graph.POWER_ITERATION_TOL,
+                                   max_steps=graph.POWER_ITERATION_MAX_STEPS):
+    """largest_eigenvalue as first written: shifted @ v three times per step."""
+    shifted = net.adjacency + np.eye(net.node_count)
+    v = np.ones(net.node_count) / np.sqrt(net.node_count)
+    for _ in range(max_steps):
+        w = shifted @ v
+        v = w / np.linalg.norm(w)
+        lam = float(v @ (shifted @ v))
+        residual = np.linalg.norm(shifted @ v - lam * v)
+        if residual <= tol:
+            return lam - 1.0
+    raise NonConvergence("no convergence")
+
+
+@pytest.mark.parametrize("net", [
+    graph.generate_cycle(7),
+    graph.generate_star(9),
+    graph.generate_complete(5),
+    graph.generate_barabasi_albert(20, 2, seed=3),
+    graph.generate_barabasi_albert(100, 3, seed=5),
+], ids=["cycle7", "star9", "k5", "ba20", "ba100"])
+def test_one_product_per_step_is_bit_identical(net):
+    assert graph.largest_eigenvalue(net) == _three_product_power_iteration(net)
+    assert net.spectral_radius == graph.largest_eigenvalue(net)
+
+
 def test_generate_complete_edge_count():
     assert len(graph.generate_complete(3).edges) == 3
 
