@@ -10,6 +10,7 @@ match by construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import exact
 from .contagion import ConstantDelta, UrnInit
-from .errors import DegenerateMarginal, InvalidParameter
+from .errors import DegenerateMarginal, DomainError, InvalidParameter
 from .graph import Network
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -165,6 +166,9 @@ def fit_node(net: Network, init: UrnInit, delta, i: int, n: int,
     ``marginal`` defaults to the exact node marginal at horizon n (complete
     networks use the count dynamic program, others full enumeration).
     """
+    if 10 * node_delta(net, init, i, delta) > sys.float_info.max:
+        raise DomainError("the fit's search range, 10 x the node correlation parameter, "
+                          "is outside the float range; use a smaller reinforcement")
     if marginal is None:
         marginal = node_marginal_for_fit(net, init, delta, i, n)
     rho = float(rho_for_node(net, init, i))

@@ -59,6 +59,11 @@ def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
     for key in keys:
         flag = getattr(args, key, None)
         out[key] = flag if flag is not None else cfg.get(key)
+    for key in _PATH_KEYS & set(keys):
+        # open() takes an integer as a file descriptor: {"out": 1} would
+        # write to, and then close, standard output
+        if out[key] is not None and not isinstance(out[key], str):
+            raise ValidationError(f"{key} must be a path string, got {out[key]!r}")
     return out
 
 
@@ -176,6 +181,7 @@ def _to_float_init(init: UrnInit) -> UrnInit:
 # Subcommand handlers
 # ----------------------------------------------------------------------
 
+_PATH_KEYS = {"graph", "out"}
 _GRAPH_KEYS = ["kind", "nodes", "attach", "seed", "out"]
 _SIM_KEYS = ["graph", "red", "black", "delta", "delta_red", "delta_black",
              "curing_multiplier", "memory", "horizon", "trials", "seed",
@@ -362,6 +368,10 @@ def _cmd_reproduce(args) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
+_THREADS_HELP = ("worker processes for Monte Carlo chunks "
+                 "(default: POLYA_NET_THREADS, else all cores)")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="polya-net",
                      description="Network contagion via super-urn sampling")
@@ -397,7 +407,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--seed")
     sim.add_argument("--pair-node", dest="pair_node",
                      help="also record this node's consecutive-pair frequency")
-    sim.add_argument("--threads")
+    sim.add_argument("--threads", help=_THREADS_HELP)
     sim.add_argument("--out", help="trajectory CSV path")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -433,7 +443,7 @@ def build_parser() -> _Parser:
     rep.add_argument("figure", choices=["fig2", "fig4", "fig5"])
     rep.add_argument("--out-dir", dest="out_dir")
     rep.add_argument("--trials", type=int, help="override the canned trial count")
-    rep.add_argument("--threads", type=int)
+    rep.add_argument("--threads", type=int, help=_THREADS_HELP)
     rep.set_defaults(func=_cmd_reproduce)
     return parser
 

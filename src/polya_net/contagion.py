@@ -320,25 +320,34 @@ def conditional_draw_probabilities(state: NetworkState, net: Network) -> list:
     return [super_urn_proportion(state, net, i) for i in range(net.node_count)]
 
 
+def step_masses(state: NetworkState, net: Network, sched: DeltaSchedule) -> tuple:
+    """(red, black): per-node lists of the masses that the step after
+    ``state`` adds on a red and on a black draw."""
+    t = state.time + 1
+    nodes = range(net.node_count)
+    return ([sched.red_mass(i, t, state, net) for i in nodes],
+            [sched.black_mass(i, t, state, net) for i in nodes])
+
+
 def apply_draws(state: NetworkState, net: Network, draws: Sequence[int],
-                sched: DeltaSchedule) -> NetworkState:
+                sched: DeltaSchedule, masses: tuple | None = None) -> NetworkState:
     """Advance one step deterministically given the draw outcomes.
 
     Node i gains its red mass for the step if draws[i] is 1, else its black
     mass.  In finite-memory mode the additions made M steps ago are expired
     first, so the returned state's masses cover only the trailing window.
+    ``masses`` is :func:`step_masses` of ``state``, passed in by callers
+    that advance one state by many draw combinations.
     """
     if len(draws) != net.node_count:
         raise SizeMismatch(f"need {net.node_count} draws, got {len(draws)}")
+    red, black = step_masses(state, net, sched) if masses is None else masses
     new = state.copy()
     t = state.time + 1
     red_add = []
     black_add = []
     for i, d in enumerate(draws):
-        if d:
-            r, b = sched.red_mass(i, t, state, net), 0
-        else:
-            r, b = 0, sched.black_mass(i, t, state, net)
+        r, b = (red[i], 0) if d else (0, black[i])
         red_add.append(r)
         black_add.append(b)
         new.red_mass[i] = new.red_mass[i] + r
@@ -389,6 +398,15 @@ def simulate_path(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: in
         draws, state = sample_step(state, net, sched, rng)
         steps.append(draws)
     return DrawRecord(steps=tuple(steps)), state
+
+
+def record_float_faults(faults: list) -> np.errstate:
+    """An ``np.errstate`` under which every float range fault (an overflow,
+    a NaN, a division by zero) appends its kind to ``faults`` instead of
+    warning: a batch whose masses left the float range is meaningless from
+    that step on."""
+    return np.errstate(over="call", invalid="call", divide="call",
+                       call=lambda kind, flag: faults.append(kind))
 
 
 class UrnBatch:

@@ -124,13 +124,14 @@ class JointTable:
         return probs.reshape((2,) * self._bits).T
 
     def _sum_out(self, view, axes=None):
-        """``np.sum(view, axis=axes)`` (all axes by default).  Exact tables
-        sum one axis at a time from the last, i.e. from the last draw
-        backwards: siblings that share a history prefix share most of their
-        denominator, so the partial sums stay small; adding a curing table's
-        Fractions in code order grows them without bound."""
-        if not self.exact:
-            return np.sum(view, axis=axes)
+        """``np.sum(view, axis=axes)`` (all axes by default), one axis at a
+        time from the last, i.e. from the last draw backwards.  Exact tables
+        need this order: siblings that share a history prefix share most of
+        their denominator, so the partial sums stay small, while adding a
+        curing table's Fractions in code order grows them without bound.
+        Float tables gain from it too: every step adds pairs of partial
+        sums, a tree with error ~ log2(cells) ulps, where one ``np.sum``
+        over the strided many-axis view adds whole rows in sequence."""
         for a in sorted(range(np.ndim(view)) if axes is None else axes, reverse=True):
             view = view.sum(axis=a)
         return view
@@ -271,21 +272,28 @@ def _float_table(net, init, sched, horizon, memory):
     n = net.node_count
     batch = contagion.UrnBatch(net, init, 1, memory=memory)
     probs = np.ones(1)
+    faults: list[str] = []
     for t in range(1, horizon + 1):
-        s = batch.super_urn()
-        width = probs.shape[0]
-        # the array form of _combo_products: row c holds combo c's products
-        level = np.empty((1 << n, width))
-        level[0] = probs
-        for i in range(n):
-            half = level[:1 << i]
-            np.multiply(half, s[:, i], out=level[1 << i:2 << i])
-            half *= 1.0 - s[:, i]
-        probs = level.reshape(-1)
-        if t < horizon:
-            combos = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-            batch.tile(1 << n)
-            batch.step(t, np.repeat(combos, width, axis=0), np.tile(s, (1 << n, 1)), sched)
+        # networks under the enumeration cap pool by dense products, which
+        # raise a float flag on overflow
+        with contagion.record_float_faults(faults):
+            s = batch.super_urn()
+            width = probs.shape[0]
+            # the array form of _combo_products: row c holds combo c's products
+            level = np.empty((1 << n, width))
+            level[0] = probs
+            for i in range(n):
+                half = level[:1 << i]
+                np.multiply(half, s[:, i], out=level[1 << i:2 << i])
+                half *= 1.0 - s[:, i]
+            probs = level.reshape(-1)
+            if t < horizon:
+                combos = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+                batch.tile(1 << n)
+                batch.step(t, np.repeat(combos, width, axis=0), np.tile(s, (1 << n, 1)), sched)
+        if faults:
+            raise DomainError(f"urn masses left the float range by step {t}; "
+                              "use smaller urn masses or reinforcements, or exact mode")
     return JointTable(n, horizon, probs, exact=False)
 
 
@@ -308,9 +316,10 @@ def _iter_histories(net, sched, state, prefix, prob, remaining):
         return
     n = net.node_count
     s = contagion.conditional_draw_probabilities(state, net)
+    masses = contagion.step_masses(state, net, sched)  # shared by all 2^N children
     for combo, p in enumerate(_combo_products(prob, s)):
         draws = tuple((combo >> i) & 1 for i in range(n))
-        child = contagion.apply_draws(state, net, draws, sched)
+        child = contagion.apply_draws(state, net, draws, sched, masses)
         yield from _iter_histories(net, sched, child, prefix + (draws,), p, remaining - 1)
 
 
@@ -502,12 +511,12 @@ def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP
     """Raise ``CapExceeded`` when the final level of ``complete_node_marginal``,
     2^horizon x (node_count * horizon + 1) float64 cells, exceeds 2^cap cells,
     the budget of a float enumeration table."""
-    cells = (node_count * horizon + 1) << max(horizon, 0)
-    if cells > 1 << cap:
+    # 2^horizon alone passes the cap for horizon > cap; that test first
+    # keeps a huge horizon from building a huge shifted integer
+    if horizon > cap or (node_count * horizon + 1) << max(horizon, 0) > 1 << cap:
         raise CapExceeded(
             f"the count DP for {node_count} nodes x {horizon} steps needs "
-            f"2^{horizon} x {node_count * horizon + 1} = {cells} cells, "
-            f"more than the cap of 2^{cap}"
+            f"2^{horizon} x {node_count * horizon + 1} cells, more than the cap of 2^{cap}"
         )
 
 

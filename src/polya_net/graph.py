@@ -1,7 +1,7 @@
 """Undirected network topology: construction, standard generators, spectral radius.
 
 Nodes are dense 0-indexed integers.  Networks are immutable after
-construction and safe to share across worker threads.
+construction, so forked worker processes can use the parent's copy.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def build_network(n: int, edge_list: Iterable[tuple[int, int]]) -> Network:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRange(f"edge ({i}, {j}) outside [0, {n})")
         seen.add((min(i, j), max(i, j)))
+    if len(seen) < n - 1:  # checked before any per-node structure is built
+        raise Disconnected(f"graph on {n} nodes with {len(seen)} edges is not connected")
     net = Network(node_count=n, edges=tuple(sorted(seen)))
     if not _connected(net):
         raise Disconnected(f"graph on {n} nodes with {len(seen)} edges is not connected")
@@ -206,6 +208,8 @@ def generate_barabasi_albert(n: int, m: int, seed: int) -> Network:
     """
     if not 1 <= m < n:
         raise InvalidParameter(f"need 1 <= m < n, got m={m}, n={n}")
+    if seed < 0:  # numpy seeds are non-negative integers
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
     degree = np.zeros(n, dtype=np.int64)

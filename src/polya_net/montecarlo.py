@@ -4,10 +4,16 @@ RNG scheme: trial k of a run with master seed s consumes uniforms from a
 ``Philox4x64-10`` counter-based generator keyed with the 128-bit key
 (s mod 2^64, k), counter starting at zero, doubles taken in step-major,
 node-minor order.  Streams therefore depend only on (master seed, trial
-index): results are independent of chunking or thread scheduling, and a
-single trial can be replayed in isolation.  Aggregation is associative
-(integer draw counts, per-chunk float partials merged in chunk order), so
-identical configurations produce bit-identical statistics.
+index): results are independent of chunking or of how chunks are
+scheduled, and a single trial can be replayed in isolation.  Aggregation is
+associative (integer draw counts, per-chunk float partials merged in chunk
+order), so identical configurations produce bit-identical statistics.
+
+``RunConfig.threads`` is the number of worker processes.  With more than one
+chunk and more than one worker, chunks run in processes forked from the
+caller (:func:`_map_chunks`), each returning only its chunk's small
+partials; the parent merges them in chunk order, so the worker count never
+changes an output bit.  Where ``fork`` is unavailable chunks run serially.
 
 A chunk of k trials works through the horizon in time blocks
 (:func:`_time_block`).  The block's uniforms live in a step-major draw
@@ -23,19 +29,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from . import contagion, exact
 from .contagion import ConstantDelta, DeltaSchedule, UrnBatch, UrnInit
-from .errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch
+from .errors import (CapExceeded, DomainError, HypothesisViolation, InvalidParameter,
+                     PolyaNetError, SizeMismatch)
 from .graph import Network, classify
 
-# bounds the trials per chunk: chunk * horizon * N doubles fit in this many
-# bytes; the uniforms themselves are drawn in time blocks (_time_block)
+# sets the automatic chunk size: chunk * horizon * N doubles fit in this
+# many bytes.  A chunk holds only one time block of uniforms (_time_block),
+# so this sizes the work per chunk, not its memory
 UNIFORM_BUFFER_BYTES = 64 << 20
 # bounds the scratch that a fill group of trials' uniforms is drawn into:
 # 16 trials of fig2's block, and small enough to stay in cache
@@ -63,7 +71,7 @@ class RunConfig:
     collect_pair_freq: bool = False
     collect_assignments: bool = False
     chunk_size: int | None = None
-    threads: int = 1
+    threads: int = 1  # worker processes; the count never changes a result
 
     def __post_init__(self):
         if self.trials < 1 or self.horizon < 1:
@@ -72,6 +80,11 @@ class RunConfig:
             raise InvalidParameter("chunk_size (None for auto) and threads must be >= 1")
         contagion.initial_state(self.net, self.init, memory=self.memory)
         self.sched.check_size(self.net.node_count, self.horizon)
+        cells = (self.horizon + 1) * self.net.node_count
+        if cells > 1 << exact.ENUMERATION_CAP:
+            raise CapExceeded(
+                f"per-step statistics of {self.net.node_count} nodes x {self.horizon} steps "
+                f"need {cells} cells, more than the cap of 2^{exact.ENUMERATION_CAP}")
         if (self.collect_assignments
                 and self.net.node_count * self.horizon > exact.ENUMERATION_CAP):
             raise InvalidParameter(
@@ -172,7 +185,7 @@ class _ChunkResult:
     increment_sumsq: np.ndarray
     pair_counts: np.ndarray | None
     sample_averages: np.ndarray | None
-    assignment_counts: np.ndarray | None
+    assignment_codes: np.ndarray | None  # (k,) int64, one code per trial
 
 
 def _row_mean(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -238,7 +251,9 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
     scratch = np.empty((group, block, n))
     step_item = np.dtype((np.void, 8 * n))
     buf_steps, scratch_steps = buf.view(step_item)[..., 0], scratch.view(step_item)[..., 0]
-    batch = UrnBatch(net, cfg.init, k, memory=cfg.memory)
+    # a memory of at least the horizon never expires an addition
+    memory = cfg.memory if cfg.memory is not None and cfg.memory < h else None
+    batch = UrnBatch(net, cfg.init, k, memory=memory)
 
     red_counts = np.zeros((h + 1, n), dtype=np.int64)
     susc_sum = np.zeros(h + 1)
@@ -262,11 +277,9 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
             for j in range(g):
                 next(streams).random(out=scratch[j, :b])
             np.copyto(buf_steps[:b, g0:g0 + g], scratch_steps[:g, :b].T)
-        # a float range fault (an overflowed mass, a NaN proportion) makes
-        # every later step meaningless; numpy reports it to `faults`, and a
-        # pooled sum that overflowed in scipy's CSR product is caught below
-        with np.errstate(over="call", invalid="call", divide="call",
-                         call=lambda kind, flag: faults.append(kind)):
+        # numpy reports a float range fault to `faults`; a pooled sum that
+        # overflowed in scipy's CSR product raises no flag and is caught below
+        with contagion.record_float_faults(faults):
             for i in range(b):
                 t = t0 + i + 1
                 s = batch.super_urn()
@@ -299,9 +312,6 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
             weights = 2.0 ** (np.arange(b * n) + n * t0).reshape(b, n)
             codes += np.einsum("bkn,bn->k", draws, weights).astype(np.int64)
 
-    counts = None
-    if codes is not None:
-        counts = np.bincount(codes, minlength=1 << (n * h)).astype(np.int64)
     return _ChunkResult(
         lo=lo,
         red_draw_counts=red_counts,
@@ -310,8 +320,34 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
         increment_sumsq=inc_sumsq,
         pair_counts=pair,
         sample_averages=None if z_count is None else z_count / h,
-        assignment_counts=counts,
+        assignment_codes=codes,
     )
+
+
+def _map_chunks(cfg: RunConfig, bounds: list) -> list:
+    """``_run_chunk`` of every chunk, in chunk order: serially, or on up to
+    ``cfg.threads`` forked worker processes when there are several chunks.
+    A worker's exception is re-raised here, and a worker that died (killed,
+    out of memory) is a ``PolyaNetError``; pending chunks are cancelled, and
+    every worker has exited when this returns or raises."""
+    workers = min(cfg.threads, len(bounds))
+    if workers > 1:
+        # imported here: a serial run loads no process machinery
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(partial(_run_chunk, cfg), *zip(*bounds)))
+            except BrokenProcessPool as e:
+                raise PolyaNetError(
+                    f"a Monte Carlo worker process ended abruptly: {e}") from e
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return [_run_chunk(cfg, lo, hi) for lo, hi in bounds]
 
 
 def run_trials(cfg: RunConfig) -> TrialStatistics:
@@ -330,17 +366,9 @@ def run_trials(cfg: RunConfig) -> TrialStatistics:
         increment_sumsq=np.zeros(h + 1),
         pair_counts=np.zeros((h + 1, n), dtype=np.int64) if cfg.collect_pair_freq else None,
         sample_averages=np.zeros((cfg.trials, n)) if cfg.collect_sample_averages else None,
-        assignment_counts=(
-            np.zeros(1 << (n * h), dtype=np.int64) if cfg.collect_assignments else None
-        ),
     )
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda b: _run_chunk(cfg, *b), bounds))
-    else:
-        results = [_run_chunk(cfg, *b) for b in bounds]
-
+    results = _map_chunks(cfg, bounds)
     for res in results:  # merge in chunk order: scheduling cannot change output
         stats.red_draw_counts += res.red_draw_counts
         stats.susceptibility_sum += res.susceptibility_sum
@@ -351,8 +379,9 @@ def run_trials(cfg: RunConfig) -> TrialStatistics:
         if stats.sample_averages is not None:
             hi = res.lo + res.sample_averages.shape[0]
             stats.sample_averages[res.lo:hi] = res.sample_averages
-        if stats.assignment_counts is not None:
-            stats.assignment_counts += res.assignment_counts
+    if cfg.collect_assignments:
+        codes = np.concatenate([res.assignment_codes for res in results])
+        stats.assignment_counts = np.bincount(codes, minlength=1 << (n * h))
     return stats
 
 

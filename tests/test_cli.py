@@ -1,10 +1,12 @@
 import json
 import warnings
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polya_net import cli, graph
+from polya_net import cli, graph, montecarlo as mc
 
 
 @pytest.fixture
@@ -23,6 +25,9 @@ def single_path(tmp_path):
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+HUGE_HORIZON = "1" + "0" * 30
 
 
 def test_graph_gen_writes_edge_list(tmp_path):
@@ -301,3 +306,164 @@ def test_exact_table_beyond_the_int_string_limit_is_a_runtime_error(path3, tmp_p
     assert not out.exists()
     assert run("enumerate", "--graph", path3, "--red", "1e999", "--horizon", "2") == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--horizon", HUGE_HORIZON, "--trials", "2"], "per-step statistics"),
+    (["sis", "--beta", "0.1", "--delta-sis", "0.1", "--horizon", HUGE_HORIZON], "a trajectory"),
+    (["fit", "--horizon", HUGE_HORIZON], "the count DP"),
+    (["fit", "--red", "1e-300", "--black", "1e-300", "--delta", "1e300", "--horizon", "2"],
+     "search range"),
+    (["enumerate", "--float", "--delta", "5e307", "--horizon", "3"], "left the float range"),
+], ids=["simulate_horizon", "sis_horizon", "fit_horizon", "fit_search", "float_table"])
+def test_sizes_and_masses_out_of_range_are_runtime_errors(argv, message, k2_path, capsys):
+    # each used to end in a traceback (ValueError, OverflowError) or, for the
+    # float table, in NaN probabilities and exit code 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--graph", k2_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_a_memory_past_the_horizon_runs_as_infinite_memory(k2_path, tmp_path):
+    # the ring buffer of 10^17 steps used to be allocated up front
+    base = ["simulate", "--graph", k2_path, "--horizon", "5", "--trials", "30", "--seed", "3"]
+    assert run(*base, "--memory", "100000000000000000", "--out", str(tmp_path / "a.csv")) == 0
+    assert run(*base, "--out", str(tmp_path / "b.csv")) == 0
+    a, b = ((tmp_path / f).read_text().splitlines() for f in ("a.csv", "b.csv"))
+    assert a[1:] == b[1:]  # the header's config hash records the memory
+
+
+def test_an_edge_list_of_too_few_edges_for_its_node_count_is_refused_at_once(tmp_path, capsys):
+    # building the neighbour lists of 10^12 nodes used to run out of memory
+    path = tmp_path / "huge.edges"
+    path.write_text("1000000000000\n0 1\n")
+    assert run("sis", "--graph", str(path), "--beta", "0.1", "--delta-sis", "0.1",
+               "--horizon", "1") == 2
+    assert "is not connected" in capsys.readouterr().err
+
+
+def test_a_negative_graph_seed_is_refused(capsys):
+    assert run("graph-gen", "--kind", "ba", "--nodes", "5", "--seed", "-5") == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["graph", "out"])
+def test_config_paths_must_be_strings(key, k2_path, tmp_path, capsys):
+    # open(1, "w") is standard output, and closing it broke the process
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"graph": k2_path, key: 1}))
+    assert run("sis", "--config", str(config), "--beta", "0.1", "--delta-sis", "0.1",
+               "--horizon", "1") == 1
+    assert f"{key} must be a path string" in capsys.readouterr().err
+
+# ----------------------------------------------------------------------
+# Property: every argument list ends in a documented exit code
+# ----------------------------------------------------------------------
+
+HUGE = "1" + "0" * 30
+
+
+def field(valid, edge):
+    """A flag value: one of ``valid`` seven times in eight, else an ``edge``."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), st.sampled_from(valid),
+                     st.sampled_from(valid), st.sampled_from(valid), st.sampled_from(valid),
+                     st.sampled_from(valid), st.sampled_from(edge))
+
+
+# mass fields: huge, tiny, negative, non-finite, rational and junk numbers,
+# and comma lists of a length that fits no network here
+MASS_EDGE = ["0", "-1", "-3/2", "1e-400", "1e-300", "5e307", "1e308", "1e999", "-1e999",
+             HUGE, "nan", "inf", "1/0", "x", "", "1,2,3,4,5", "1,,2"]
+MASS = field(["0.5", "1", "2", "1/3", "3/7", "100"], MASS_EDGE)
+DELTA = field(["0", "0.5", "1", "2", "1/3"], MASS_EDGE)
+PROB = field(["0", "0.1", "0.5", "1"], ["1.5", "-0.1", "1e-400", "1e999", HUGE, "nan", "x"])
+# counts whose huge values must be refused before any work is done
+HORIZON = field(["1", "2", "3"], ["-1", "0", "1.5", "1e3", "x", "", HUGE, str(2 ** 63)])
+INDEX = field(["0", "1"], ["-1", "5", "1.5", "x", HUGE])
+FIELDS = {
+    "red": MASS, "black": MASS, "delta": DELTA, "delta_red": DELTA, "delta_black": DELTA,
+    "curing_multiplier": DELTA, "beta": PROB, "delta_sis": PROB, "horizon": HORIZON,
+    "memory": field(["1", "2", "inf", HUGE], ["-1", "0", "x"]),
+    "seed": field(["0", "7", "-5", HUGE, "-" + HUGE], ["1.5", "x"]),
+    "pair_node": INDEX, "node": INDEX,
+    "cap": field(["4", "24"], ["-1", "0", "1e999", "x"]),
+    # counts whose huge values are merely long runs stay small
+    "trials": field(["1", "7", "40"], ["-1", "0", "1.5", "x"]),
+    "threads": field(["1", "2"], ["0", "-1", "x"]),
+    "kind": field(["complete", "cycle", "star", "ba"], ["x", ""]),
+    "nodes": field(["1", "2", "5"], ["-1", "0", "1.5", "x"]),
+    "attach": field(["1", "2"], ["0", "9", "x"]),
+}
+REQUIRED = {"horizon", "beta", "delta_sis", "kind", "nodes"}
+RARE = {"delta_red", "delta_black", "curing_multiplier"}  # each excludes --delta
+COMMANDS = {
+    "graph-gen": cli._GRAPH_KEYS, "simulate": cli._SIM_KEYS, "enumerate": cli._ENUM_KEYS,
+    "fit": cli._FIT_KEYS, "sis": cli._SIS_KEYS,
+}
+EDGE_TEXT = field(
+    ["1\n", "2\n0 1\n", "3\n0 1\n1 2\n", "3\n1 0\n0 1\n2 1\n", "4\n0 1\n1 2\n2 3\n3 0\n"],
+    ["", "x", "2\n0 0\n", "2\n0 5\n", "3\n0 1\n", "-1\n", "0\n", "2\n0 1 1\n",
+     "2\n0 1.5\n", HUGE + "\n0 1\n"])
+JSON_VALUE = st.one_of(st.none(), st.booleans(), st.integers(-3, 5),
+                       st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+                       st.lists(st.integers(0, 3), max_size=3))
+
+
+@st.composite
+def argvs(draw, root):
+    """(argv, files): an argument list, and the text of each file it names."""
+    files = {}
+    command = draw(st.sampled_from([*COMMANDS, "reproduce", "bogus"]))
+    if command == "reproduce":  # only arguments that are refused before a run
+        return [command, draw(st.sampled_from(["fig2", "fig5", "fig9"])),
+                draw(st.sampled_from(["--trials", "--threads"])),
+                draw(st.sampled_from(["0", "-3", "x"])), "--out-dir", str(root / "r")], files
+    argv = [command]
+    keys = COMMANDS.get(command, [])
+    for key in keys:
+        odds = 9 if key in REQUIRED else 1 if key in RARE else 4  # in 10
+        if key in ("graph", "out") or draw(st.integers(0, 9)) >= odds:
+            continue
+        if key == "float":
+            argv.append("--float")
+        else:
+            argv += ["--" + key.replace("_", "-"), draw(FIELDS[key])]
+    if "graph" in keys and draw(st.integers(0, 9)):
+        files["g.edges"] = draw(EDGE_TEXT)
+        argv += ["--graph", str(root / "g.edges")]
+    if "out" in keys and draw(st.booleans()):
+        argv += ["--out", str(draw(st.sampled_from([root / "o.txt", root, root / "no/o.txt"])))]
+    if draw(st.integers(0, 5)) == 0:
+        top = draw(st.one_of(
+            st.dictionaries(st.sampled_from([*keys, "bogus"]), JSON_VALUE, max_size=4),
+            JSON_VALUE))
+        files["c.json"] = draw(st.sampled_from([json.dumps(top), "{not json"]))
+        argv += ["--config", str(root / "c.json")]
+    if draw(st.integers(0, 19)) == 0:
+        argv.append("--bogus")
+    return argv, files
+
+
+@pytest.fixture(scope="module")
+def argv_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_exits_with_a_documented_code_and_one_line(data, argv_root, capfd):
+    argv, files = data.draw(argvs(argv_root))
+    for name, text in files.items():
+        (argv_root / name).write_text(text)
+    # 16 trials per chunk, so that --threads 2 runs several chunks in workers
+    with mock.patch.object(mc, "UNIFORM_BUFFER_BYTES", 0), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    err = capfd.readouterr().err  # fd-level: worker processes write there too
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (code != 0), err

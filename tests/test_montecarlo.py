@@ -1,3 +1,8 @@
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction as F
@@ -7,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polya_net import contagion as cg, exact, graph, montecarlo as mc
-from polya_net.errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch
+from polya_net.errors import (DomainError, HypothesisViolation, InvalidParameter,
+                              PolyaNetError, SizeMismatch)
 
 K2 = graph.generate_complete(2)
 CYCLE4 = graph.generate_cycle(4)
@@ -272,6 +278,79 @@ def test_threads_and_scheduling_do_not_change_results():
     assert np.array_equal(a.red_draw_counts, b.red_draw_counts)
     assert np.array_equal(a.susceptibility_sum, b.susceptibility_sum)
     assert np.array_equal(a.increment_sumsq, b.increment_sumsq)
+
+
+POOL_CONFIGS = {
+    # <= 32 nodes: dense neighbourhood sums, with a finite-memory ring buffer
+    "dense": dict(net=graph.generate("ba", 6, m=2, seed=1), horizon=3, trials=90, seed=7,
+                  memory=2, chunk_size=11, collect_assignments=True),
+    # > 32 nodes: CSR neighbourhood sums, several time blocks
+    "csr": dict(net=graph.generate("ba", 40, m=2, seed=3), horizon=300, trials=30, seed=9,
+                chunk_size=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_CONFIGS))
+def test_worker_processes_do_not_change_results(name):
+    kw = POOL_CONFIGS[name]
+    n = kw["net"].node_count
+    runs = [mc.run_trials(mc.RunConfig(
+                init=float_init(n), sched=cg.ConstantDelta(1.0, 2.0), collect_pair_freq=True,
+                collect_sample_averages=True, threads=threads, **kw))
+            for threads in (1, 2, 4)]
+    fields = ["red_draw_counts", "pair_counts", "sample_averages", "assignment_counts",
+              "susceptibility_sum", "increment_sum", "increment_sumsq"]
+    for stats in runs[1:]:
+        for f in fields:
+            assert np.array_equal(getattr(stats, f), getattr(runs[0], f)), f
+    if runs[0].assignment_counts is not None:
+        assert runs[0].assignment_counts.sum() == kw["trials"]
+
+
+def test_worker_processes_have_exited_after_a_run_and_after_a_failure():
+    mc.run_trials(small_cfg(trials=40, chunk_size=5, threads=2))
+    assert multiprocessing.active_children() == []
+    with pytest.raises(DomainError):
+        mc.run_trials(small_cfg(sched=cg.ConstantDelta(1e308), trials=40, chunk_size=5,
+                                threads=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_a_library_error(monkeypatch):
+    def die(*args, **kwargs):
+        os._exit(3)
+
+    monkeypatch.setattr(mc, "UrnBatch", die)  # forked workers inherit the patch
+    with pytest.raises(PolyaNetError, match="ended abruptly"):
+        mc.run_trials(small_cfg(trials=40, chunk_size=5, threads=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_single_chunk_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfg = small_cfg(trials=40, threads=4)
+    assert mc._auto_chunk(cfg) >= cfg.trials
+    assert mc.run_trials(cfg).red_draw_counts.sum() > 0
+
+
+def test_a_runtime_error_in_a_worker_exits_two_with_one_line(tmp_path):
+    path = tmp_path / "k2.edges"
+    graph.write_edge_list(K2, path)
+    # 2 x 10000 steps leave room for 419 trials per chunk: 900 trials are 3 chunks
+    argv = ["simulate", "--graph", str(path), "--horizon", "10000", "--trials", "900",
+            "--delta-red", "1e308", "--delta-black", "1e308", "--threads", "2"]
+    assert mc._auto_chunk(mc.RunConfig(net=K2, init=float_init(2), sched=cg.ConstantDelta(1.0),
+                                       horizon=10000, trials=900, seed=0)) < 450
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "polya_net.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: urn masses left the float range")
+    assert len(done.stderr.splitlines()) == 1, done.stderr
 
 
 def test_zero_schedule_infection_rate_near_half():
