@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -209,11 +208,6 @@ def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
     return table.node_marginal(i)
 
 
-def _rational(init: UrnInit, delta) -> bool:
-    values = [*init.red, *init.black, delta]
-    return all(isinstance(v, (int, Fraction)) for v in values)
-
-
 @dataclass(frozen=True)
 class ExactRepresentationReport:
     """Worst-case gap between a node marginal and its matched classical joint.
@@ -234,8 +228,9 @@ def exact_representation_gap(net: Network, init: UrnInit, delta, n: int, node: i
 
     if classify(net) != "complete":
         raise InvalidParameter("the exact-representation check applies to complete networks")
-    table = exact.enumerate_joint(net, init, ConstantDelta(delta), n,
-                                  exact=_rational(init, delta), cap=cap)
+    sched = ConstantDelta(delta)
+    table = exact.enumerate_joint(net, init, sched, n, exact=exact._is_exact(init, sched),
+                                  cap=cap)
     marginal = table.node_marginal(node)
     rho = rho_for_node(net, init, node)
     d_prime = model2a_delta(net, init, node, delta)

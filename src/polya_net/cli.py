@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import approx, exact, experiments, graph, montecarlo as mc, sis
+from . import __version__, approx, exact, experiments, graph, montecarlo as mc, sis
 from .contagion import ConstantDelta, CuringDelta, UrnInit
 from .errors import InvalidParameter, ParseError, PolyaNetError, ValidationError
 
@@ -182,6 +182,7 @@ def _to_float_init(init: UrnInit) -> UrnInit:
 # ----------------------------------------------------------------------
 
 _PATH_KEYS = {"graph", "out"}
+_KINDS = ("complete", "cycle", "star", "ba")
 _GRAPH_KEYS = ["kind", "nodes", "attach", "seed", "out"]
 _SIM_KEYS = ["graph", "red", "black", "delta", "delta_red", "delta_black",
              "curing_multiplier", "memory", "horizon", "trials", "seed",
@@ -194,8 +195,7 @@ _SIS_KEYS = ["graph", "red", "black", "beta", "delta_sis", "horizon", "out"]
 
 def _cmd_graph_gen(args) -> int:
     s = _merged(args, _GRAPH_KEYS)
-    _require(s["kind"] in ("complete", "cycle", "star", "ba"),
-             f"kind must be complete|cycle|star|ba, got {s['kind']!r}")
+    _require(s["kind"] in _KINDS, f"kind must be {'|'.join(_KINDS)}, got {s['kind']!r}")
     n = _int_field(s, "nodes", minimum=1)
     m = _int_field(s, "attach", default=1, minimum=1) if s["kind"] == "ba" else None
     seed = _int_field(s, "seed", default=0)
@@ -243,7 +243,10 @@ def _cmd_enumerate(args) -> int:
     init = _urns(s, net.node_count)
     horizon = _int_field(s, "horizon", minimum=1)
     cap = _int_field(s, "cap", default=exact.ENUMERATION_CAP, minimum=1)
-    use_float = bool(s.get("float"))
+    # a config string such as "no" is not a boolean
+    _require(s["float"] is None or isinstance(s["float"], bool),
+             f"float must be true or false, got {s['float']!r}")
+    use_float = bool(s["float"])
     sched = _schedule(s, net.node_count, exact_mode=not use_float)
     if use_float:
         init = _to_float_init(init)
@@ -261,7 +264,7 @@ def _cmd_fit(args) -> int:
     s = _merged(args, _FIT_KEYS)
     net = _load_net(s)
     init = _urns(s, net.node_count)
-    delta = _fraction(s.get("delta", "1") or "1", "delta")
+    delta = _fraction("1" if s["delta"] is None else s["delta"], "delta")
     _require(delta >= 0, f"delta must be >= 0, got {delta}")
     _to_float_init(init)  # the fits enumerate and search in floats
     _float(delta, "delta")
@@ -291,16 +294,10 @@ def _cmd_sis(args) -> int:
     traj = sis.sis_run(net, sis.default_initial_probs(init), params, horizon)
     verdict = sis.threshold_classify(net, params)
     if s["out"]:
-        with open(s["out"], "w") as fh:
-            from . import __version__
-
-            fh.write(f"# beta={beta!r} delta_sis={delta_sis!r} "
-                     f"classification={verdict} version={__version__}\n")
-            cols = ",".join(f"P_{i + 1}" for i in range(net.node_count))
-            fh.write(f"t,{cols},mean\n")
-            for t in range(horizon + 1):
-                row = ",".join(repr(float(v)) for v in traj.probs[t])
-                fh.write(f"{t},{row},{float(traj.mean[t])!r}\n")
+        mc.write_csv(s["out"], {"beta": beta, "delta_sis": delta_sis,
+                                "classification": verdict, "version": __version__},
+                     ["t", *(f"P_{i + 1}" for i in range(net.node_count)), "mean"],
+                     ((t, *traj.probs[t], traj.mean[t]) for t in range(horizon + 1)))
     print(f"classification={verdict} lambda_max={net.spectral_radius:.6f} "
           f"final_mean={traj.mean[-1]:.3e}")
     return 0
@@ -329,12 +326,10 @@ def _cmd_reproduce(args) -> int:
             hist = mc.histogram(stats.sample_averages[:, node], bins=40)
             path = os.path.join(out_dir, f"histogram_{name}.csv")
             mc.write_histogram_csv(hist, cfg, path)
-            density_path = os.path.join(out_dir, f"beta_density_{name}.csv")
-            with open(density_path, "w") as fh:
-                fh.write(f"# alpha={beta.alpha!r} beta={beta.beta!r} node={node}\n")
-                fh.write("x,pdf\n")
-                for x in np.linspace(0.005, 0.995, 199):
-                    fh.write(f"{x:.3f},{exact.beta_pdf(beta, x)!r}\n")
+            mc.write_csv(os.path.join(out_dir, f"beta_density_{name}.csv"),
+                         {"alpha": beta.alpha, "beta": beta.beta, "node": node}, ["x", "pdf"],
+                         ((f"{x:.3f}", exact.beta_pdf(beta, x))
+                          for x in np.linspace(0.005, 0.995, 199)))
             print(f"wrote {path}; node={node} beta=({beta.alpha:.4f},{beta.beta:.4f}) "
                   f"ks={ks:.4f}")
         return 0
@@ -353,12 +348,8 @@ def _cmd_reproduce(args) -> int:
                       f"final={stats.infection_rate[cfg.horizon]:.4f}")
             traj = experiments.run_sis_reference(ratio)
             path = os.path.join(out_dir, f"sis_reference_{name}.csv")
-            with open(path, "w") as fh:
-                fh.write(f"# ratio={ratio!r} beta={experiments.SIS_BETA!r} "
-                         f"lambda_max={lam!r}\n")
-                fh.write("t,mean\n")
-                for t, v in enumerate(traj.mean):
-                    fh.write(f"{t},{float(v)!r}\n")
+            mc.write_csv(path, {"ratio": ratio, "beta": experiments.SIS_BETA, "lambda_max": lam},
+                         ["t", "mean"], enumerate(traj.mean))
             print(f"wrote {path}")
         return 0
     raise ValidationError(f"unknown figure {args.figure!r}")
@@ -370,74 +361,42 @@ def _cmd_reproduce(args) -> int:
 
 _THREADS_HELP = ("worker processes for Monte Carlo chunks "
                  "(default: POLYA_NET_THREADS, else all cores)")
+# argparse settings beyond a plain string option, for the keys that have any
+_FLAG_EXTRAS = {
+    "graph": dict(help="edge-list file (first line N, then 'i j' rows)"),
+    "red": dict(help="per-node red mass list, e.g. 1,2,1 (default 1)"),
+    "black": dict(help="per-node black mass list (default 1)"),
+    "kind": dict(choices=_KINDS),
+    "attach": dict(help="attachment count m for ba"),
+    "delta": dict(help="constant equal red/black mass (a per-node list, except in fit)"),
+    "curing_multiplier": dict(help="black mass = multiplier x martingale bound"),
+    "memory": dict(help="finite memory M (default infinite)"),
+    "pair_node": dict(help="also record this node's consecutive-pair frequency"),
+    "threads": dict(help=_THREADS_HELP),
+    "cap": dict(help=f"lower the enumeration cap of 2^{exact.ENUMERATION_CAP} assignments"),
+    "float": dict(action="store_const", const=True,
+                  help="float table instead of exact rationals"),
+    "out": dict(help="output file"),
+}
+_COMMANDS = {
+    "graph-gen": (_cmd_graph_gen, "emit a generated network as an edge list", _GRAPH_KEYS),
+    "simulate": (_cmd_simulate, "Monte Carlo trajectories", _SIM_KEYS),
+    "enumerate": (_cmd_enumerate, "exact joint distribution table", _ENUM_KEYS),
+    "fit": (_cmd_fit, "classical-urn approximations for one node", _FIT_KEYS),
+    "sis": (_cmd_sis, "deterministic SIS recursion and threshold", _SIS_KEYS),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="polya-net",
                      description="Network contagion via super-urn sampling")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, keys):
+    for command, (func, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        if "graph" in keys:
-            p.add_argument("--graph", help="edge-list file (first line N, then 'i j' rows)")
-        if "red" in keys:
-            p.add_argument("--red", help="per-node red mass list, e.g. 1,2,1 (default 1)")
-            p.add_argument("--black", help="per-node black mass list (default 1)")
-
-    g = sub.add_parser("graph-gen", help="emit a generated network as an edge list")
-    g.add_argument("--config")
-    g.add_argument("--kind", choices=["complete", "cycle", "star", "ba"])
-    g.add_argument("--nodes")
-    g.add_argument("--attach", help="attachment count m for ba")
-    g.add_argument("--seed")
-    g.add_argument("--out")
-    g.set_defaults(func=_cmd_graph_gen)
-
-    sim = sub.add_parser("simulate", help="Monte Carlo trajectories")
-    add_common(sim, _SIM_KEYS)
-    sim.add_argument("--delta", help="constant equal red/black mass (list ok)")
-    sim.add_argument("--delta-red", dest="delta_red")
-    sim.add_argument("--delta-black", dest="delta_black")
-    sim.add_argument("--curing-multiplier", dest="curing_multiplier",
-                     help="black mass = multiplier x martingale bound")
-    sim.add_argument("--memory", help="finite memory M (default infinite)")
-    sim.add_argument("--horizon")
-    sim.add_argument("--trials")
-    sim.add_argument("--seed")
-    sim.add_argument("--pair-node", dest="pair_node",
-                     help="also record this node's consecutive-pair frequency")
-    sim.add_argument("--threads", help=_THREADS_HELP)
-    sim.add_argument("--out", help="trajectory CSV path")
-    sim.set_defaults(func=_cmd_simulate)
-
-    en = sub.add_parser("enumerate", help="exact joint distribution table")
-    add_common(en, _ENUM_KEYS)
-    en.add_argument("--delta")
-    en.add_argument("--delta-red", dest="delta_red")
-    en.add_argument("--delta-black", dest="delta_black")
-    en.add_argument("--horizon")
-    en.add_argument("--cap")
-    en.add_argument("--float", action="store_const", const=True,
-                    help="float table instead of exact rationals")
-    en.add_argument("--out")
-    en.set_defaults(func=_cmd_enumerate)
-
-    fit = sub.add_parser("fit", help="classical-urn approximations for one node")
-    add_common(fit, _FIT_KEYS)
-    fit.add_argument("--delta")
-    fit.add_argument("--horizon")
-    fit.add_argument("--node")
-    fit.add_argument("--out", help="JSON output path")
-    fit.set_defaults(func=_cmd_fit)
-
-    ss = sub.add_parser("sis", help="deterministic SIS recursion and threshold")
-    add_common(ss, _SIS_KEYS)
-    ss.add_argument("--beta")
-    ss.add_argument("--delta-sis", dest="delta_sis")
-    ss.add_argument("--horizon")
-    ss.add_argument("--out")
-    ss.set_defaults(func=_cmd_sis)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), **_FLAG_EXTRAS.get(key, {}))
+        p.set_defaults(func=func)
 
     rep = sub.add_parser("reproduce", help="run a canned figure experiment")
     rep.add_argument("figure", choices=["fig2", "fig4", "fig5"])

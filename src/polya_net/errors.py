@@ -34,7 +34,7 @@ class HypothesisViolation(PolyaNetError):
 
 
 class CapExceeded(PolyaNetError):
-    """Enumeration would exceed the configured assignment cap."""
+    """A table, run or generated graph would exceed its fixed size budget."""
 
 
 class SupportMismatch(PolyaNetError):

@@ -67,7 +67,14 @@ class BetaParams:
         )
 
 
+def _check_cap_limit(cap: int) -> None:
+    # the cap bounds what is allocated, so it may be lowered but never raised
+    if cap > ENUMERATION_CAP:
+        raise InvalidParameter(f"cap 2^{cap} is above the largest allowed, 2^{ENUMERATION_CAP}")
+
+
 def _check_cap(node_count: int, horizon: int, cap: int) -> int:
+    _check_cap_limit(cap)
     bits = node_count * horizon
     if bits > cap:
         raise CapExceeded(
@@ -511,6 +518,7 @@ def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP
     """Raise ``CapExceeded`` when the final level of ``complete_node_marginal``,
     2^horizon x (node_count * horizon + 1) float64 cells, exceeds 2^cap cells,
     the budget of a float enumeration table."""
+    _check_cap_limit(cap)
     # 2^horizon alone passes the cap for horizon > cap; that test first
     # keeps a huge horizon from building a huge shifted integer
     if horizon > cap or (node_count * horizon + 1) << max(horizon, 0) > 1 << cap:

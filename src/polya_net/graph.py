@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     Disconnected,
     IndexOutOfRange,
     InvalidParameter,
@@ -23,6 +24,11 @@ from .errors import (
 
 POWER_ITERATION_MAX_STEPS = 10_000
 POWER_ITERATION_TOL = 1e-10
+# bounds what one short node count can ask for: the generators build an edge
+# list, a set and neighbour lists of Python tuples, a few hundred bytes an
+# edge, so graph-gen of a complete graph just under 2^20 edges peaks at
+# about 300 MB
+GENERATED_EDGE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -180,21 +186,30 @@ def largest_eigenvalue(
     )
 
 
+def _check_edge_budget(kind: str, edges: int) -> None:
+    if edges > GENERATED_EDGE_BUDGET:
+        raise CapExceeded(f"a {kind} graph of {edges} edges is past the budget of "
+                          f"{GENERATED_EDGE_BUDGET} generated edges")
+
+
 def generate_complete(n: int) -> Network:
     if n < 1:
         raise InvalidParameter(f"complete graph needs n >= 1, got {n}")
+    _check_edge_budget("complete", n * (n - 1) // 2)
     return build_network(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def generate_cycle(n: int) -> Network:
     if n < 3:
         raise InvalidParameter(f"cycle needs n >= 3, got {n}")
+    _check_edge_budget("cycle", n)
     return build_network(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def generate_star(n: int) -> Network:
     if n < 2:
         raise InvalidParameter(f"star needs n >= 2, got {n}")
+    _check_edge_budget("star", n - 1)
     return build_network(n, [(0, i) for i in range(1, n)])
 
 
@@ -210,6 +225,7 @@ def generate_barabasi_albert(n: int, m: int, seed: int) -> Network:
         raise InvalidParameter(f"need 1 <= m < n, got m={m}, n={n}")
     if seed < 0:  # numpy seeds are non-negative integers
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    _check_edge_budget("barabasi_albert", m * (m - 1) // 2 + (n - m) * m)
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
     degree = np.zeros(n, dtype=np.int64)

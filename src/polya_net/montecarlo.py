@@ -500,11 +500,30 @@ def least_squares_trend(y: Sequence[float], t: Sequence[float] | None = None):
 # CSV output
 # ----------------------------------------------------------------------
 
-def _header(cfg: RunConfig) -> str:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header: dict, columns: Sequence[str], rows) -> None:
+    """Write one ``# key=value ...`` line, the column names, then one line
+    per row.  Floats (numpy's included) are written as ``repr(float(v))``,
+    so they read back bit for bit; ``None`` is an empty cell."""
+    with open(path, "w") as fh:
+        fh.write("# " + " ".join(f"{k}={_cell(v)}" for k, v in header.items()) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _header(cfg: RunConfig) -> dict:
     from . import __version__
 
-    return (f"# config_sha256={config_hash(cfg)} master_seed={cfg.seed} "
-            f"version={__version__}")
+    return {"config_sha256": config_hash(cfg), "master_seed": cfg.seed,
+            "version": __version__}
 
 
 def write_trajectory_csv(stats: TrialStatistics, cfg: RunConfig, path,
@@ -512,22 +531,15 @@ def write_trajectory_csv(stats: TrialStatistics, cfg: RunConfig, path,
     """Rows t, I_tilde, U_tilde and optionally the pair frequency of a node."""
     infection = stats.infection_rate
     susc = stats.susceptibility
-    pair = stats.pair_freq[:, pair_node] if pair_node is not None else None
-    with open(path, "w") as fh:
-        fh.write(_header(cfg) + "\n")
-        cols = "t,I_tilde,U_tilde" + (",pair_freq" if pair is not None else "")
-        fh.write(cols + "\n")
-        for t in range(1, stats.horizon + 1):
-            row = f"{t},{float(infection[t])!r},{float(susc[t])!r}"
-            if pair is not None:
-                row += f",{float(pair[t])!r}" if t >= 2 else ","
-            fh.write(row + "\n")
+    columns = ["t", "I_tilde", "U_tilde"]
+    rows = [(t, infection[t], susc[t]) for t in range(1, stats.horizon + 1)]
+    if pair_node is not None:
+        pair = stats.pair_freq[:, pair_node]
+        columns.append("pair_freq")
+        rows = [(*row, pair[t] if t >= 2 else None) for t, row in enumerate(rows, 1)]
+    write_csv(path, _header(cfg), columns, rows)
 
 
 def write_histogram_csv(hist: HistogramResult, cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(_header(cfg) + "\n")
-        fh.write("bin_left,bin_right,density\n")
-        for k in range(len(hist.density)):
-            fh.write(f"{float(hist.edges[k])!r},{float(hist.edges[k + 1])!r},"
-                     f"{float(hist.density[k])!r}\n")
+    write_csv(path, _header(cfg), ["bin_left", "bin_right", "density"],
+              zip(hist.edges[:-1], hist.edges[1:], hist.density))

@@ -1,4 +1,6 @@
+import argparse
 import json
+import time
 import warnings
 from fractions import Fraction as F
 from unittest import mock
@@ -315,7 +317,9 @@ def test_exact_table_beyond_the_int_string_limit_is_a_runtime_error(path3, tmp_p
     (["fit", "--red", "1e-300", "--black", "1e-300", "--delta", "1e300", "--horizon", "2"],
      "search range"),
     (["enumerate", "--float", "--delta", "5e307", "--horizon", "3"], "left the float range"),
-], ids=["simulate_horizon", "sis_horizon", "fit_horizon", "fit_search", "float_table"])
+    (["enumerate", "--horizon", "20", "--cap", "40"], "above the largest allowed"),
+], ids=["simulate_horizon", "sis_horizon", "fit_horizon", "fit_search", "float_table",
+        "enumerate_cap"])
 def test_sizes_and_masses_out_of_range_are_runtime_errors(argv, message, k2_path, capsys):
     # each used to end in a traceback (ValueError, OverflowError) or, for the
     # float table, in NaN probabilities and exit code 0
@@ -359,6 +363,91 @@ def test_config_paths_must_be_strings(key, k2_path, tmp_path, capsys):
                "--horizon", "1") == 1
     assert f"{key} must be a path string" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("kind", ["complete", "ba"])
+def test_a_graph_past_the_edge_budget_is_refused_at_once(kind, capsys):
+    # building the n(n-1)/2 edges of a complete graph on 10^20 nodes hung
+    start = time.perf_counter()
+    assert run("graph-gen", "--kind", kind, "--nodes", "1" + "0" * 20, "--attach", "2") == 2
+    assert time.perf_counter() - start < 1
+    assert "past the budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, exact_table", [
+    ("no", None), ("false", None), (1, None), (True, False), (False, True),
+])
+def test_the_float_config_field_takes_only_booleans(value, exact_table, k2_path, tmp_path,
+                                                    capsys):
+    config, out = tmp_path / "c.json", tmp_path / "t.csv"
+    config.write_text(json.dumps({"graph": k2_path, "horizon": "1", "float": value}))
+    code = run("enumerate", "--config", str(config), "--out", str(out))
+    if exact_table is None:
+        assert code == 1
+        assert "float must be true or false" in capsys.readouterr().err
+    else:
+        assert code == 0
+        assert out.read_text().splitlines()[0].endswith(f"exact={exact_table}")
+
+
+@pytest.mark.parametrize("config, flags", [({"delta": 0}, ["--delta", "0"]),
+                                           ({}, ["--delta", "1"])], ids=["zero", "absent"])
+def test_fit_delta_default_applies_only_when_the_field_is_absent(config, flags, k2_path,
+                                                                 tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"graph": k2_path, "horizon": "2", **config}))
+    assert run("fit", "--config", str(path)) == 0
+    from_config = capsys.readouterr().out
+    assert run("fit", "--graph", k2_path, "--horizon", "2", *flags) == 0
+    assert capsys.readouterr().out == from_config
+
+
+def _store(flag, dest, choices=None, type=None):
+    return (flag,), dest, "_StoreAction", None, choices, type
+
+
+_HELP = ("-h", "--help"), "help", "_HelpAction", None, None, None
+_NET_FLAGS = {_store("--graph", "graph"), _store("--red", "red"), _store("--black", "black")}
+# (option strings, dest, action, const, choices, type) of every option, as
+# the subcommands had them when each flag was still written out by hand
+PINNED_OPTIONS = {
+    "graph-gen": {_HELP, _store("--config", "config"),
+                  _store("--kind", "kind", ("complete", "cycle", "star", "ba")),
+                  _store("--nodes", "nodes"), _store("--attach", "attach"),
+                  _store("--seed", "seed"), _store("--out", "out")},
+    "simulate": {_HELP, _store("--config", "config"), *_NET_FLAGS, _store("--delta", "delta"),
+                 _store("--delta-red", "delta_red"), _store("--delta-black", "delta_black"),
+                 _store("--curing-multiplier", "curing_multiplier"),
+                 _store("--memory", "memory"), _store("--horizon", "horizon"),
+                 _store("--trials", "trials"), _store("--seed", "seed"),
+                 _store("--pair-node", "pair_node"), _store("--threads", "threads"),
+                 _store("--out", "out")},
+    "enumerate": {_HELP, _store("--config", "config"), *_NET_FLAGS, _store("--delta", "delta"),
+                  _store("--delta-red", "delta_red"), _store("--delta-black", "delta_black"),
+                  _store("--horizon", "horizon"), _store("--cap", "cap"),
+                  (("--float",), "float", "_StoreConstAction", True, None, None),
+                  _store("--out", "out")},
+    "fit": {_HELP, _store("--config", "config"), *_NET_FLAGS, _store("--delta", "delta"),
+            _store("--horizon", "horizon"), _store("--node", "node"), _store("--out", "out")},
+    "sis": {_HELP, _store("--config", "config"), *_NET_FLAGS, _store("--beta", "beta"),
+            _store("--delta-sis", "delta_sis"), _store("--horizon", "horizon"),
+            _store("--out", "out")},
+    "reproduce": {_HELP, ((), "figure", "_StoreAction", None, ("fig2", "fig4", "fig5"), None),
+                  _store("--out-dir", "out_dir"), _store("--trials", "trials", type="int"),
+                  _store("--threads", "threads", type="int")},
+}
+
+
+def test_every_subcommand_keeps_its_option_set():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {
+        command: {(tuple(a.option_strings), a.dest, type(a).__name__, a.const,
+                   tuple(a.choices) if a.choices else None, getattr(a.type, "__name__", None))
+                  for a in parser._actions}
+        for command, parser in sub.choices.items()}
+    assert options == PINNED_OPTIONS
+
+
 # ----------------------------------------------------------------------
 # Property: every argument list ends in a documented exit code
 # ----------------------------------------------------------------------
@@ -389,12 +478,12 @@ FIELDS = {
     "memory": field(["1", "2", "inf", HUGE], ["-1", "0", "x"]),
     "seed": field(["0", "7", "-5", HUGE, "-" + HUGE], ["1.5", "x"]),
     "pair_node": INDEX, "node": INDEX,
-    "cap": field(["4", "24"], ["-1", "0", "1e999", "x"]),
+    "cap": field(["4", "24"], ["-1", "0", "40", "1e999", "x"]),
     # counts whose huge values are merely long runs stay small
     "trials": field(["1", "7", "40"], ["-1", "0", "1.5", "x"]),
     "threads": field(["1", "2"], ["0", "-1", "x"]),
     "kind": field(["complete", "cycle", "star", "ba"], ["x", ""]),
-    "nodes": field(["1", "2", "5"], ["-1", "0", "1.5", "x"]),
+    "nodes": field(["1", "2", "5"], ["-1", "0", "1.5", "x", HUGE]),
     "attach": field(["1", "2"], ["0", "9", "x"]),
 }
 REQUIRED = {"horizon", "beta", "delta_sis", "kind", "nodes"}

@@ -566,6 +566,17 @@ def test_count_dp_cap_bounds_the_final_level():
         exact.check_count_dp_cap(100, 14)  # 2^14 x 1401 do not
 
 
+def test_a_cap_above_the_enumeration_cap_is_refused():
+    # the cap bounds allocations: K2 at horizon 20 under a cap of 40 would
+    # otherwise build a list of 2^40 entries
+    above = exact.ENUMERATION_CAP + 1
+    with pytest.raises(InvalidParameter, match="above the largest allowed"):
+        exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(1)), 20, cap=above)
+    with pytest.raises(InvalidParameter, match="above the largest allowed"):
+        exact.check_count_dp_cap(2, 2, cap=above)
+    exact.check_count_dp_cap(2, 2, cap=exact.ENUMERATION_CAP)
+
+
 def test_iter_histories_probabilities_sum_to_one():
     total = sum(
         prob for _, prob, _ in

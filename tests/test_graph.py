@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from polya_net import graph
 from polya_net.errors import (
+    CapExceeded,
     Disconnected,
     IndexOutOfRange,
     InvalidParameter,
@@ -142,6 +143,20 @@ def test_generate_dispatch_and_errors():
         graph.generate("mesh", 5)
     with pytest.raises(InvalidParameter):
         graph.generate_barabasi_albert(5, 5, seed=0)
+
+
+@pytest.mark.parametrize("kind, n, m", [
+    ("complete", 4, None), ("cycle", 6, None), ("star", 7, None), ("ba", 5, 1), ("ba", 4, 2),
+])
+def test_generators_count_their_edges_against_the_budget(kind, n, m, monkeypatch):
+    # each graph here has exactly 4, 5 or 6 edges: it is built under a budget
+    # of its own edge count and refused under one edge fewer
+    edges = len(graph.generate(kind, n, m=m).edges)
+    monkeypatch.setattr(graph, "GENERATED_EDGE_BUDGET", edges)
+    assert len(graph.generate(kind, n, m=m).edges) == edges
+    monkeypatch.setattr(graph, "GENERATED_EDGE_BUDGET", edges - 1)
+    with pytest.raises(CapExceeded, match=f"of {edges} edges"):
+        graph.generate(kind, n, m=m)
 
 
 def test_edge_list_round_trip(tmp_path):

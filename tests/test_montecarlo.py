@@ -553,6 +553,16 @@ def test_trajectory_csv_headers_and_reproducibility(tmp_path):
     assert text.splitlines()[1] == "t,I_tilde,U_tilde,pair_freq"
 
 
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    mc.write_csv(path, {"x": np.float64(0.1), "n": 3, "tag": "a b"}, ["t", "v", "w", "s"],
+                 [(1, np.float64(1 / 3), None, "0.500"), (2, 0.25, np.float64(1e-300), "x")])
+    assert path.read_text() == ("# x=0.1 n=3 tag=a b\n"
+                                "t,v,w,s\n"
+                                "1,0.3333333333333333,,0.500\n"
+                                "2,0.25,1e-300,x\n")
+
+
 def test_least_squares_trend_recovers_slope():
     rng = np.random.default_rng(0)
     y = 0.002 * np.arange(400) + 0.3 + rng.normal(0, 0.01, 400)
