@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import HypothesisViolation, InvalidParameter, SizeMismatch
 from .graph import Network
@@ -409,16 +408,29 @@ def record_float_faults(faults: list) -> np.errstate:
                        call=lambda kind, flag: faults.append(kind))
 
 
+# UrnBatch pools the neighbourhoods of larger networks by CSR sums
+DENSE_POOLING_MAX_NODES = 32
+
+
+def import_pooling(net: Network) -> None:
+    """Import what :class:`UrnBatch` needs to pool ``net``: ``scipy.sparse``
+    above ``DENSE_POOLING_MAX_NODES`` nodes, nothing otherwise.  A process
+    pool calls this before it forks, so that no worker imports it again."""
+    if net.node_count > DENSE_POOLING_MAX_NODES:
+        import scipy.sparse  # noqa: F401
+
+
 class UrnBatch:
     """Float64 urn masses of many copies of the process: ``red`` and
     ``total`` (rows x N) are the two planes of one (2, rows, N) array.  With
     finite memory M a ring keeps the last M steps' additions so they can be
     expired, as in :func:`apply_draws`.
 
-    Networks of at most 32 nodes pool neighbourhoods by dense BLAS products,
-    larger ones by CSR sums.  The split is part of the output bits: the two
-    sum a neighbourhood in different orders, and their results differ in the
-    last bit for some networks of 20 nodes and more.
+    Networks of at most ``DENSE_POOLING_MAX_NODES`` (32) nodes pool
+    neighbourhoods by dense BLAS products, larger ones by CSR sums.  The
+    split is part of the output bits: the two sum a neighbourhood in
+    different orders, and their results differ in the last bit for some
+    networks of 20 nodes and more.
     """
 
     def __init__(self, net: Network, init: UrnInit, rows: int, memory: int | None = None):
@@ -431,8 +443,12 @@ class UrnBatch:
         # ring[0] holds red additions, ring[1] black ones, slot (t-1) % M for step t
         self._ring = None if memory is None else np.zeros((2, memory, rows, n))
         # dense neighborhood sums beat CSR on small networks
-        self._dense = net.closed_adjacency if n <= 32 else None
-        self._csr = None if n <= 32 else sp.csr_matrix(net.closed_adjacency)
+        if n <= DENSE_POOLING_MAX_NODES:
+            self._dense, self._csr = net.closed_adjacency, None
+        else:
+            from scipy.sparse import csr_matrix
+
+            self._dense, self._csr = None, csr_matrix(net.closed_adjacency)
 
     def _set_masses(self, masses: np.ndarray) -> None:
         self._masses = masses

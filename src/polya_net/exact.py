@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from . import contagion
 from .contagion import DeltaSchedule, UrnInit
@@ -503,11 +502,21 @@ def beta_pdf(params: BetaParams, x: float) -> float:
     return math.exp(log_norm + (a - 1) * math.log(x) + (b - 1) * math.log(1 - x))
 
 
-def beta_cdf(params: BetaParams, x: float) -> float:
-    """Regularized incomplete beta; accepts the closed interval [0, 1]."""
-    if not 0 <= x <= 1:
-        raise DomainError(f"cdf is defined on [0, 1], got {x}")
-    return float(betainc(params.alpha, params.beta, x))
+def beta_cdf(params: BetaParams, x):
+    """Regularized incomplete beta; accepts the closed interval [0, 1].
+
+    ``x`` is a float, giving a float, or an array, giving an array from one
+    ``betainc`` call; a value outside [0, 1] (or NaN) is a ``DomainError``."""
+    xs = np.asarray(x, dtype=np.float64)
+    outside = ~((xs >= 0) & (xs <= 1))
+    if outside.any():
+        bad = x if xs.ndim == 0 else xs[outside][0]
+        raise DomainError(f"cdf is defined on [0, 1], got {bad}")
+    # imported here: only fig4's KS distance needs scipy.special
+    from scipy.special import betainc
+
+    cdf = betainc(params.alpha, params.beta, xs)
+    return float(cdf) if xs.ndim == 0 else cdf
 
 
 # ----------------------------------------------------------------------
@@ -547,9 +556,8 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
     level columns with the matching slice of the band.  Cost grows like
     2^horizon * N^2 * horizon rather than 2^(N * horizon); peak memory is
     the previous level plus the next one, 2^t * (N * t + 1) doubles at step t.
+    The kernel's binomial probabilities come from :func:`binomial_pmf`.
     """
-    from scipy.stats import binom
-
     if not 0 < rho < 1 or delta < 0:
         raise InvalidParameter("need 0 < rho < 1 and delta >= 0")
     if node_count < 1 or horizon < 1:
@@ -563,7 +571,7 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
         c_max = n_nodes * (t - 1)
         c = np.arange(c_max + 1, dtype=np.float64)
         s = (rho + (delta / n_nodes) * c) / (1 + (t - 1) * delta)
-        pmf = binom.pmf(np.arange(n_nodes)[None, :], n_nodes - 1, s[:, None])
+        pmf = binomial_pmf(n_nodes - 1, s)
         width = n_nodes * t + 1
         # new[d] extends every prefix by own draw d, which is code bit t-1
         new = np.empty((2, level.shape[0], width))
@@ -591,3 +599,56 @@ def _band(weights, lo, hi, o0, o1, shift):
     flat = np.zeros(skew + rows * (wide + 1))
     flat[skew:].reshape(rows, wide + 1)[:, :n] = weights[lo:hi]
     return flat[:rows * wide].reshape(rows, wide)[:, n:n + cols]
+
+
+_SQRT_HALF = math.sqrt(0.5)
+# a mantissa m in [1/sqrt 2, sqrt 2) has |log2 m| <= 1/2, so m^k for k up to
+# this piece stays within 2^-512..2^512
+_POW_PIECE = 1024
+
+
+def binomial_pmf(n: int, s) -> np.ndarray:
+    """``pmf[r, j] = C(n, j) * s[r]^j * (1 - s[r])^(n - j)`` for j = 0..n:
+    the binomial(n, s[r]) probabilities of each float in ``s`` (all in
+    [0, 1]), each within a few ulps of the exact value for that float.
+
+    No factor is formed as a float on its own: C(n, j) overflows above
+    n = 1029, and s^j underflows long before the product is negligible.
+    Each factor is carried as a mantissa and a power of two, and only the
+    product of the mantissas is scaled back.  C(n, j) is an exact integer,
+    rounded once; 1 - s is the rounded difference plus its exact rounding
+    error, applied to the power to first order (the next term is below an
+    ulp while n < 2^26)."""
+    s = np.asarray(s, dtype=np.float64)[:, None]
+    j = np.arange(n + 1)[None, :]
+    combs, c = [], 1
+    for i in range(n + 1):
+        combs.append(c)
+        c = c * (n - i) // (i + 1)
+    bits = [c.bit_length() for c in combs]
+    comb_mant = np.array([c / (1 << b) for c, b in zip(combs, bits)])
+    one_minus = 1 - s
+    # 1 - s == one_minus + error exactly (Fast2Sum); error is 0 for s >= 1/2,
+    # and one_minus > 1/2 wherever it is not
+    error = (1 - one_minus) - s
+    correction = 1 + (n - j) * np.divide(error, one_minus, out=np.zeros_like(s),
+                                         where=error != 0)
+    s_mant, s_exp = _power(s, j)
+    r_mant, r_exp = _power(one_minus, n - j)
+    return np.ldexp(comb_mant * s_mant * r_mant * correction, np.array(bits) + s_exp + r_exp)
+
+
+def _power(x, k):
+    """``x^k`` elementwise as a mantissa and an integer exponent of two.
+
+    x is split as m * 2^e with m in [1/sqrt 2, sqrt 2); m^k is a product of
+    ``np.power`` pieces of at most ``_POW_PIECE`` steps each, renormalised
+    after each piece, so no partial product leaves the float range."""
+    m, e = np.frexp(x)
+    low = m < _SQRT_HALF
+    m, e = np.where(low, 2 * m, m), e - low
+    mant, exp = np.ones(np.broadcast_shapes(m.shape, k.shape)), e * k
+    for piece in range(0, int(k.max()), _POW_PIECE):
+        mant, shift = np.frexp(mant * np.power(m, np.clip(k - piece, 0, _POW_PIECE)))
+        exp = exp + shift
+    return mant, exp

@@ -220,36 +220,78 @@ def generate_barabasi_albert(n: int, m: int, seed: int) -> Network:
     time proportionally to current degree without replacement.  The very
     first attachment in the m=1 case starts from a single isolated seed
     node, where degrees are all zero; candidates are then sampled uniformly.
+
+    A pick draws u and takes the first node whose cumulative degree exceeds
+    u times the total, found by descending a Fenwick tree of the integer
+    degrees in O(log n).  The sums are integers below 2^53, so the picks,
+    and the graphs, are those of a float cumulative sum over all degrees.
     """
     if not 1 <= m < n:
         raise InvalidParameter(f"need 1 <= m < n, got m={m}, n={n}")
     if seed < 0:  # numpy seeds are non-negative integers
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
     _check_edge_budget("barabasi_albert", m * (m - 1) // 2 + (n - m) * m)
-    rng = np.random.default_rng(seed)
+    uniforms = iter(np.random.default_rng(seed).random((n - m) * m).tolist())
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    degree = np.zeros(n, dtype=np.int64)
+    degree = [0] * n
     for i, j in edges:
         degree[i] += 1
         degree[j] += 1
+    # weight[i] is node i's degree, or 0 while it is a target of the new node
+    weight = _Fenwick(degree)
     for new in range(m, n):
-        weights = degree[:new].astype(np.float64)
         targets: list[int] = []
-        for _ in range(m):
-            if weights.sum() <= 0:
-                weights = np.ones(new, dtype=np.float64)
-                for t in targets:
-                    weights[t] = 0.0
-            cum = np.cumsum(weights)
-            pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            pick = min(pick, new - 1)
+        left = 2 * len(edges)  # the weight of the nodes not yet picked
+        for k in range(m):
+            # u * left < left, so a node of positive weight is found; left is
+            # 0 only at m = 1's first attachment, where no prefix exceeds 0
+            # and the clamp takes node 0, the one candidate
+            pick = min(weight.search(next(uniforms) * left), new - 1)
+            if k < m - 1:  # the node's later picks skip it
+                left -= weight.values[pick]
+                weight.add(pick, -weight.values[pick])
             targets.append(pick)
-            weights[pick] = 0.0
         for t in targets:
             edges.append((t, new))
             degree[t] += 1
-            degree[new] += 1
+            weight.add(t, degree[t] - weight.values[t])
+        degree[new] += len(targets)
+        weight.add(new, len(targets))
     return build_network(n, edges)
+
+
+class _Fenwick:
+    """Binary indexed tree over non-negative integer ``values``: point
+    updates and prefix searches in O(log n)."""
+
+    def __init__(self, values: list[int]):
+        self.values = list(values)
+        self._tree = [0] + self.values
+        for i in range(1, len(self._tree)):
+            up = i + (i & -i)
+            if up < len(self._tree):
+                self._tree[up] += self._tree[i]
+
+    def add(self, i: int, amount: int) -> None:
+        self.values[i] += amount
+        tree, size = self._tree, len(self._tree)
+        i += 1
+        while i < size:
+            tree[i] += amount
+            i += i & -i
+
+    def search(self, x: float) -> int:
+        """The first index whose prefix sum (itself included) exceeds x, or
+        len(values) when none does; int-to-float comparisons are exact."""
+        tree, size = self._tree, len(self._tree)
+        pos, acc = 0, 0
+        step = 1 << ((size - 1).bit_length() - 1)
+        while step:
+            nxt = pos + step
+            if nxt < size and acc + tree[nxt] <= x:
+                pos, acc = nxt, acc + tree[nxt]
+            step >>= 1
+        return pos
 
 
 def generate(kind: str, n: int, m: int | None = None, seed: int | None = None) -> Network:

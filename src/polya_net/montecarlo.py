@@ -338,6 +338,7 @@ def _map_chunks(cfg: RunConfig, bounds: list) -> list:
         from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
+            contagion.import_pooling(cfg.net)  # once here, not once per worker
             pool = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=multiprocessing.get_context("fork"))
             try:
@@ -411,7 +412,7 @@ def ks_fit(samples: Sequence[float], beta: exact.BetaParams) -> float:
     data = np.sort(np.asarray(samples, dtype=np.float64))
     if data.size == 0:
         raise DomainError("need at least one sample")
-    cdf = np.array([exact.beta_cdf(beta, x) for x in data])
+    cdf = exact.beta_cdf(beta, data)
     n = data.size
     upper = np.max(np.arange(1, n + 1) / n - cdf)
     lower = np.max(cdf - np.arange(0, n) / n)

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction as F
@@ -144,6 +147,43 @@ def test_fit_count_dp_past_the_cap_is_a_runtime_error(tmp_path, capsys):
     assert run("fit", "--graph", str(path), "--delta", "1", "--horizon", "40") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "more than the cap of 2^24" in err
+
+
+_SCIPY_LOADS = """
+import json, sys
+from polya_net import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+heavy = ("scipy.stats", "scipy.special", "scipy.sparse")
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith(heavy))]))
+"""
+
+
+def _heavy_scipy_modules_after(argvs):
+    """Exit codes of ``cli.main`` on each argv, run in a fresh interpreter,
+    and the scipy.stats / special / sparse modules it then has loaded."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", _SCIPY_LOADS, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_module():
+    assert _heavy_scipy_modules_after([]) == [[], []]
+
+
+def test_commands_that_need_no_scipy_load_none(tmp_path):
+    k4, k100 = str(tmp_path / "k4.edges"), str(tmp_path / "k100.edges")
+    argvs = [["graph-gen", "--kind", "complete", "--nodes", "4", "--out", k4],
+             ["graph-gen", "--kind", "complete", "--nodes", "100", "--out", k100],
+             ["enumerate", "--graph", k4, "--horizon", "2", "--out", str(tmp_path / "t.csv")],
+             ["sis", "--graph", k4, "--beta", "0.2", "--delta-sis", "0.9", "--horizon", "20",
+              "--out", str(tmp_path / "sis.csv")],
+             ["fit", "--graph", k100, "--delta", "1", "--horizon", "6",
+              "--out", str(tmp_path / "fit.json")]]
+    assert _heavy_scipy_modules_after(argvs) == [[0] * len(argvs), []]
+    assert json.loads((tmp_path / "fit.json").read_text())["node"] == 0
 
 
 def test_config_file_with_flag_override(k2_path, tmp_path, capsys):

@@ -496,15 +496,16 @@ def test_complete_node_marginal_rejects_empty_sizes():
 
 def _dense_count_dp(rho, delta, n_nodes, horizon):
     """The count DP with full (N(t-1)+1) x (Nt+1) kernels, as it was written
-    before the banded product; returns the final level's row sums."""
-    from scipy.stats import binom
-
+    before the banded product; returns the final level's row sums.  It takes
+    its pmf rows from the same function as the banded DP, so the comparison
+    checks the band layout; the pmf itself is pinned by the binomial_pmf
+    tests."""
     level = np.ones((1, 1))
     for t in range(1, horizon + 1):
         c_max = n_nodes * (t - 1)
         c = np.arange(c_max + 1, dtype=np.float64)
         s = (rho + (delta / n_nodes) * c) / (1 + (t - 1) * delta)
-        pmf = binom.pmf(np.arange(n_nodes)[None, :], n_nodes - 1, s[:, None])
+        pmf = exact.binomial_pmf(n_nodes - 1, s)
         width = n_nodes * t + 1
         k0 = np.zeros((c_max + 1, width))
         k1 = np.zeros((c_max + 1, width))
@@ -545,6 +546,60 @@ def test_banded_count_dp_single_node_is_classical():
     dp = exact.complete_node_marginal(0.25, 0.75, 1, 6)
     for key, value in exact.classical_polya_table(exact.PolyaParams(0.25, 0.75), 6).items():
         assert dp[key] == pytest.approx(value, abs=1e-15)
+
+
+# a few roundings of products and of np.power pieces; the measured worst is
+# about 2 eps
+PMF_ULPS = 4
+PMF_S = (1e-3, 0.013, 0.3, 1 / 3, 0.49999, 0.5, 0.7, 0.999)
+
+
+@pytest.mark.parametrize("nodes", [2, 100, 1030, 1448])
+def test_binomial_pmf_matches_exact_rationals(nodes):
+    # every value >= 1e-300 against C(n, j) * s^j * (1 - s)^(n - j) for the
+    # float s, in integers: s = a / d with d a power of two, so the value is
+    # C(n, j) a^j b^(n-j) / d^n with b = d - a
+    n = nodes - 1
+    pmf = exact.binomial_pmf(n, PMF_S)
+    tiny_num, tiny_den = (1e-300).as_integer_ratio()
+    checked = 0
+    for row, s in zip(pmf, PMF_S):
+        a, d = s.as_integer_ratio()
+        b, scale = d - a, d ** n
+        num = b ** n  # j = 0
+        for j in range(n + 1):
+            if num * tiny_den >= tiny_num * scale:
+                p, q = float(row[j]).as_integer_ratio()
+                assert abs(p * scale - q * num) << 52 <= PMF_ULPS * q * num, (s, j)
+                checked += 1
+            if j < n:
+                num = num * (n - j) * a // ((j + 1) * b)
+    assert checked >= len(PMF_S) * min(nodes, 40)
+
+
+@pytest.mark.parametrize("nodes", [2, 100, 1030, 1448])
+def test_binomial_pmf_matches_scipy(nodes):
+    from scipy.stats import binom
+
+    n = nodes - 1
+    pmf = exact.binomial_pmf(n, PMF_S)
+    ref = binom.pmf(np.arange(n + 1)[None, :], n, np.array(PMF_S)[:, None])
+    # scipy's far tails are off by up to 3.7e-13 at n = 1447 (against exact
+    # rationals); the rational test above pins those
+    bulk = ref >= 1e-10
+    np.testing.assert_allclose(pmf[bulk], ref[bulk], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+
+
+def test_binomial_pmf_at_certain_outcomes():
+    assert exact.binomial_pmf(3, [0.0, 1.0]).tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert exact.binomial_pmf(0, [0.25]).tolist() == [[1.0]]
+
+
+def test_count_dp_on_the_largest_generated_complete_network():
+    # C(1447, j) overflows a float, and s^j underflows, inside the band
+    marginal = exact.complete_node_marginal(0.5, 1.0, 1448, 2)
+    assert abs(math.fsum(marginal.values()) - 1) <= 1e-12
 
 
 def test_banded_count_dp_peak_memory_is_two_levels():

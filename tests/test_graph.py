@@ -135,6 +135,43 @@ def test_barabasi_albert_reproducible():
     assert a.edges != c.edges
 
 
+def _cumsum_barabasi_albert_edges(n, m, seed):
+    """The sampler as first written: a float cumulative sum over all degrees
+    for every pick."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    degree = np.zeros(n, dtype=np.int64)
+    for i, j in edges:
+        degree[i] += 1
+        degree[j] += 1
+    for new in range(m, n):
+        weights = degree[:new].astype(np.float64)
+        targets = []
+        for _ in range(m):
+            if weights.sum() <= 0:
+                weights = np.ones(new, dtype=np.float64)
+                for t in targets:
+                    weights[t] = 0.0
+            cum = np.cumsum(weights)
+            pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            pick = min(pick, new - 1)
+            targets.append(pick)
+            weights[pick] = 0.0
+        for t in targets:
+            edges.append((t, new))
+            degree[t] += 1
+            degree[new] += 1
+    return edges
+
+
+@pytest.mark.parametrize("n,m,seed", [(2, 1, 0), (5, 1, 3), (64, 1, 0), (65, 1, 2),
+                                      (300, 1, 7), (30, 2, 5), (100, 3, 5), (500, 4, 2),
+                                      (200, 9, 11), (50, 49, 3), (2000, 2, 4)])
+def test_barabasi_albert_tree_sampler_keeps_every_graph(n, m, seed):
+    old = graph.build_network(n, _cumsum_barabasi_albert_edges(n, m, seed))
+    assert graph.generate_barabasi_albert(n, m, seed).edges == old.edges
+
+
 def test_generate_dispatch_and_errors():
     assert graph.generate("cycle", 5).degrees == (2,) * 5
     with pytest.raises(InvalidParameter):

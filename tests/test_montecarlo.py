@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import multiprocessing
 import os
 import subprocess
@@ -336,6 +337,36 @@ def test_a_single_chunk_starts_no_pool(monkeypatch):
     assert mc.run_trials(cfg).red_draw_counts.sum() > 0
 
 
+_FORK_SEES_SPARSE = """
+import json, os, sys
+from polya_net import contagion as cg, graph, montecarlo as mc
+net = graph.generate("ba", 40, m=2, seed=3)
+cfg = mc.RunConfig(net=net, init=cg.uniform_init(40, 1.0, 1.0), sched=cg.ConstantDelta(1.0),
+                   horizon=5, trials=20, seed=1, chunk_size=10, threads=2)
+seen, fork = [], os.fork
+def recording_fork():
+    seen.append("scipy.sparse" in sys.modules)
+    return fork()
+os.fork = recording_fork
+before = "scipy.sparse" in sys.modules
+mc.run_trials(cfg)
+print(json.dumps([before, seen]))
+"""
+
+
+def test_a_pool_imports_csr_support_before_it_forks():
+    # above 32 nodes the urns pool by CSR sums; the parent imports
+    # scipy.sparse once, so no worker pays for the import
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    done = subprocess.run([sys.executable, "-c", _FORK_SEES_SPARSE],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, seen = json.loads(done.stdout)
+    assert not before
+    assert seen == [True, True]
+
+
 def test_a_runtime_error_in_a_worker_exits_two_with_one_line(tmp_path):
     path = tmp_path / "k2.edges"
     graph.write_edge_list(K2, path)
@@ -475,6 +506,23 @@ def test_ks_fit_detects_wrong_distribution():
     rng = np.random.default_rng(1)
     ks = mc.ks_fit(rng.random(2000) ** 2, exact.BetaParams(1.0, 1.0))
     assert ks > 0.2
+
+
+def test_ks_fit_is_the_per_sample_cdf_loop():
+    # fig4's size: 5000 sample averages against a Beta(2, 3) limit
+    samples = np.random.default_rng(4).beta(2.0, 3.0, 5000)
+    beta = exact.BetaParams(2.0, 3.0)
+    data = np.sort(samples)
+    cdf = np.array([exact.beta_cdf(beta, x) for x in data])
+    n = data.size
+    loop = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(0, n) / n)))
+    assert mc.ks_fit(samples, beta) == loop
+
+
+@pytest.mark.parametrize("bad", [-0.25, 1.5, float("nan")])
+def test_ks_fit_refuses_samples_outside_the_unit_interval(bad):
+    with pytest.raises(DomainError, match="cdf is defined on"):
+        mc.ks_fit([0.2, bad, 0.7], exact.BetaParams(1.0, 1.0))
 
 
 def test_stationarity_zero_schedule_noise_level():
