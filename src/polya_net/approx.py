@@ -41,15 +41,6 @@ class Model1Fit:
     grid_kl: np.ndarray
 
 
-@dataclass(frozen=True)
-class NodeApproximation:
-    node: int
-    rho: float
-    delta: float
-    model_kind: str  # "I", "IIa" or "IIb"
-    fit_kl: float | None = None
-
-
 def rho_for_node(net: Network, init: UrnInit, i: int):
     """Initial red fraction of node i's super urn."""
     nbrs = net.closed_neighbors[i]

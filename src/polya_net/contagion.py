@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -33,6 +34,11 @@ class UrnInit:
     black: tuple
 
     def __post_init__(self):
+        # integer masses are held as Fractions, so exact arithmetic never
+        # divides two ints into a float; str() of each mass is unchanged
+        for name in ("red", "black"):
+            object.__setattr__(self, name, tuple(
+                Fraction(v) if isinstance(v, int) else v for v in getattr(self, name)))
         if len(self.red) != len(self.black):
             raise SizeMismatch("red and black initial masses differ in length")
         for i, (r, b) in enumerate(zip(self.red, self.black)):

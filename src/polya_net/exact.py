@@ -251,6 +251,9 @@ def enumerate_joint(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: 
     sched.check_size(net.node_count, horizon - 1)  # masses added after the last draw never count
     if not exact:
         return _float_table(net, init, sched, horizon, memory)
+    if not _is_exact(init, sched):
+        raise InvalidParameter("exact enumeration needs integer or Fraction urn masses "
+                               "and reinforcements; pass exact=False for floats")
     n = net.node_count
     stride = 1 << (n * (horizon - 1))  # code step between last-level draw combos
     probs: list = [None] * (1 << bits)

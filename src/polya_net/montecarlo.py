@@ -18,10 +18,12 @@ changes an output bit.  Where ``fork`` is unavailable chunks run serially.
 A chunk of k trials works through the horizon in time blocks
 (:func:`_time_block`).  The block's uniforms live in a step-major draw
 record ``buf[block, k, N]``, so each step reads and writes one contiguous
-(k, N) slab.  They are drawn trial by trial, a fill group of trials at a
-time (:func:`_fill_group`) into a ``(group, block, N)`` scratch, and copied
-transposed into the record; each step then overwrites its uniforms
-with its 0/1 draws, and the block's counts are reduced from the record.
+(k, N) slab.  They are drawn trial by trial, each trial's ``Philox`` set
+by its counter to the block's first double (:func:`_streams`), a fill
+group of trials at a time (:func:`_fill_group`) into a ``(group, block,
+N)`` scratch, and copied transposed into the record; each step then
+overwrites its uniforms with its 0/1 draws, and the block's counts are
+reduced from the record.
 """
 
 from __future__ import annotations
@@ -130,16 +132,28 @@ class TrialStatistics:
     sample_averages: np.ndarray | None = None  # (trials, N)
     assignment_counts: np.ndarray | None = None
 
+    @classmethod
+    def zeros(cls, cfg: RunConfig, trials: int) -> TrialStatistics:
+        """Empty statistics of ``trials`` of ``cfg``'s trials, with the
+        optional arrays that ``cfg`` collects (assignment counts excepted:
+        they are bincounted once a whole run's codes are in)."""
+        n, h = cfg.net.node_count, cfg.horizon
+        return cls(
+            trials=trials,
+            horizon=h,
+            node_count=n,
+            red_draw_counts=np.zeros((h + 1, n), dtype=np.int64),
+            susceptibility_sum=np.zeros(h + 1),
+            increment_sum=np.zeros(h + 1),
+            increment_sumsq=np.zeros(h + 1),
+            pair_counts=np.zeros((h + 1, n), dtype=np.int64) if cfg.collect_pair_freq else None,
+            sample_averages=np.zeros((trials, n)) if cfg.collect_sample_averages else None,
+        )
+
     @property
     def infection_rate(self) -> np.ndarray:
         """Empirical fraction of red draws averaged over nodes, per step."""
         out = self.red_draw_counts.sum(axis=1) / (self.trials * self.node_count)
-        out[0] = np.nan
-        return out
-
-    @property
-    def node_infection_rate(self) -> np.ndarray:
-        out = self.red_draw_counts / self.trials
         out[0] = np.nan
         return out
 
@@ -176,18 +190,6 @@ def _auto_chunk(cfg: RunConfig) -> int:
     return max(16, min(cfg.trials, UNIFORM_BUFFER_BYTES // max(per_trial, 1)))
 
 
-@dataclass
-class _ChunkResult:
-    lo: int
-    red_draw_counts: np.ndarray
-    susceptibility_sum: np.ndarray
-    increment_sum: np.ndarray
-    increment_sumsq: np.ndarray
-    pair_counts: np.ndarray | None
-    sample_averages: np.ndarray | None
-    assignment_codes: np.ndarray | None  # (k,) int64, one code per trial
-
-
 def _row_mean(u: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``u.mean(axis=1)`` into ``out``.  Below 8 columns numpy's pairwise
     sum is a plain left-to-right loop, so column adds and one divide give
@@ -205,8 +207,8 @@ def _row_mean(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _time_block(h: int, n: int) -> int:
     """Steps of uniforms drawn per generator call: at most 8 calls per
-    horizon and at least 8192 doubles a call (every call releases and
-    re-takes the GIL), never more than the horizon."""
+    horizon and at least 8192 doubles a call, to keep the per-call overhead
+    small, but never more steps than the horizon."""
     return min(h, max(-(-h // 8), -(-8192 // n)))
 
 
@@ -215,32 +217,37 @@ def _fill_group(k: int, block: int, n: int) -> int:
     return max(1, min(k, _FILL_SCRATCH_BYTES // (8 * block * n)))
 
 
-def _stream_starts(seed: int, lo: int, k: int):
-    """Trials ``lo .. lo + k - 1``'s generators, each at the start of its
-    documented stream, one after another: a single reused ``Philox`` whose
-    state is set per trial (key (seed mod 2^64, trial), counter 0, empty
-    buffer), which skips the ``SeedSequence`` that ``Philox(key=...)``
-    builds and discards.  Each yielded generator is valid until the next."""
+def _streams(seed: int, lo: int, k: int, offset: int):
+    """Trials ``lo .. lo + k - 1``'s documented streams, one after another,
+    each positioned at its double ``offset``: a single reused ``Philox``
+    whose state is set per trial (key (seed mod 2^64, trial), counter word 0
+    at ``offset // 4``, empty buffer) and which then skips ``offset % 4``
+    doubles, since a counter value yields four.  The cap keeps ``offset``
+    below 2^24, so word 0 never carries.  Setting the state skips the
+    ``SeedSequence`` that ``Philox(key=...)`` builds and discards.  Each
+    yielded generator is valid until the next."""
     key = np.array([seed % (1 << 64), lo], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     state = bitgen.state  # counter 0, empty buffer
     state["state"]["key"] = key
+    state["state"]["counter"][0] = offset // 4
+    skip = offset % 4
     for trial in range(lo, lo + k):
         key[1] = trial
         bitgen.state = state
+        if skip:
+            bitgen.random_raw(skip)
         yield gen
 
 
-def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
+def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> tuple[TrialStatistics, np.ndarray | None]:
+    """Trials ``lo .. hi - 1``: their ``TrialStatistics`` and, when
+    ``cfg`` collects assignments, one assignment code per trial."""
     net, n = cfg.net, cfg.net.node_count
     k = hi - lo
     h = cfg.horizon
     block = _time_block(h, n)
-    if block < h:  # keep each trial's stream for its later blocks
-        gens = [trial_generator(cfg.seed, lo + j) for j in range(k)]
-    else:
-        gens = _stream_starts(cfg.seed, lo, k)
     # step-major draw record: buf[i] holds step i of the block for every
     # trial as one contiguous (k, N) slab; each step overwrites its uniforms
     # with its 0/1 draws, so after the block buf is the block's draw record
@@ -255,12 +262,10 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
     memory = cfg.memory if cfg.memory is not None and cfg.memory < h else None
     batch = UrnBatch(net, cfg.init, k, memory=memory)
 
-    red_counts = np.zeros((h + 1, n), dtype=np.int64)
-    susc_sum = np.zeros(h + 1)
-    inc_sum = np.zeros(h + 1)
-    inc_sumsq = np.zeros(h + 1)
-    pair = np.zeros((h + 1, n), dtype=np.int64) if cfg.collect_pair_freq else None
-    z_count = np.zeros((k, n)) if cfg.collect_sample_averages else None
+    stats = TrialStatistics.zeros(cfg, k)
+    red_counts, susc_sum = stats.red_draw_counts, stats.susceptibility_sum
+    inc_sum, inc_sumsq = stats.increment_sum, stats.increment_sumsq
+    pair, z_count = stats.pair_counts, stats.sample_averages
     codes = np.zeros(k, dtype=np.int64) if cfg.collect_assignments else None
 
     u_mean, u_mean_next = np.empty(k), np.empty(k)
@@ -271,7 +276,7 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
     faults: list[str] = []
     for t0 in range(0, h, block):
         b = min(block, h - t0)
-        streams = iter(gens)
+        streams = _streams(cfg.seed, lo, k, t0 * n)
         for g0 in range(0, k, group):
             g = min(group, k - g0)
             for j in range(g):
@@ -312,16 +317,9 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> _ChunkResult:
             weights = 2.0 ** (np.arange(b * n) + n * t0).reshape(b, n)
             codes += np.einsum("bkn,bn->k", draws, weights).astype(np.int64)
 
-    return _ChunkResult(
-        lo=lo,
-        red_draw_counts=red_counts,
-        susceptibility_sum=susc_sum,
-        increment_sum=inc_sum,
-        increment_sumsq=inc_sumsq,
-        pair_counts=pair,
-        sample_averages=None if z_count is None else z_count / h,
-        assignment_codes=codes,
-    )
+    if z_count is not None:
+        z_count /= h  # the draw counts become the sample averages
+    return stats, codes
 
 
 def _map_chunks(cfg: RunConfig, bounds: list) -> list:
@@ -357,31 +355,20 @@ def run_trials(cfg: RunConfig) -> TrialStatistics:
     chunk = cfg.chunk_size or _auto_chunk(cfg)
     bounds = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
 
-    stats = TrialStatistics(
-        trials=cfg.trials,
-        horizon=h,
-        node_count=n,
-        red_draw_counts=np.zeros((h + 1, n), dtype=np.int64),
-        susceptibility_sum=np.zeros(h + 1),
-        increment_sum=np.zeros(h + 1),
-        increment_sumsq=np.zeros(h + 1),
-        pair_counts=np.zeros((h + 1, n), dtype=np.int64) if cfg.collect_pair_freq else None,
-        sample_averages=np.zeros((cfg.trials, n)) if cfg.collect_sample_averages else None,
-    )
-
+    stats = TrialStatistics.zeros(cfg, cfg.trials)
     results = _map_chunks(cfg, bounds)
-    for res in results:  # merge in chunk order: scheduling cannot change output
-        stats.red_draw_counts += res.red_draw_counts
-        stats.susceptibility_sum += res.susceptibility_sum
-        stats.increment_sum += res.increment_sum
-        stats.increment_sumsq += res.increment_sumsq
+    for (lo, hi), (part, _) in zip(bounds, results):
+        # merged in chunk order: scheduling cannot change output
+        stats.red_draw_counts += part.red_draw_counts
+        stats.susceptibility_sum += part.susceptibility_sum
+        stats.increment_sum += part.increment_sum
+        stats.increment_sumsq += part.increment_sumsq
         if stats.pair_counts is not None:
-            stats.pair_counts += res.pair_counts
+            stats.pair_counts += part.pair_counts
         if stats.sample_averages is not None:
-            hi = res.lo + res.sample_averages.shape[0]
-            stats.sample_averages[res.lo:hi] = res.sample_averages
+            stats.sample_averages[lo:hi] = part.sample_averages
     if cfg.collect_assignments:
-        codes = np.concatenate([res.assignment_codes for res in results])
+        codes = np.concatenate([c for _, c in results])
         stats.assignment_counts = np.bincount(codes, minlength=1 << (n * h))
     return stats
 

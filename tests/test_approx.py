@@ -166,3 +166,8 @@ def test_fit_node_record_fields():
     assert record["delta_prime"] == 0.5
     assert record["delta_star"] == 0.5
     assert record["delta_hat"] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_exact_representation_gap_of_integer_masses_is_a_fraction():
+    gap = approx.exact_representation_gap(K2, cg.uniform_init(2), 1, 3).max_deviation
+    assert type(gap) is F and gap == F(1, 1152)

@@ -23,6 +23,14 @@ def test_urn_init_requires_both_colors():
         cg.UrnInit(red=(1, 1), black=(1,))
 
 
+def test_urn_init_holds_integer_masses_as_fractions():
+    init = cg.UrnInit(red=(1, 2.5, F(1, 3)), black=[3, 1, 2])
+    assert [type(v) for v in init.red] == [F, float, F]
+    assert init.black == (F(3), F(1), F(2)) and all(type(v) is F for v in init.black)
+    # config hashes are built from str() of each mass
+    assert [str(v) for v in init.red] == ["1", "2.5", "1/3"]
+
+
 def test_urn_init_rejects_totals_that_are_not_finite():
     for red, black in ((1e308, 1e308), (float("nan"), 1.0), (float("inf"), 1.0)):
         with pytest.raises(InvalidParameter, match="finite"):

@@ -1,3 +1,4 @@
+import io
 import math
 from fractions import Fraction as F
 
@@ -652,3 +653,26 @@ def test_joint_table_csv_round_trip(tmp_path):
         cells = row.split(",")
         total += F(int(cells[-2]), int(cells[-1]))
     assert total == 1
+
+
+def test_integer_masses_give_exact_fractions():
+    # ints are rational inputs: each result must be a Fraction, not int / int
+    table = exact.enumerate_joint(K2, cg.uniform_init(2), cg.ConstantDelta(1), 2)
+    assert table.exact and all(type(p) is F for p in table.probs)
+    assert table.probs[0] == F(1, 9)
+    rows = io.StringIO()
+    table.write_csv(rows)
+    assert rows.getvalue().splitlines()[1] == "0,0,0,0,1,9"
+    p = exact.joint_probability(K2, cg.uniform_init(2), cg.ConstantDelta(1), [[1], [1]])
+    assert type(p) is F and p == F(1, 4)
+    rate = exact.average_infection_rate(K2, cg.uniform_init(2), cg.ConstantDelta(1), 2)
+    assert rate.exact and type(rate.value) is F and rate.value == F(1, 2)
+
+
+@pytest.mark.parametrize("init, sched", [
+    (cg.uniform_init(2, 1.0, 1.0), cg.ConstantDelta(F(1))),
+    (cg.uniform_init(2), cg.ConstantDelta(1.0)),
+])
+def test_exact_enumeration_refuses_float_inputs(init, sched):
+    with pytest.raises(InvalidParameter, match="exact=False"):
+        exact.enumerate_joint(K2, init, sched, 2)

@@ -195,9 +195,51 @@ def test_row_mean_equals_numpy_mean(n):
 def test_reused_philox_streams_equal_trial_generators():
     seed, lo = (1 << 64) + 987, 40
     # 3 steps x 5 nodes: each trial leaves a part-used Philox output block
-    for j, gen in enumerate(mc._stream_starts(seed, lo, 1000)):
+    for j, gen in enumerate(mc._streams(seed, lo, 1000, 0)):
         assert np.array_equal(gen.random((3, 5)), mc.trial_generator(seed, lo + j).random((3, 5)))
     assert j == 999
+
+
+# 8195 is BA5 h1700's second block (offset % 4 == 3), 12500 ba100's
+@pytest.mark.parametrize("offset", [*range(8), 8195, 12500])
+def test_streams_resume_each_trial_at_an_offset(offset):
+    seed, lo, m = (1 << 64) + 987, 40, 11
+    for j, gen in enumerate(mc._streams(seed, lo, 6, offset)):
+        whole = mc.trial_generator(seed, lo + j).random(offset + m)
+        assert np.array_equal(gen.random(m), whole[offset:])
+    assert j == 5
+
+
+def test_chunks_position_streams_without_trial_generators(monkeypatch):
+    cfg = mc.RunConfig(net=BA60, init=float_init(60), sched=cg.ConstantDelta(1.0, 2.0),
+                       horizon=300, trials=5, seed=9, chunk_size=2, threads=2,
+                       collect_pair_freq=True, collect_sample_averages=True)
+    # three time blocks, CSR neighbourhood sums
+    assert cfg.horizon > 2 * mc._time_block(cfg.horizon, 60)
+    expected = mc.run_trials(cfg)
+
+    def refuse(*args):
+        raise AssertionError("a chunk built a trial generator")
+
+    monkeypatch.setattr(mc, "trial_generator", refuse)
+    stats = mc.run_trials(cfg)
+    for name in ("red_draw_counts", "susceptibility_sum", "increment_sum",
+                 "increment_sumsq", "pair_counts", "sample_averages"):
+        assert np.array_equal(getattr(stats, name), getattr(expected, name)), name
+
+
+def test_a_chunk_returns_the_statistics_of_its_trials():
+    cfg = small_cfg(trials=7, collect_pair_freq=True, collect_sample_averages=True,
+                    collect_assignments=True)
+    part, codes = mc._run_chunk(cfg, 3, 7)
+    assert isinstance(part, mc.TrialStatistics) and part.trials == 4
+    assert codes.shape == (4,) and part.assignment_counts is None
+    # trials 3..6 are the first seven trials less the first three
+    counts, pairs, averages = scalar_tallies(cfg)
+    head_counts, head_pairs, _ = scalar_tallies(small_cfg(trials=3))
+    assert np.array_equal(part.red_draw_counts, counts - head_counts)
+    assert np.array_equal(part.pair_counts, pairs - head_pairs)
+    assert np.array_equal(part.sample_averages, averages[3:])
 
 
 def test_assignment_counts_match_scalar_codes():
