@@ -7,15 +7,16 @@ All mass arithmetic is type-agnostic: exact ``Fraction`` inputs stay exact,
 floats stay floats.  States are values (copy, never mutate in place).
 
 :class:`UrnBatch` is the float64 counterpart for many copies of the process
-at once (Monte Carlo trials, enumerated histories); it applies the same
-update rule as :func:`apply_draws` to every row.
+at once (Monte Carlo trials, enumerated histories).  Both record gains as
+(red, total), like the urns, and with finite memory M expire step t-M's
+gains before adding step t's, so the same draws give the same float bits.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -103,6 +104,12 @@ class DeltaSchedule:
     def masses(self, t: int, u: np.ndarray, s: np.ndarray):
         raise NotImplementedError
 
+    @property
+    def equal_masses(self):
+        """The float masses (a scalar or one per node) when every node's red
+        and black masses are equal and constant in time, else ``None``."""
+        return None
+
     def check_size(self, node_count: int, steps: int) -> None:
         """Raise ``SizeMismatch`` unless the schedule gives masses for
         ``node_count`` nodes at steps 1..``steps``.  Schedules computed
@@ -143,6 +150,11 @@ class ConstantDelta(DeltaSchedule):
 
     def masses(self, t, u, s):
         return self._floats
+
+    @property
+    def equal_masses(self):
+        red, black = self._floats
+        return None if np.any(red != black) else red if np.ndim(red) else black
 
     def check_size(self, node_count, steps):
         for v in (self.red, self.black):
@@ -251,9 +263,9 @@ class NetworkState:
     """Urn masses after ``time`` completed draw steps.
 
     ``red_mass[i] / total_mass[i]`` is node i's individual urn proportion.
-    With finite memory M, ``window`` keeps the last M per-step additions so
-    they can be expired; base masses (the initial urns) never expire and are
-    kept separately for window-based recomputation.
+    With finite memory M, ``window`` keeps the last M steps' (red, total)
+    gains, tuples shared by copies, to expire them; base masses (the initial
+    urns) never expire and are kept separately for window-based recomputation.
     """
 
     time: int
@@ -269,15 +281,8 @@ class NetworkState:
         return len(self.red_mass)
 
     def copy(self) -> "NetworkState":
-        return NetworkState(
-            time=self.time,
-            red_mass=list(self.red_mass),
-            total_mass=list(self.total_mass),
-            base_red=self.base_red,
-            base_total=self.base_total,
-            memory=self.memory,
-            window=deque((list(r), list(b)) for r, b in self.window),
-        )
+        return replace(self, red_mass=list(self.red_mass),
+                       total_mass=list(self.total_mass), window=deque(self.window))
 
     def urn_proportion(self, i: int):
         return self.red_mass[i] / self.total_mass[i]
@@ -339,33 +344,27 @@ def apply_draws(state: NetworkState, net: Network, draws: Sequence[int],
     """Advance one step deterministically given the draw outcomes.
 
     Node i gains its red mass for the step if draws[i] is 1, else its black
-    mass.  In finite-memory mode the additions made M steps ago are expired
-    first, so the returned state's masses cover only the trailing window.
-    ``masses`` is :func:`step_masses` of ``state``, passed in by callers
-    that advance one state by many draw combinations.
+    mass.  In finite-memory mode a full window's oldest gains, those of M
+    steps ago, are expired first, so the returned state's masses cover only
+    the trailing window.  ``masses`` is :func:`step_masses` of ``state``,
+    passed in by callers that advance one state by many draw combinations.
     """
     if len(draws) != net.node_count:
         raise SizeMismatch(f"need {net.node_count} draws, got {len(draws)}")
     red, black = step_masses(state, net, sched) if masses is None else masses
-    new = state.copy()
-    t = state.time + 1
-    red_add = []
-    black_add = []
-    for i, d in enumerate(draws):
-        r, b = (red[i], 0) if d else (0, black[i])
-        red_add.append(r)
-        black_add.append(b)
-        new.red_mass[i] = new.red_mass[i] + r
-        new.total_mass[i] = new.total_mass[i] + r + b
+    gains = (tuple([r if d else 0 for r, d in zip(red, draws)]),
+             tuple([r if d else b for r, b, d in zip(red, black, draws)]))
+    red_mass, total_mass = state.red_mass, state.total_mass
+    window = deque(state.window)
     if state.memory is not None:
-        if len(new.window) == state.memory:
-            old_r, old_b = new.window.popleft()
-            for i in range(net.node_count):
-                new.red_mass[i] = new.red_mass[i] - old_r[i]
-                new.total_mass[i] = new.total_mass[i] - old_r[i] - old_b[i]
-        new.window.append((red_add, black_add))
-    new.time = t
-    return new
+        if len(window) == state.memory:
+            old_red, old_total = window.popleft()
+            red_mass = [m - g for m, g in zip(red_mass, old_red)]
+            total_mass = [m - g for m, g in zip(total_mass, old_total)]
+        window.append(gains)
+    return NetworkState(state.time + 1, [m + g for m, g in zip(red_mass, gains[0])],
+                        [m + g for m, g in zip(total_mass, gains[1])],
+                        state.base_red, state.base_total, state.memory, window)
 
 
 def sample_step(state: NetworkState, net: Network, sched: DeltaSchedule, rng):
@@ -428,9 +427,9 @@ def import_pooling(net: Network) -> None:
 
 class UrnBatch:
     """Float64 urn masses of many copies of the process: ``red`` and
-    ``total`` (rows x N) are the two planes of one (2, rows, N) array.  With
-    finite memory M a ring keeps the last M steps' additions so they can be
-    expired, as in :func:`apply_draws`.
+    ``total`` (rows x N) are the two planes of one (2, rows, N) array, as are
+    each step's gains.  With finite memory M a ring keeps the last M steps'
+    gains so they can be expired, as in :func:`apply_draws`.
 
     Networks of at most ``DENSE_POOLING_MAX_NODES`` (32) nodes pool
     neighbourhoods by dense BLAS products, larger ones by CSR sums.  The
@@ -442,19 +441,22 @@ class UrnBatch:
     def __init__(self, net: Network, init: UrnInit, rows: int, memory: int | None = None):
         start = initial_state(net, init, memory=memory)
         n = net.node_count
-        first = np.array([[float(v) for v in start.red_mass],
-                          [float(v) for v in start.total_mass]])
+        first = np.array([start.red_mass, start.total_mass], dtype=float)
         self._set_masses(np.repeat(first[:, None, :], rows, axis=1))
         self.memory = memory
-        # ring[0] holds red additions, ring[1] black ones, slot (t-1) % M for step t
-        self._ring = None if memory is None else np.zeros((2, memory, rows, n))
+        # slot (t-1) % M holds step t's gains, planes ordered as _masses'
+        self._ring = None if memory is None else np.zeros((memory, 2, rows, n))
         # dense neighborhood sums beat CSR on small networks
         if n <= DENSE_POOLING_MAX_NODES:
             self._dense, self._csr = net.closed_adjacency, None
         else:
             from scipy.sparse import csr_matrix
 
-            self._dense, self._csr = None, csr_matrix(net.closed_adjacency)
+            # from the sorted neighbourhoods, never from N x N dense arrays
+            nbrs = net.closed_neighbors
+            indptr = np.cumsum([0, *map(len, nbrs)])
+            self._dense, self._csr = None, csr_matrix(
+                (np.ones(indptr[-1]), np.concatenate(nbrs), indptr), shape=(n, n))
 
     def _set_masses(self, masses: np.ndarray) -> None:
         self._masses = masses
@@ -493,22 +495,21 @@ class UrnBatch:
 
     def step(self, t: int, z: np.ndarray, s: np.ndarray, sched: DeltaSchedule) -> None:
         """Apply step t's draws ``z`` (0/1 floats, rows x N) drawn at
-        super-urn proportions ``s``: expire the additions of step t-M, then
-        reinforce.  Multiplying the masses by the draw mask selects them
-        exactly while they are finite; the curing mass is infinite only
+        super-urn proportions ``s``: expire step t-M's gains, then add the
+        gains ``z*dr`` (red) and ``(1-z)*db + z*dr`` (total).  The draw mask
+        selects finite masses exactly; the curing mass is infinite only
         where s == 1 or the urn proportion is 0."""
         dr, db = sched.masses(t, self._u, s)
         if self._ring is None:
-            add_red, add_black = z * dr, (1.0 - z) * db
+            gains = np.empty_like(self._masses)  # not kept: less peak memory
         else:
-            add_red, add_black = self._ring[:, (t - 1) % self.memory]
+            gains = self._ring[(t - 1) % self.memory]
             if t > self.memory:
-                self.red -= add_red
-                self.total -= add_red + add_black
-            np.multiply(z, dr, out=add_red)
-            np.multiply(1.0 - z, db, out=add_black)
-        self.red += add_red
-        self.total += add_red + add_black
+                self._masses -= gains
+        np.multiply(z, dr, out=gains[0])
+        np.multiply(1.0 - z, db, out=gains[1])
+        gains[1] += gains[0]
+        self._masses += gains
         np.divide(self.red, self.total, out=self._u)
 
 
@@ -516,19 +517,19 @@ def finite_memory_conditional(state: NetworkState, net: Network, i: int):
     """P(next draw red) for a finite-memory state, recomputed from the window.
 
     Independent of the incrementally maintained masses: starts from the base
-    (initial) neighborhood totals and adds only the windowed additions, so it
-    depends on nothing but the last M draws.  While the window is not yet
-    full (time <= M) this coincides with the full-history value.
+    (initial) neighborhood masses and adds only the window's red and total
+    gains, so it depends on nothing but the last M draws.  While the window
+    is not yet full (time <= M) this coincides with the full-history value.
     """
     if state.memory is None:
         raise InvalidParameter("state has infinite memory; use super_urn_proportion")
     nbrs = net.closed_neighbors[i]
     red = sum(state.base_red[j] for j in nbrs)
     total = sum(state.base_total[j] for j in nbrs)
-    for red_add, black_add in state.window:
+    for red_gain, total_gain in state.window:
         for j in nbrs:
-            red = red + red_add[j]
-            total = total + red_add[j] + black_add[j]
+            red = red + red_gain[j]
+            total = total + total_gain[j]
     return red / total
 
 

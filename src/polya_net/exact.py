@@ -146,6 +146,8 @@ class JointTable:
         """Distribution of node i's draws over the window (1-indexed, inclusive),
         summing out all other coordinates.  Defaults to the full horizon.
         Keys are draw tuples, in the order of their assignment codes."""
+        if not 0 <= i < self.node_count:
+            raise InvalidParameter(f"node {i} outside the table's {self.node_count} nodes")
         lo, hi = window if window is not None else (1, self.horizon)
         if not (1 <= lo <= hi <= self.horizon):
             raise InvalidParameter(f"window {window} not within horizon {self.horizon}")
@@ -195,7 +197,7 @@ class JointTable:
     def _write_csv(self, fh, header_lines) -> None:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         cols = [f"a_{i + 1}_{t + 1}" for i in range(self.node_count)
                 for t in range(self.horizon)]
         writer.writerow(cols + (["p_num", "p_den"] if self.exact else ["p"]))

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import contagion, exact
-from .contagion import ConstantDelta, DeltaSchedule, UrnBatch, UrnInit
+from .contagion import DeltaSchedule, UrnBatch, UrnInit
 from .errors import (CapExceeded, DomainError, HypothesisViolation, InvalidParameter,
                      PolyaNetError, SizeMismatch)
 from .graph import Network, classify
@@ -390,6 +390,8 @@ def histogram(samples: Sequence[float], bins: int) -> HistogramResult:
         raise InvalidParameter("bins must be >= 1")
     if len(data) < bins:
         raise InvalidParameter("need at least as many samples as bins")
+    if not np.all((data >= 0.0) & (data <= 1.0)):
+        raise DomainError("histogram samples must lie in [0, 1]")
     density, edges = np.histogram(data, bins=bins, range=(0.0, 1.0), density=True)
     return HistogramResult(edges=edges, density=density)
 
@@ -455,13 +457,8 @@ def martingale_residual(cfg: RunConfig) -> MartingaleResiduals:
     totals = cfg.init.totals
     if any(v != totals[0] for v in totals):
         raise HypothesisViolation("equal urn totals are required")
-    sched = cfg.sched
-    if not isinstance(sched, ConstantDelta):
-        raise HypothesisViolation("a constant schedule is required")
-    n = cfg.net.node_count
-    values = {float(sched.red_mass(i, 1)) for i in range(n)}
-    values |= {float(sched.black_mass(i, 1)) for i in range(n)}
-    if len(values) != 1:
+    masses = cfg.sched.equal_masses
+    if masses is None or np.unique(masses).size != 1:
         raise HypothesisViolation("red and black masses must be one constant")
     stats = run_trials(cfg)
     return MartingaleResiduals(mean=stats.increment_mean, sem=stats.increment_sem)

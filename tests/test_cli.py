@@ -51,6 +51,14 @@ def test_graph_gen_stdout(capsys):
     assert len(lines) == 4
 
 
+def test_enumerate_csv_ends_lines_with_newline_only(k2_path, tmp_path, capsys):
+    out = tmp_path / "table.csv"
+    assert run("enumerate", "--graph", k2_path, "--horizon", "1", "--out", str(out)) == 0
+    assert b"\r" not in out.read_bytes()
+    assert run("enumerate", "--graph", k2_path, "--horizon", "1") == 0
+    assert "\r" not in capsys.readouterr().out
+
+
 def test_enumerate_table_sums_to_one(k2_path, tmp_path):
     out = tmp_path / "table.csv"
     assert run("enumerate", "--graph", k2_path, "--red", "1,1", "--black", "1,1",

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction as F
 
 import numpy as np
@@ -375,3 +376,68 @@ def test_state_snapshot_round_trips_via_json():
     assert blob["memory"] == 3
     assert [F(v) for v in blob["red_mass"]] == state.red_mass
     assert [F(v) for v in blob["total_mass"]] == state.total_mass
+
+
+BA7 = graph.generate("ba", 7, m=2, seed=4)
+
+
+@pytest.mark.parametrize("memory", [3, None])
+def test_batch_driven_by_scalar_draws_ends_with_the_same_float_masses(memory):
+    # one update rule in two arithmetics: the same draws and masses give the
+    # same bits, under finite memory too (expire, then add)
+    init = cg.UrnInit(red=tuple(1.0 + 0.25 * i for i in range(7)), black=(1.5,) * 7)
+    sched = cg.ConstantDelta(tuple(0.1 + 0.3 * i for i in range(7)),
+                             tuple(0.9 - 0.1 * i for i in range(7)))
+    record, state = cg.simulate_path(BA7, init, sched, 80, np.random.default_rng(5),
+                                     memory=memory)
+    batch = cg.UrnBatch(BA7, init, 1, memory=memory)
+    for t, draws in enumerate(record.steps, 1):
+        batch.step(t, np.array([draws], dtype=float), batch.super_urn(), sched)
+    assert np.array_equal(batch.red[0], state.red_mass)
+    assert np.array_equal(batch.total[0], state.total_mass)
+
+
+def test_copy_and_apply_draws_leave_the_parent_state_unchanged():
+    sched = cg.ConstantDelta(F(1), F(2))
+    state = cg.initial_state(K2, exact_init((1, 2), (2, 1)), memory=2)
+    for draws in [(1, 0), (0, 1)]:
+        state = cg.apply_draws(state, K2, draws, sched)
+    before = copy.deepcopy((state.red_mass, state.total_mass, list(state.window)))
+    child = state.copy()
+    assert all(a is b for a, b in zip(child.window, state.window))
+    nxt = cg.apply_draws(child, K2, (1, 1), sched)  # a full window: expires step 1
+    for s in (state, child):
+        assert (s.red_mass, s.total_mass, list(s.window)) == before
+    assert list(nxt.window) == [((0, F(1)), (F(2), F(1))), ((F(1), F(1)), (F(1), F(1)))]
+    assert nxt.red_mass == [F(2), F(4)] and nxt.total_mass == [F(6), F(5)]
+
+
+def test_equal_masses_only_for_constant_equal_schedules():
+    assert cg.ConstantDelta(F(1, 2)).equal_masses == 0.5
+    assert np.array_equal(cg.ConstantDelta((1, 2), (1, 2)).equal_masses, [1.0, 2.0])
+    assert np.array_equal(cg.ConstantDelta(1, (1, 1)).equal_masses, [1.0, 1.0])
+    for sched in (cg.ConstantDelta(1, 2), cg.ConstantDelta((1, 2), (1, 3)),
+                  cg.TabulatedDelta([[1, 1]], [[1, 1]]), cg.CuringDelta(1)):
+        assert sched.equal_masses is None
+
+
+def test_urn_batch_pools_large_networks_without_dense_arrays():
+    from scipy.sparse import csr_matrix
+
+    big = graph.generate("ba", 3000, m=2, seed=1)
+    cg.UrnBatch(big, cg.uniform_init(3000, 1.0, 1.0), 2)
+    assert "adjacency" not in vars(big) and "closed_adjacency" not in vars(big)
+    net = graph.generate("ba", 40, m=2, seed=3)
+    batch = cg.UrnBatch(net, cg.uniform_init(40, 1.0, 2.0), 3)
+    dense_built = csr_matrix(net.closed_adjacency)
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(batch._csr, name), getattr(dense_built, name)
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    rng = np.random.default_rng(2)
+    sched = cg.ConstantDelta(0.3, 0.7)
+    for t in range(1, 6):
+        s = batch.super_urn()
+        batch.step(t, (rng.random(s.shape) < s).astype(float), s, sched)
+    ours = batch.super_urn()
+    batch._csr = dense_built
+    assert np.array_equal(ours, batch.super_urn())

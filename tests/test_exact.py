@@ -132,6 +132,14 @@ def test_node_marginal_sums_to_one_and_windows():
         table.node_marginal(0, window=(0, 2))
 
 
+@pytest.mark.parametrize("exact_mode", [True, False])
+def test_node_marginal_rejects_nodes_outside_the_table(exact_mode):
+    table = exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(1)), 2, exact=exact_mode)
+    for i in (5, -1, -3):
+        with pytest.raises(InvalidParameter):
+            table.node_marginal(i)
+
+
 def test_float_marginals_of_a_16_bit_table_match_the_exact_ones():
     # summed over the strided 16-axis view in one np.sum, the marginals were
     # up to 6.4e-16 off; pairwise, one axis at a time, they are ~1.4e-17 off

@@ -723,3 +723,23 @@ def test_sample_average_ks_decreases_with_horizon():
         stats = mc.run_trials(cfg)
         distances.append(mc.ks_fit(stats.sample_averages[:, 0], beta))
     assert distances[1] < distances[0]
+
+
+def test_histogram_rejects_samples_outside_the_unit_interval():
+    for bad in (np.nan, 2.0, -0.1):
+        with pytest.raises(DomainError):
+            mc.histogram([0.1, bad, 0.3], 2)
+
+
+def test_martingale_residual_rejects_schedules_without_one_equal_constant_mass():
+    for sched in (cg.TabulatedDelta([[1.0, 1.0]] * 8, [[1.0, 1.0]] * 8), cg.CuringDelta(1.0),
+                  cg.ConstantDelta((1.0, 2.0))):
+        with pytest.raises(HypothesisViolation):
+            mc.martingale_residual(small_cfg(sched=sched))
+
+
+def test_martingale_residual_accepts_equal_per_node_masses():
+    res = mc.martingale_residual(small_cfg(sched=cg.ConstantDelta((1.0, 1.0), (1.0, 1.0))))
+    want = mc.martingale_residual(small_cfg())
+    assert np.array_equal(res.mean, want.mean, equal_nan=True)
+    assert np.array_equal(res.sem, want.sem, equal_nan=True)
