@@ -10,6 +10,11 @@ floats stay floats.  States are values (copy, never mutate in place).
 at once (Monte Carlo trials, enumerated histories).  Both record gains as
 (red, total), like the urns, and with finite memory M expire step t-M's
 gains before adding step t's, so the same draws give the same float bits.
+Under equal, time-constant red and black masses every copy's urn totals
+are the same, so a batch pooled by CSR sums (more than 32 nodes) keeps them
+as one shared row, and its finite-memory ring holds red gains only; dense
+pooling keeps a total plane, for its BLAS products' bits and its speed on
+narrow rows.
 """
 
 from __future__ import annotations
@@ -426,26 +431,33 @@ def import_pooling(net: Network) -> None:
 
 
 class UrnBatch:
-    """Float64 urn masses of many copies of the process: ``red`` and
-    ``total`` (rows x N) are the two planes of one (2, rows, N) array, as are
-    each step's gains.  With finite memory M a ring keeps the last M steps'
-    gains so they can be expired, as in :func:`apply_draws`.
+    """Float64 urn masses of many copies of the process (rows x N ``red``
+    and ``total``).  The mass planes, (P, rows, N), hold ``red`` and, unless
+    the total is a shared row (below), ``total``; each step's gains have the
+    same planes.  With finite memory M a ring keeps the last M steps' gains
+    so they can be expired, as in :func:`apply_draws`.
 
     Networks of at most ``DENSE_POOLING_MAX_NODES`` (32) nodes pool
     neighbourhoods by dense BLAS products, larger ones by CSR sums.  The
     split is part of the output bits: the two sum a neighbourhood in
     different orders, and their results differ in the last bit for some
     networks of 20 nodes and more.
+
+    Given ``sched`` with ``equal_masses`` (red and black masses equal and
+    constant), a step's total gain is those masses whatever was drawn, so
+    every row's total is the same.  CSR pooling then keeps ``total`` as one
+    shared (N,) row (``total`` is a read-only broadcast view of it): the
+    planes and the ring hold red only, and the super urn pools the red
+    plane plus the one row.  A CSR sum adds a neighbourhood in the same
+    order for one row as for many, so no bit changes.  Dense pooling keeps
+    the total plane: a BLAS product's rows can differ in the last bit by row
+    position, and the row's broadcast divide is slower on narrow rows.
     """
 
-    def __init__(self, net: Network, init: UrnInit, rows: int, memory: int | None = None):
+    def __init__(self, net: Network, init: UrnInit, rows: int, memory: int | None = None,
+                 sched: DeltaSchedule | None = None):
         start = initial_state(net, init, memory=memory)
         n = net.node_count
-        first = np.array([start.red_mass, start.total_mass], dtype=float)
-        self._set_masses(np.repeat(first[:, None, :], rows, axis=1))
-        self.memory = memory
-        # slot (t-1) % M holds step t's gains, planes ordered as _masses'
-        self._ring = None if memory is None else np.zeros((memory, 2, rows, n))
         # dense neighborhood sums beat CSR on small networks
         if n <= DENSE_POOLING_MAX_NODES:
             self._dense, self._csr = net.closed_adjacency, None
@@ -457,11 +469,21 @@ class UrnBatch:
             indptr = np.cumsum([0, *map(len, nbrs)])
             self._dense, self._csr = None, csr_matrix(
                 (np.ones(indptr[-1]), np.concatenate(nbrs), indptr), shape=(n, n))
+        first = np.array([start.red_mass, start.total_mass], dtype=float)
+        shared = self._csr is not None and sched is not None and sched.equal_masses is not None
+        self._row = first[1] if shared else None
+        planes = first if self._row is None else first[:1]
+        self._set_planes(np.repeat(planes[:, None, :], rows, axis=1))
+        self.memory = memory
+        # slot (t-1) % M holds step t's gains, planes ordered as _planes'
+        self._ring = None if memory is None else np.zeros((memory, *self._planes.shape))
 
-    def _set_masses(self, masses: np.ndarray) -> None:
-        self._masses = masses
-        self.red, self.total = masses
-        self._u = masses[0] / masses[1]
+    def _set_planes(self, planes: np.ndarray) -> None:
+        self._planes = planes
+        self.red = planes[0]
+        self.total = (planes[1] if self._row is None
+                      else np.broadcast_to(self._row, self.red.shape))
+        self._u = self.red / self.total
 
     def proportions(self) -> np.ndarray:
         """``red / total``, kept up to date by :meth:`step`; read-only."""
@@ -476,20 +498,25 @@ class UrnBatch:
         # the closed adjacency is symmetric, so csr @ m.T sums every
         # neighbourhood in the same ascending order as m @ csr, without the
         # transposed copy of csr that scipy builds for m @ csr
-        rows = self.red.shape[0]
-        both = (self._csr @ self._masses.reshape(2 * rows, -1).T).T
-        return both[:rows] / both[rows:]
+        planes, rows = self._planes, self.red.shape[0]
+        pooled = (self._csr @ planes.reshape(planes.shape[0] * rows, -1).T).T
+        if self._row is None:
+            return pooled[:rows] / pooled[rows:]
+        return pooled / (self._csr @ self._row)
 
     def pooled_totals_finite(self) -> bool:
         """Whether every super urn's total mass, a closed-neighbourhood sum
         of ``total``, is a finite float; a node's own urn is in its sum, so
         an infinite or NaN urn fails too."""
-        pooled = self.total @ self._dense if self._csr is None else self._csr @ self.total.T
+        if self._csr is None:
+            pooled = self.total @ self._dense
+        else:
+            pooled = self._csr @ (self.total.T if self._row is None else self._row)
         return bool(np.isfinite(pooled).all())
 
     def tile(self, reps: int) -> None:
         """Repeat the rows ``reps`` times: row c * rows + r copies row r."""
-        self._set_masses(np.tile(self._masses, (1, reps, 1)))
+        self._set_planes(np.tile(self._planes, (1, reps, 1)))
         if self._ring is not None:
             self._ring = np.tile(self._ring, (1, 1, reps, 1))
 
@@ -498,18 +525,25 @@ class UrnBatch:
         super-urn proportions ``s``: expire step t-M's gains, then add the
         gains ``z*dr`` (red) and ``(1-z)*db + z*dr`` (total).  The draw mask
         selects finite masses exactly; the curing mass is infinite only
-        where s == 1 or the urn proportion is 0."""
+        where s == 1 or the urn proportion is 0.  A shared total row gains
+        ``db``, which is that total gain for a 0/1 ``z`` when the masses are
+        equal; ``sched`` is then the schedule the batch was built with."""
         dr, db = sched.masses(t, self._u, s)
         if self._ring is None:
-            gains = np.empty_like(self._masses)  # not kept: less peak memory
+            gains = np.empty_like(self._planes)  # not kept: less peak memory
         else:
             gains = self._ring[(t - 1) % self.memory]
             if t > self.memory:
-                self._masses -= gains
+                self._planes -= gains
+                if self._row is not None:
+                    self._row -= db
         np.multiply(z, dr, out=gains[0])
-        np.multiply(1.0 - z, db, out=gains[1])
-        gains[1] += gains[0]
-        self._masses += gains
+        if self._row is None:
+            np.multiply(1.0 - z, db, out=gains[1])
+            gains[1] += gains[0]
+        else:
+            self._row += db
+        self._planes += gains
         np.divide(self.red, self.total, out=self._u)
 
 

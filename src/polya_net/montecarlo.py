@@ -260,7 +260,7 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> tuple[TrialStatistics, np.nd
     buf_steps, scratch_steps = buf.view(step_item)[..., 0], scratch.view(step_item)[..., 0]
     # a memory of at least the horizon never expires an addition
     memory = cfg.memory if cfg.memory is not None and cfg.memory < h else None
-    batch = UrnBatch(net, cfg.init, k, memory=memory)
+    batch = UrnBatch(net, cfg.init, k, memory=memory, sched=cfg.sched)
 
     stats = TrialStatistics.zeros(cfg, k)
     red_counts, susc_sum = stats.red_draw_counts, stats.susceptibility_sum

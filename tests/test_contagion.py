@@ -441,3 +441,49 @@ def test_urn_batch_pools_large_networks_without_dense_arrays():
     ours = batch.super_urn()
     batch._csr = dense_built
     assert np.array_equal(ours, batch.super_urn())
+
+
+BA40 = graph.generate("ba", 40, m=2, seed=3)
+BA40_INIT = cg.UrnInit(red=tuple(1.0 + 0.1 * i for i in range(40)),
+                       black=tuple(2.0 - 0.03 * i for i in range(40)))
+BA40_MASSES = tuple(0.2 + 0.05 * i for i in range(40))
+
+
+@pytest.mark.parametrize("equal", [cg.ConstantDelta(0.75),
+                                   cg.ConstantDelta(BA40_MASSES, BA40_MASSES)])
+@pytest.mark.parametrize("memory", [None, 5])
+def test_shared_total_row_matches_total_planes_after_every_step(memory, equal):
+    # equal masses on a CSR-pooled network keep one total row; the same
+    # masses tabulated take the per-plane path, with the same bits
+    h = 16
+    masses = tuple(np.broadcast_to(equal.equal_masses, 40).tolist())
+    tabulated = cg.TabulatedDelta([masses] * h, [masses] * h)
+    shared = cg.UrnBatch(BA40, BA40_INIT, 4, memory=memory, sched=equal)
+    planes = cg.UrnBatch(BA40, BA40_INIT, 4, memory=memory, sched=tabulated)
+    assert not shared.total.flags.writeable and planes.total.flags.writeable
+    rng = np.random.default_rng(6)
+    for t in range(1, h + 1):
+        if t == 8:
+            shared.tile(3)
+            planes.tile(3)
+        s = shared.super_urn()
+        z = (rng.random(s.shape) < s).astype(float)
+        shared.step(t, z, s, equal)
+        planes.step(t, z, s, tabulated)
+        assert np.array_equal(shared.red, planes.red)
+        assert np.array_equal(shared.total, planes.total)
+        assert np.array_equal(shared.proportions(), planes.proportions())
+        assert np.array_equal(shared.super_urn(), planes.super_urn())
+    assert shared.red.shape == (12, 40) and shared.pooled_totals_finite()
+
+
+def test_shared_total_row_driven_by_scalar_draws_ends_with_the_same_float_masses():
+    sched = cg.ConstantDelta(BA40_MASSES, BA40_MASSES)
+    record, state = cg.simulate_path(BA40, BA40_INIT, sched, 60, np.random.default_rng(5),
+                                     memory=3)
+    batch = cg.UrnBatch(BA40, BA40_INIT, 1, memory=3, sched=sched)
+    assert not batch.total.flags.writeable
+    for t, draws in enumerate(record.steps, 1):
+        batch.step(t, np.array([draws], dtype=float), batch.super_urn(), sched)
+    assert np.array_equal(batch.red[0], state.red_mass)
+    assert np.array_equal(batch.total[0], state.total_mass)

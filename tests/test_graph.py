@@ -172,6 +172,42 @@ def test_barabasi_albert_tree_sampler_keeps_every_graph(n, m, seed):
     assert graph.generate_barabasi_albert(n, m, seed).edges == old.edges
 
 
+def _set_canonical_edges(edge_list):
+    """The reference canonicalisation: a set of (min, max) pairs, sorted."""
+    return tuple(sorted({(min(i, j), max(i, j)) for i, j in edge_list}))
+
+
+@pytest.mark.parametrize("n,edge_list", [
+    (300, _cumsum_barabasi_albert_edges(300, 3, 8)),
+    (40, [(i, (i + 1) % 40) for i in range(40)]),
+    (30, [(i, j) for i in range(30) for j in range(i + 1, 30)]),
+    (30, [(j, i) for i in range(30) for j in range(30) if i != j]),  # each edge twice, reversed
+    (6, [(5, 0), (0, 5), (3, 2), (1, 0), (2, 3), (4, 1), (3, 2), (4, 3), (0, 1), (5, 0)]),
+])
+def test_build_gives_the_sorted_set_of_canonical_edges(n, edge_list):
+    reference = _set_canonical_edges(edge_list)
+    shuffled = [edge_list[k] for k in np.random.default_rng(n).permutation(len(edge_list))]
+    for edges in (edge_list, shuffled, edge_list[::-1]):
+        net = graph.build_network(n, edges)
+        assert net.edges == reference
+        assert all(type(i) is int and type(j) is int for i, j in net.edges)
+
+
+@pytest.mark.parametrize("n,edges,err,message", [
+    (3, [(0, 1), (2, 2), (1, 7)], SelfLoop, "self loop at node 2"),
+    (3, [(0, 1), (1, 7), (2, 2)], IndexOutOfRange, r"edge \(1, 7\) outside \[0, 3\)"),
+    (3, [(0, 1), (-1, 2), (2, 2)], IndexOutOfRange, r"edge \(-1, 2\) outside \[0, 3\)"),
+    (3, [(0, 1), (1, 2), (2, 10 ** 30)], IndexOutOfRange, rf"edge \(2, {10 ** 30}\)"),
+    (3, [(1, 0), (0, 1), (1, 0)], Disconnected, "3 nodes with 1 edges"),
+    (4, [(0, 1), (1, 0), (2, 3), (3, 2)], Disconnected, "4 nodes with 2 edges"),
+    (4, [(0, 1), (1, 2), (2, 0)], Disconnected, "4 nodes with 3 edges"),
+    (10 ** 30, [(0, 1), (1, 0)], Disconnected, "with 1 edges"),
+])
+def test_build_reports_the_first_bad_edge(n, edges, err, message):
+    with pytest.raises(err, match=message):
+        graph.build_network(n, edges)
+
+
 def test_generate_dispatch_and_errors():
     assert graph.generate("cycle", 5).degrees == (2,) * 5
     with pytest.raises(InvalidParameter):

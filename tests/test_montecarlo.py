@@ -304,6 +304,32 @@ def test_pooled_totals_that_overflow_for_one_step_raise():
         mc.run_trials(cfg)
 
 
+BA40 = graph.generate("ba", 40, m=2, seed=3)
+
+
+@pytest.mark.parametrize("equal", [cg.ConstantDelta(1.0),
+                                   cg.ConstantDelta(tuple(0.2 + 0.05 * i for i in range(40)),
+                                                    tuple(0.2 + 0.05 * i for i in range(40)))],
+                         ids=["scalar", "per_node"])
+@pytest.mark.parametrize("memory", [None, 7])
+def test_equal_mass_runs_equal_the_same_masses_tabulated(memory, equal):
+    # equal masses keep the urn total as one row per chunk (CSR pooling);
+    # tabulated masses have no equal_masses and keep the total planes
+    h = 250
+    masses = tuple(np.broadcast_to(equal.equal_masses, 40).tolist())
+    tabulated = cg.TabulatedDelta([masses] * h, [masses] * h)
+    assert tabulated.equal_masses is None
+    init = cg.UrnInit(red=tuple(1.0 + 0.1 * i for i in range(40)),
+                      black=tuple(2.0 - 0.03 * i for i in range(40)))
+    runs = [mc.run_trials(mc.RunConfig(
+                net=BA40, init=init, sched=sched, horizon=h, trials=10, seed=21, memory=memory,
+                chunk_size=5, collect_pair_freq=True, collect_sample_averages=True))
+            for sched in (equal, tabulated)]
+    for name in ("red_draw_counts", "susceptibility_sum", "increment_sum",
+                 "increment_sumsq", "pair_counts", "sample_averages"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+
+
 def test_identical_configs_reproduce_bitwise():
     cfg = small_cfg(trials=40, collect_pair_freq=True)
     a = mc.run_trials(cfg)
