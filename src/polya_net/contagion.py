@@ -7,14 +7,16 @@ All mass arithmetic is type-agnostic: exact ``Fraction`` inputs stay exact,
 floats stay floats.  States are values (copy, never mutate in place).
 
 :class:`UrnBatch` is the float64 counterpart for many copies of the process
-at once (Monte Carlo trials, enumerated histories).  Both record gains as
-(red, total), like the urns, and with finite memory M expire step t-M's
-gains before adding step t's, so the same draws give the same float bits.
-Under equal, time-constant red and black masses every copy's urn totals
-are the same, so a batch pooled by CSR sums (more than 32 nodes) keeps them
-as one shared row, and its finite-memory ring holds red gains only; dense
-pooling keeps a total plane, for its BLAS products' bits and its speed on
-narrow rows.
+at once (Monte Carlo trials, enumerated histories).  Both take a step's
+masses from ``DeltaSchedule.masses``, record gains as (red, total), like
+the urns, and with finite memory M expire step t-M's gains before adding
+step t's, so the same draws give the same float bits wherever the
+super-urn proportions agree: always under CSR pooling, while dense BLAS
+pooling may round them otherwise.  Under equal, time-constant red and
+black masses every copy's urn totals are the same, so a batch pooled by
+CSR sums (more than 32 nodes) keeps them as one shared row, and its
+finite-memory ring holds red gains only; dense pooling keeps a total
+plane, for its BLAS products' bits and its speed on narrow rows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HypothesisViolation, InvalidParameter, SizeMismatch
+from .errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch
 from .graph import Network
 
 
@@ -87,27 +89,24 @@ def _finite_float(x) -> float:
 class DeltaSchedule:
     """Reinforcement masses added after each draw, per node and time step.
 
-    ``red_mass(i, t, ...)`` is the mass added to node i's urn when its draw
-    at time t (t >= 1) is red, ``black_mass`` likewise for black.  Both are
-    nonnegative; a schedule that is identically zero everywhere degenerates
-    into sampling with replacement and is rejected where detectable.
-
-    ``masses(t, u, s)`` is the batched float form used by :class:`UrnBatch`:
-    given the (rows, N) urn proportions ``u`` and super-urn proportions
-    ``s`` before step t, it returns float (red, black) masses broadcastable
-    to (rows, N).
+    ``masses(t, u, s)``, the one mass rule of :func:`apply_draws` and
+    :class:`UrnBatch`, gives the nonnegative (red, black) masses added at
+    step t >= 1 on a red and on a black draw, broadcastable to the (rows, N)
+    or (N,) urn proportions ``u`` and super-urn proportions ``s`` before the
+    step.  ``u``'s dtype picks the arithmetic (:meth:`_params`), so float
+    masses are bit-equal in both engines whenever ``s`` is; on dense-pooled
+    networks they differ only through ``s``.  A schedule that is zero
+    everywhere degenerates into sampling with replacement and is rejected
+    where detectable.
     """
-
-    def red_mass(self, i: int, t: int, state: "NetworkState | None" = None,
-                 net: Network | None = None):
-        raise NotImplementedError
-
-    def black_mass(self, i: int, t: int, state: "NetworkState | None" = None,
-                   net: Network | None = None):
-        raise NotImplementedError
 
     def masses(self, t: int, u: np.ndarray, s: np.ndarray):
         raise NotImplementedError
+
+    def _params(self, u: np.ndarray):
+        """The schedule's values, in one layout: as given for exact (object)
+        proportions ``u``, so exact tables stay exact, else as floats."""
+        return self._given if u.dtype == object else self._floats
 
     @property
     def equal_masses(self):
@@ -134,27 +133,17 @@ class ConstantDelta(DeltaSchedule):
     def __init__(self, red, black=None):
         self.red = red
         self.black = red if black is None else black
-        for v in (self.red, self.black):
-            for x in v if isinstance(v, (tuple, list)) else (v,):
-                if x < 0:
-                    raise InvalidParameter("reinforcement masses must be >= 0")
+        if any(x < 0 for x in self.parameter_values()):
+            raise InvalidParameter("reinforcement masses must be >= 0")
+        self._given = (self.red, self.black)
         self._floats = tuple(
             np.array([_finite_float(x) for x in v]) if isinstance(v, (tuple, list))
             else _finite_float(v)
-            for v in (self.red, self.black)
+            for v in self._given
         )
 
-    def _get(self, v, i):
-        return v[i] if isinstance(v, (tuple, list)) else v
-
-    def red_mass(self, i, t, state=None, net=None):
-        return self._get(self.red, i)
-
-    def black_mass(self, i, t, state=None, net=None):
-        return self._get(self.black, i)
-
     def masses(self, t, u, s):
-        return self._floats
+        return self._params(u)
 
     @property
     def equal_masses(self):
@@ -186,23 +175,16 @@ class TabulatedDelta(DeltaSchedule):
             raise SizeMismatch("red and black tables differ in step count")
         self.red_rows = [tuple(r) for r in red_rows]
         self.black_rows = [tuple(r) for r in black_rows]
-        for rows in (self.red_rows, self.black_rows):
-            for row in rows:
-                if any(x < 0 for x in row):
-                    raise InvalidParameter("reinforcement masses must be >= 0")
+        if any(x < 0 for x in self.parameter_values()):
+            raise InvalidParameter("reinforcement masses must be >= 0")
+        self._given = list(zip(self.red_rows, self.black_rows))
         self._floats = [
             (np.array([_finite_float(x) for x in r]), np.array([_finite_float(x) for x in b]))
-            for r, b in zip(self.red_rows, self.black_rows)
+            for r, b in self._given
         ]
 
-    def red_mass(self, i, t, state=None, net=None):
-        return self.red_rows[t - 1][i]
-
-    def black_mass(self, i, t, state=None, net=None):
-        return self.black_rows[t - 1][i]
-
     def masses(self, t, u, s):
-        return self._floats[t - 1]
+        return self._params(u)[t - 1]
 
     def check_size(self, node_count, steps):
         if len(self.red_rows) < steps:
@@ -238,19 +220,12 @@ class CuringDelta(DeltaSchedule):
             raise InvalidParameter("delta_red and multiplier must be >= 0")
         self.delta_red = delta_red
         self.multiplier = multiplier
+        self._given = (delta_red, multiplier)
         self._floats = (_finite_float(delta_red), _finite_float(multiplier))
 
-    def red_mass(self, i, t, state=None, net=None):
-        return self.delta_red
-
-    def black_mass(self, i, t, state=None, net=None):
-        if state is None or net is None:
-            raise InvalidParameter("curing schedule needs the current state and network")
-        return self.multiplier * curing_delta_bound(state, net, i, self.delta_red)
-
     def masses(self, t, u, s):
-        dr, mult = self._floats
-        return dr, mult * dr * (1.0 - u) * s / (u * (1.0 - s))
+        dr, mult = self._params(u)
+        return dr, _curing_mass(dr, u, s, mult)
 
     def describe(self):
         return {
@@ -261,6 +236,12 @@ class CuringDelta(DeltaSchedule):
 
     def parameter_values(self):
         return (self.delta_red, self.multiplier)
+
+
+def _curing_mass(delta_red, u, s, multiplier=1):
+    """``multiplier`` times the curing bound of urn proportions ``u`` and
+    super-urn proportions ``s``: scalars or arrays, exact or float."""
+    return multiplier * delta_red * (1 - u) * s / (u * (1 - s))
 
 
 @dataclass
@@ -335,13 +316,21 @@ def conditional_draw_probabilities(state: NetworkState, net: Network) -> list:
     return [super_urn_proportion(state, net, i) for i in range(net.node_count)]
 
 
-def step_masses(state: NetworkState, net: Network, sched: DeltaSchedule) -> tuple:
+def step_masses(state: NetworkState, net: Network, sched: DeltaSchedule,
+                s: Sequence | None = None) -> tuple:
     """(red, black): per-node lists of the masses that the step after
-    ``state`` adds on a red and on a black draw."""
-    t = state.time + 1
-    nodes = range(net.node_count)
-    return ([sched.red_mass(i, t, state, net) for i in nodes],
-            [sched.black_mass(i, t, state, net) for i in nodes])
+    ``state`` adds on a red and on a black draw, from ``sched.masses`` of its
+    urn and super-urn proportions (``s``, if pooled already); masses outside
+    the float range (a curing mass where s rounds to 1) raise ``DomainError``."""
+    u = np.array(state.urn_proportions())
+    s = np.array(conditional_draw_probabilities(state, net) if s is None else s)
+    faults: list[str] = []
+    with record_float_faults(faults):
+        masses = sched.masses(state.time + 1, u, s)
+    if faults:
+        raise DomainError(f"reinforcement masses left the float range at step {state.time + 1}")
+    return tuple(np.broadcast_to(np.asarray(m, dtype=u.dtype), u.shape).tolist()
+                 for m in masses)
 
 
 def apply_draws(state: NetworkState, net: Network, draws: Sequence[int],
@@ -352,7 +341,7 @@ def apply_draws(state: NetworkState, net: Network, draws: Sequence[int],
     mass.  In finite-memory mode a full window's oldest gains, those of M
     steps ago, are expired first, so the returned state's masses cover only
     the trailing window.  ``masses`` is :func:`step_masses` of ``state``,
-    passed in by callers that advance one state by many draw combinations.
+    passed in by callers that have pooled the super urns already.
     """
     if len(draws) != net.node_count:
         raise SizeMismatch(f"need {net.node_count} draws, got {len(draws)}")
@@ -381,7 +370,7 @@ def sample_step(state: NetworkState, net: Network, sched: DeltaSchedule, rng):
     probs = conditional_draw_probabilities(state, net)
     u = rng.random(net.node_count)
     draws = tuple(1 if u[i] < probs[i] else 0 for i in range(net.node_count))
-    return draws, apply_draws(state, net, draws, sched)
+    return draws, apply_draws(state, net, draws, sched, step_masses(state, net, sched, probs))
 
 
 @dataclass(frozen=True)
@@ -601,9 +590,8 @@ def curing_delta_bound(state: NetworkState, net: Network, i: int, delta_red):
     decreasing in the black mass, and zero black mass always gives a
     nonnegative drift.
     """
-    u = state.urn_proportion(i)
-    s = super_urn_proportion(state, net, i)
-    return delta_red * (1 - u) * s / (u * (1 - s))
+    return _curing_mass(delta_red, state.urn_proportion(i),
+                        super_urn_proportion(state, net, i))
 
 
 def network_susceptibility(state: NetworkState):

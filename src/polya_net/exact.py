@@ -83,6 +83,27 @@ def _check_cap(node_count: int, horizon: int, cap: int) -> int:
     return bits
 
 
+def check_cell_budget(node_count: int, horizon: int, what: str) -> None:
+    """``CapExceeded`` if ``what``, node_count cells per time 0..horizon,
+    has more than 2^ENUMERATION_CAP cells."""
+    cells = (horizon + 1) * node_count
+    if cells > 1 << ENUMERATION_CAP:
+        raise CapExceeded(f"{what} of {node_count} nodes x {horizon} steps: {cells} "
+                          f"cells, more than the cap of 2^{ENUMERATION_CAP}")
+
+
+def _check_assignment(assignment, node_count: int, horizon: int | None = None) -> int:
+    """The horizon of ``assignment``; ``SupportMismatch`` unless it has
+    ``node_count`` rows of one length (``horizon`` if given) of 0/1 draws."""
+    if len(assignment) != node_count:
+        raise SupportMismatch(f"assignment must cover {node_count} nodes, got {len(assignment)}")
+    horizon = len(assignment[0]) if horizon is None else horizon
+    for i, seq in enumerate(assignment):
+        if len(seq) != horizon or any(a not in (0, 1) for a in seq):
+            raise SupportMismatch(f"node {i} sequence must be {horizon} draws of 0 or 1")
+    return horizon
+
+
 @dataclass
 class JointTable:
     """Probability of every draw assignment up to a fixed horizon.
@@ -104,16 +125,9 @@ class JointTable:
         self._bits = self.node_count * self.horizon
 
     def code_of(self, assignment: Sequence[Sequence[int]]) -> int:
-        if len(assignment) != self.node_count:
-            raise SupportMismatch(f"assignment must cover {self.node_count} nodes")
-        code = 0
-        for i, seq in enumerate(assignment):
-            if len(seq) != self.horizon:
-                raise SupportMismatch(f"node {i} sequence must have length {self.horizon}")
-            for t, a in enumerate(seq, start=1):
-                if a:
-                    code |= 1 << ((t - 1) * self.node_count + i)
-        return code
+        _check_assignment(assignment, self.node_count, self.horizon)
+        return sum(1 << (t * self.node_count + i) for i, seq in enumerate(assignment)
+                   for t, a in enumerate(seq) if a)
 
     def probability(self, assignment: Sequence[Sequence[int]]):
         return self.probs[self.code_of(assignment)]
@@ -218,12 +232,11 @@ def joint_probability(net: Network, init: UrnInit, sched: DeltaSchedule,
                       assignment: Sequence[Sequence[int]],
                       memory: int | None = None):
     """Chain-rule probability of one full assignment (node-major sequences)."""
-    n = len(assignment[0])
+    n = _check_assignment(assignment, net.node_count)
     state = contagion.initial_state(net, init, memory=memory)
     sched.check_size(net.node_count, n)
     prob = Fraction(1) if _is_exact(init, sched) else 1.0
-    for t in range(1, n + 1):
-        draws = tuple(assignment[i][t - 1] for i in range(net.node_count))
+    for draws in zip(*assignment):
         s = contagion.conditional_draw_probabilities(state, net)
         for i, d in enumerate(draws):
             prob = prob * (s[i] if d else 1 - s[i])
@@ -327,7 +340,7 @@ def _iter_histories(net, sched, state, prefix, prob, remaining):
         return
     n = net.node_count
     s = contagion.conditional_draw_probabilities(state, net)
-    masses = contagion.step_masses(state, net, sched)  # shared by all 2^N children
+    masses = contagion.step_masses(state, net, sched, s)  # shared by all 2^N children
     for combo, p in enumerate(_combo_products(prob, s)):
         draws = tuple((combo >> i) & 1 for i in range(n))
         child = contagion.apply_draws(state, net, draws, sched, masses)
@@ -352,6 +365,8 @@ def average_infection_rate(net: Network, init: UrnInit, sched: DeltaSchedule, n:
     """
     if n < 1:
         raise InvalidParameter(f"the draw time n must be >= 1, got {n}")
+    if mode not in ("exact", "auto"):
+        raise InvalidParameter(f"mode must be 'exact' or 'auto', got {mode!r}")
     try:
         _check_cap(net.node_count, n - 1, cap)
     except CapExceeded:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import contagion, exact
 from .contagion import DeltaSchedule, UrnBatch, UrnInit
-from .errors import (CapExceeded, DomainError, HypothesisViolation, InvalidParameter,
+from .errors import (DomainError, HypothesisViolation, InvalidParameter,
                      PolyaNetError, SizeMismatch)
 from .graph import Network, classify
 
@@ -82,11 +82,7 @@ class RunConfig:
             raise InvalidParameter("chunk_size (None for auto) and threads must be >= 1")
         contagion.initial_state(self.net, self.init, memory=self.memory)
         self.sched.check_size(self.net.node_count, self.horizon)
-        cells = (self.horizon + 1) * self.net.node_count
-        if cells > 1 << exact.ENUMERATION_CAP:
-            raise CapExceeded(
-                f"per-step statistics of {self.net.node_count} nodes x {self.horizon} steps "
-                f"need {cells} cells, more than the cap of 2^{exact.ENUMERATION_CAP}")
+        exact.check_cell_budget(self.net.node_count, self.horizon, "per-step statistics")
         if (self.collect_assignments
                 and self.net.node_count * self.horizon > exact.ENUMERATION_CAP):
             raise InvalidParameter(

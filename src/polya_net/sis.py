@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contagion import UrnInit
-from .errors import CapExceeded, ParameterOutOfRange, SizeMismatch
-from .exact import ENUMERATION_CAP
+from .errors import ParameterOutOfRange, SizeMismatch
+from .exact import check_cell_budget
 from .graph import Network
 
 
@@ -94,10 +94,7 @@ def sis_run(net: Network, init_probs, params: SisParams, horizon: int) -> SisTra
     """Iterate the recursion, recording the per-node and mean probabilities."""
     if horizon < 0:
         raise ParameterOutOfRange(f"horizon must be >= 0, got {horizon}")
-    cells = (horizon + 1) * net.node_count
-    if cells > 1 << ENUMERATION_CAP:
-        raise CapExceeded(f"a trajectory of {net.node_count} nodes x {horizon} steps needs "
-                          f"{cells} cells, more than the cap of 2^{ENUMERATION_CAP}")
+    check_cell_budget(net.node_count, horizon, "a trajectory")
     p0 = np.asarray(init_probs, dtype=np.float64)
     if p0.shape != (net.node_count,):
         raise SizeMismatch("initial probability vector does not match the network")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polya_net import contagion as cg, graph
-from polya_net.errors import HypothesisViolation, InvalidParameter, SizeMismatch
+from polya_net.errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch
 
 K2 = graph.generate_complete(2)
 PATH3 = graph.build_network(3, [(0, 1), (1, 2)])
@@ -252,12 +252,20 @@ def test_proportion_drift_decreasing_in_black_mass_and_zero_mass_submartingale()
 
 
 def test_curing_schedule_drives_black_mass():
-    sched = cg.CuringDelta(F(2), multiplier=F(1))
+    sched = cg.CuringDelta(F(2), multiplier=F(3, 2))
     state = cg.initial_state(K2, exact_init((1, 3), (3, 1)))
-    bound = cg.curing_delta_bound(state, K2, 0, F(2))
-    assert sched.black_mass(0, 1, state, K2) == bound
-    with pytest.raises(InvalidParameter):
-        sched.black_mass(0, 1)
+    u = np.array(state.urn_proportions())
+    red, black = sched.masses(1, u, np.array(cg.conditional_draw_probabilities(state, K2)))
+    assert red == F(2)
+    assert list(black) == [F(3, 2) * cg.curing_delta_bound(state, K2, i, F(2)) for i in range(2)]
+
+
+def test_float_curing_mass_out_of_range_is_a_domain_error():
+    # s rounds to 1 on urns of 1e20 red against 1 black, so the curing mass
+    # leaves the float range; the scalar engine raised ZeroDivisionError here
+    init = cg.UrnInit(red=(1e20, 1e20), black=(1.0, 1.0))
+    with pytest.raises(DomainError):
+        cg.simulate_path(K2, init, cg.CuringDelta(1.0), 2, np.random.default_rng(0))
 
 
 def test_network_susceptibility():
@@ -278,8 +286,10 @@ def test_zero_schedule_keeps_conditionals_constant():
 
 def test_tabulated_schedule_lookup():
     sched = cg.TabulatedDelta(red_rows=[(1, 2), (0, 0)], black_rows=[(0, 1), (2, 2)])
-    assert sched.red_mass(1, 1) == 2
-    assert sched.black_mass(0, 2) == 2
+    exact_u, float_u = np.array([F(1, 2)] * 2), np.full(2, 0.5)
+    assert sched.masses(1, exact_u, exact_u)[0][1] == 2
+    assert sched.masses(2, exact_u, exact_u)[1][0] == 2
+    assert sched.masses(2, float_u, float_u)[1].tolist() == [2.0, 2.0]
     with pytest.raises(SizeMismatch):
         cg.TabulatedDelta(red_rows=[(1,)], black_rows=[])
     with pytest.raises(InvalidParameter):
@@ -317,10 +327,9 @@ def test_mass_conservation_and_open_interval(case):
         draws = tuple((combo >> i) & 1 for i in range(n))
         before = sum(state.total_mass)
         nxt = cg.apply_draws(state, net, draws, sched)
-        added = sum(
-            sched.red_mass(i, nxt.time) if draws[i] else sched.black_mass(i, nxt.time)
-            for i in range(n)
-        )
+        u = np.array(state.urn_proportions())
+        red, black = sched.masses(nxt.time, u, u)
+        added = sum(red if draws[i] else black for i in range(n))
         if memory is None:
             assert sum(nxt.total_mass) - before == added
         for i in range(n):
@@ -379,18 +388,29 @@ def test_state_snapshot_round_trips_via_json():
 
 
 BA7 = graph.generate("ba", 7, m=2, seed=4)
+BA7_INIT = cg.UrnInit(red=tuple(1.0 + 0.25 * i for i in range(7)), black=(1.5,) * 7)
+BA7_SCHED = cg.ConstantDelta(tuple(0.1 + 0.3 * i for i in range(7)),
+                             tuple(0.9 - 0.1 * i for i in range(7)))
+BA40 = graph.generate("ba", 40, m=2, seed=3)
+BA40_INIT = cg.UrnInit(red=tuple(1.0 + 0.1 * i for i in range(40)),
+                       black=tuple(2.0 - 0.03 * i for i in range(40)))
+BA40_MASSES = tuple(0.2 + 0.05 * i for i in range(40))
 
 
-@pytest.mark.parametrize("memory", [3, None])
-def test_batch_driven_by_scalar_draws_ends_with_the_same_float_masses(memory):
+@pytest.mark.parametrize("net, init, sched, memory", [
+    (BA7, BA7_INIT, BA7_SCHED, 3),
+    (BA7, BA7_INIT, BA7_SCHED, None),
+    # masses computed from the state: the scalar engine's Python sums give
+    # the same s as CSR sums (more than 32 nodes), so the masses agree to
+    # the bit; a dense-pooled network takes s from BLAS products instead
+    (BA40, BA40_INIT, cg.CuringDelta(0.3, multiplier=1.5), None),
+], ids=["3", "None", "ba40_curing"])
+def test_batch_driven_by_scalar_draws_ends_with_the_same_float_masses(net, init, sched, memory):
     # one update rule in two arithmetics: the same draws and masses give the
     # same bits, under finite memory too (expire, then add)
-    init = cg.UrnInit(red=tuple(1.0 + 0.25 * i for i in range(7)), black=(1.5,) * 7)
-    sched = cg.ConstantDelta(tuple(0.1 + 0.3 * i for i in range(7)),
-                             tuple(0.9 - 0.1 * i for i in range(7)))
-    record, state = cg.simulate_path(BA7, init, sched, 80, np.random.default_rng(5),
+    record, state = cg.simulate_path(net, init, sched, 80, np.random.default_rng(5),
                                      memory=memory)
-    batch = cg.UrnBatch(BA7, init, 1, memory=memory)
+    batch = cg.UrnBatch(net, init, 1, memory=memory)
     for t, draws in enumerate(record.steps, 1):
         batch.step(t, np.array([draws], dtype=float), batch.super_urn(), sched)
     assert np.array_equal(batch.red[0], state.red_mass)
@@ -441,12 +461,6 @@ def test_urn_batch_pools_large_networks_without_dense_arrays():
     ours = batch.super_urn()
     batch._csr = dense_built
     assert np.array_equal(ours, batch.super_urn())
-
-
-BA40 = graph.generate("ba", 40, m=2, seed=3)
-BA40_INIT = cg.UrnInit(red=tuple(1.0 + 0.1 * i for i in range(40)),
-                       black=tuple(2.0 - 0.03 * i for i in range(40)))
-BA40_MASSES = tuple(0.2 + 0.05 * i for i in range(40))
 
 
 @pytest.mark.parametrize("equal", [cg.ConstantDelta(0.75),

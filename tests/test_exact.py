@@ -31,6 +31,24 @@ def test_joint_probability_two_red_steps():
     assert p == F(1, 9)
 
 
+@pytest.mark.parametrize("assignment", [
+    [[1]], [], [[1], [1], [1]], [[1, 0], [1]], [[2], [1]], [[1], [-1]],
+], ids=["one_row", "no_rows", "extra_row", "unequal_rows", "draw_2", "draw_-1"])
+def test_joint_probability_rejects_a_malformed_assignment(assignment):
+    # short or empty assignments raised IndexError; an extra row was ignored
+    # and a draw of 2 or -1 counted as red
+    with pytest.raises(SupportMismatch):
+        exact.joint_probability(K2, unit_init(2), cg.ConstantDelta(F(1)), assignment)
+
+
+@pytest.mark.parametrize("assignment", [[[2], [1]], [[1], [-1]]], ids=["draw_2", "draw_-1"])
+def test_table_lookup_rejects_a_draw_outside_zero_one(assignment):
+    table = exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(1)), 1)
+    for lookup in (table.code_of, table.probability):
+        with pytest.raises(SupportMismatch):
+            lookup(assignment)
+
+
 def test_joint_probability_zero_schedule_is_iid():
     init = cg.UrnInit(red=(F(1), F(2), F(1)), black=(F(2), F(1), F(1)))
     sched = cg.ConstantDelta(F(0))
@@ -262,13 +280,15 @@ def test_curing_enumeration_equals_masses_asked_per_child():
             s = cg.conditional_draw_probabilities(state, PATH3)
             red, total = list(state.red_mass), list(state.total_mass)
             for i in range(n):
+                u_i, s_i = np.array([state.urn_proportion(i)]), np.array([s[i]])
+                dr, db = sched.masses(t, u_i, s_i)
                 if (code >> ((t - 1) * n + i)) & 1:
                     p *= s[i]
-                    red[i] += sched.red_mass(i, t, state, PATH3)
-                    total[i] += sched.red_mass(i, t, state, PATH3)
+                    red[i] += dr
+                    total[i] += dr
                 else:
                     p *= 1 - s[i]
-                    total[i] += sched.black_mass(i, t, state, PATH3)
+                    total[i] += db[0]
             state = cg.NetworkState(time=t, red_mass=red, total_mass=total,
                                     base_red=state.base_red, base_total=state.base_total)
         assert table.probs[code] == p
@@ -313,6 +333,15 @@ def test_average_infection_rate_cap_and_fallback():
     assert est.trials == 4000
     assert 0.3 < est.value < 0.7
 
+
+
+def test_average_infection_rate_rejects_an_unknown_mode():
+    # past the cap a misspelt mode fell back to a Monte Carlo estimate
+    init = cg.UrnInit(red=(1.0,) * 4, black=(1.0,) * 4)
+    for n in (2, 9):
+        with pytest.raises(InvalidParameter, match="mode"):
+            exact.average_infection_rate(CYCLE4, init, cg.ConstantDelta(1.0), n,
+                                         mode="exakt", cap=24)
 
 
 @pytest.mark.parametrize("call", [
