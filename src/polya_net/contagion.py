@@ -453,11 +453,9 @@ class UrnBatch:
         else:
             from scipy.sparse import csr_matrix
 
-            # from the sorted neighbourhoods, never from N x N dense arrays
-            nbrs = net.closed_neighbors
-            indptr = np.cumsum([0, *map(len, nbrs)])
+            # the network's own neighbourhood arrays, never N x N dense ones
             self._dense, self._csr = None, csr_matrix(
-                (np.ones(indptr[-1]), np.concatenate(nbrs), indptr), shape=(n, n))
+                (np.ones(len(net.indices)), net.indices, net.indptr), shape=(n, n))
         first = np.array([start.red_mass, start.total_mass], dtype=float)
         shared = self._csr is not None and sched is not None and sched.equal_masses is not None
         self._row = first[1] if shared else None

@@ -27,9 +27,7 @@ from .errors import (
     InvalidParameter,
     SupportMismatch,
 )
-from .graph import Network
-
-ENUMERATION_CAP = 24  # max node_count * horizon, i.e. at most 2^24 assignments
+from .graph import ENUMERATION_CAP, Network
 
 
 @dataclass(frozen=True)

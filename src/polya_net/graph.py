@@ -24,92 +24,90 @@ from .errors import (
 
 POWER_ITERATION_MAX_STEPS = 10_000
 POWER_ITERATION_TOL = 1e-10
+# 2^ENUMERATION_CAP bounds both the draw assignments that exact enumeration
+# visits and the cells of a dense N x N view of a network (N <= 4096)
+ENUMERATION_CAP = 24
 # bounds what one short node count can ask for: the generators build an edge
-# list, a set and neighbour lists of Python tuples, a few hundred bytes an
-# edge, so graph-gen of a complete graph just under 2^20 edges peaks at
-# about 300 MB
+# list of Python tuples and the connectivity check lists the neighbourhoods
+# as Python ints, a few hundred bytes an edge, so graph-gen of a complete
+# graph just under 2^20 edges (1448 nodes) peaks at about 280 MB of RSS
 GENERATED_EDGE_BUDGET = 1 << 20
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """Open (strict) and closed (self-inclusive) neighbor sets of one node."""
-
-    node: int
-    open: frozenset[int]
-    closed: frozenset[int]
 
 
 @dataclass(frozen=True, eq=False)
 class Network:
-    """Connected undirected graph with closed-neighborhood access.
+    """Connected undirected graph, stored as its closed neighbourhoods.
 
-    ``edges`` is a sorted tuple of (i, j) pairs with i < j; use
+    Node i's closed neighbourhood, itself included, is
+    ``indices[indptr[i]:indptr[i + 1]]`` in ascending order; both arrays
+    are read-only int64, and every other view is derived from them.  Use
     :func:`build_network` rather than constructing directly so the
     invariants (no self loops, valid indices, connectivity) are checked.
     """
 
     node_count: int
-    edges: tuple[tuple[int, int], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def _rows(self) -> np.ndarray:
+        """The node whose neighbourhood holds each entry of ``indices``."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.node_count, self.node_count), dtype=np.float64)
-        for i, j in self.edges:
-            a[i, j] = 1.0
-            a[j, i] = 1.0
-        a.setflags(write=False)
-        return a
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The sorted (i, j) pairs with i < j."""
+        rows = self._rows()
+        upper = self.indices > rows
+        return tuple(zip(rows[upper].tolist(), self.indices[upper].tolist()))
+
+    @cached_property
+    def open_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` of the open neighbourhoods: each closed one
+        without its own node."""
+        n = self.node_count
+        return (self.indptr - np.arange(n + 1),
+                self.indices[self.indices != self._rows()])
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return _segments(*self.open_csr)
+
+    @cached_property
+    def closed_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        return _segments(self.indptr, self.indices)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple((np.diff(self.indptr) - 1).tolist())
 
     @cached_property
     def closed_adjacency(self) -> np.ndarray:
-        """Adjacency plus identity; column i selects the closed neighborhood of i."""
-        c = self.adjacency + np.eye(self.node_count)
+        """Adjacency plus identity; column i selects the closed neighborhood of
+        i.  ``CapExceeded`` before allocating past 2^ENUMERATION_CAP cells."""
+        n = self.node_count
+        if n * n > 1 << ENUMERATION_CAP:
+            raise CapExceeded(f"a dense view of {n} nodes has {n * n} cells, more than "
+                              f"the cap of 2^{ENUMERATION_CAP}")
+        c = np.zeros((n, n), dtype=np.float64)
+        c[self._rows(), self.indices] = 1.0
         c.setflags(write=False)
         return c
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, j in self.edges:
-            out[i].append(j)
-            out[j].append(i)
-        return tuple(tuple(sorted(v)) for v in out)
-
-    @cached_property
-    def neighbor_table(self) -> np.ndarray:
-        """Row i lists ``neighbors[i]`` in order, padded to the largest degree
-        with the index ``node_count``; shape (N, max degree), read-only."""
-        n = self.node_count
-        table = np.full((n, max(self.degrees)), n, dtype=np.intp)
-        for i, nbrs in enumerate(self.neighbors):
-            table[i, :len(nbrs)] = nbrs
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def closed_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(sorted((i, *nbrs))) for i, nbrs in enumerate(self.neighbors)
-        )
+    def adjacency(self) -> np.ndarray:
+        a = self.closed_adjacency - np.eye(self.node_count)
+        a.setflags(write=False)
+        return a
 
     @cached_property
     def spectral_radius(self) -> float:
         """``largest_eigenvalue`` at its default tolerance, computed once."""
         return largest_eigenvalue(self)
 
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(v) for v in self.neighbors)
 
-    def neighborhood(self, i: int) -> Neighborhood:
-        if not 0 <= i < self.node_count:
-            raise IndexOutOfRange(f"node {i} not in [0, {self.node_count})")
-        return Neighborhood(
-            node=i,
-            open=frozenset(self.neighbors[i]),
-            closed=frozenset(self.closed_neighbors[i]),
-        )
+def _segments(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    ptr, idx = indptr.tolist(), indices.tolist()
+    return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
 
 
 def build_network(n: int, edge_list: Iterable[tuple[int, int]]) -> Network:
@@ -133,16 +131,21 @@ def build_network(n: int, edge_list: Iterable[tuple[int, int]]) -> Network:
     bad = (lo == hi) | (lo < 0) | (hi >= n)
     if bad.any():
         _check_edges(edges[bad.argmax():], n)
-    # n - 1 <= len(edges), so the codes fit int64; a sort and a mask, as
-    # np.unique is ~50x slower on a million int64 codes
-    codes = np.sort(lo * n + hi)
+    # entry (i, j) of the closed neighbourhoods is code i * n + j: both
+    # directions of every edge and each node's own entry, sorted, so in row
+    # order.  n - 1 <= len(edges), so the codes fit int64; a sort and a
+    # mask, as np.unique is ~50x slower on a million int64 codes
+    codes = np.sort(np.concatenate([lo * n + hi, hi * n + lo, np.arange(n) * (n + 1)]))
     codes = codes[np.diff(codes, prepend=-1) != 0]
-    if len(codes) < n - 1:
-        raise _disconnected(n, len(codes))
-    lo, hi = np.divmod(codes, n)
-    net = Network(node_count=n, edges=tuple(zip(lo.tolist(), hi.tolist())))
+    edge_count = (len(codes) - n) // 2
+    if edge_count < n - 1:
+        raise _disconnected(n, edge_count)
+    indptr, indices = np.searchsorted(codes, np.arange(n + 1) * n), codes % n
+    for a in (indptr, indices):
+        a.setflags(write=False)
+    net = Network(node_count=n, indptr=indptr, indices=indices)
     if not _connected(net):
-        raise _disconnected(n, len(codes))
+        raise _disconnected(n, edge_count)
     return net
 
 
@@ -160,17 +163,16 @@ def _disconnected(n: int, edges: int) -> Disconnected:
 
 
 def _connected(net: Network) -> bool:
-    if net.node_count == 1:
-        return True
-    seen = {0}
+    ptr, idx = net.indptr.tolist(), net.indices.tolist()
+    seen = [True] + [False] * (net.node_count - 1)
     stack = [0]
     while stack:
         v = stack.pop()
-        for w in net.neighbors[v]:
-            if w not in seen:
-                seen.add(w)
+        for w in idx[ptr[v]:ptr[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
                 stack.append(w)
-    return len(seen) == net.node_count
+    return all(seen)
 
 
 def classify(net: Network) -> str:

@@ -1,11 +1,11 @@
 """Discrete-time SIS comparator: mean-field probability recursion and the
 spectral epidemic threshold.
 
-The escape probability prod_{j ~ i} (1 - beta P_j) is multiplied left to
-right in ``net.neighbors`` order: one column of ``net.neighbor_table`` per
-factor, padded rows multiplying by exactly 1.0.  This order fixes the
-output bits of the recursion, and with them of the ``sis`` command's CSV and
-the fig5 ``sis_reference_*.csv`` files.
+The escape probability prod_{j ~ i} (1 - beta P_j) is multiplied per
+segment of the open neighbourhoods, ``net.open_csr``, via
+``np.multiply.reduceat``: left to right, in ascending node order.  This
+order fixes the output bits of the recursion, and with them of the ``sis``
+command's CSV and the fig5 ``sis_reference_*.csv`` files.
 """
 
 from __future__ import annotations
@@ -47,19 +47,15 @@ def default_initial_probs(init: UrnInit) -> np.ndarray:
 
 
 def _recursion(net: Network, params: SisParams):
-    """The update P(t) -> P(t+1) as ``advance(p, out)``.  ``factors`` holds
-    1 - beta P_j for every node and, in slot N, the 1.0 that padded table
-    entries select."""
-    n = net.node_count
-    columns = np.ascontiguousarray(net.neighbor_table.T)
-    factors = np.ones(n + 1)
-    keep = 1.0 - params.delta_sis
+    """The update P(t) -> P(t+1) as ``advance(p, out)``."""
+    indptr, indices = net.open_csr
+    starts, beta, keep = indptr[:-1], params.beta, 1.0 - params.delta_sis
 
     def advance(p: np.ndarray, out: np.ndarray) -> None:
-        np.subtract(1.0, params.beta * p, out=factors[:n])
-        escape = np.ones(n)
-        for col in columns:  # left to right in net.neighbors order
-            escape *= factors[col]
+        factors = (1.0 - beta * p)[indices]
+        # reduceat gives an empty segment its start element, not 1; only
+        # K1's node has no neighbours, and its escape is the empty product
+        escape = np.multiply.reduceat(factors, starts) if len(factors) else np.ones(1)
         np.add(p * keep, (1.0 - p) * (1.0 - escape), out=out)
 
     return advance

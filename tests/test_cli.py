@@ -397,6 +397,16 @@ def test_an_edge_list_of_too_few_edges_for_its_node_count_is_refused_at_once(tmp
     assert "is not connected" in capsys.readouterr().err
 
 
+def test_sis_on_a_network_past_the_dense_cell_cap_is_refused(tmp_path, capsys):
+    # the spectral radius's dense N x N adjacency used to be allocated for any N
+    path = tmp_path / "cycle4097.edges"
+    graph.write_edge_list(graph.generate_cycle(4097), path)
+    assert run("sis", "--graph", str(path), "--beta", "0.1", "--delta-sis", "0.5",
+               "--horizon", "1") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "4097 nodes" in err[0]
+
+
 def test_a_negative_graph_seed_is_refused(capsys):
     assert run("graph-gen", "--kind", "ba", "--nodes", "5", "--seed", "-5") == 2
     assert "seed must be >= 0" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polya_net import graph
 from polya_net.errors import (
@@ -40,15 +40,6 @@ def test_build_dedupes_reversed_and_repeated_edges():
 def test_build_rejects_bad_input(n, edges, err):
     with pytest.raises(err):
         graph.build_network(n, edges)
-
-
-def test_neighborhood_sets():
-    net = graph.generate_star(4)
-    nb = net.neighborhood(1)
-    assert nb.open == {0}
-    assert nb.closed == {0, 1}
-    with pytest.raises(IndexOutOfRange):
-        net.neighborhood(9)
 
 
 @pytest.mark.parametrize("net,kind", [
@@ -291,12 +282,30 @@ def test_spectral_radius_sandwich_and_stability(net):
     assert lam == pytest.approx(np.linalg.eigvalsh(net.adjacency).max(), abs=1e-8)
 
 
-def test_neighbor_table_lists_neighbors_in_order_padded_with_n():
-    star = graph.generate_star(4)
-    assert star.neighbor_table.tolist() == [[1, 2, 3], [0, 4, 4], [0, 4, 4], [0, 4, 4]]
-    assert not star.neighbor_table.flags.writeable
-    assert graph.generate_complete(1).neighbor_table.shape == (1, 0)
-    net = graph.generate_barabasi_albert(30, 2, seed=1)
-    for i, nbrs in enumerate(net.neighbors):
-        row = net.neighbor_table[i]
-        assert tuple(row[:len(nbrs)]) == nbrs and np.all(row[len(nbrs):] == 30)
+@settings(max_examples=40, deadline=None)
+@given(generated_networks())
+@example(graph.generate_barabasi_albert(30, 2, seed=1))
+@example(graph.generate_complete(1))
+def test_closed_neighbourhoods_are_stored_once_as_csr(net):
+    n, indptr, indices = net.node_count, net.indptr, net.indices
+    for a in (indptr, indices):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert indptr[0] == 0 and indptr[-1] == len(indices) and len(indptr) == n + 1
+    segments = [indices[indptr[i]:indptr[i + 1]].tolist() for i in range(n)]
+    for i, seg in enumerate(segments):
+        assert i in seg and all(a < b for a, b in zip(seg, seg[1:]))
+    assert all(i in segments[j] for i, seg in enumerate(segments) for j in seg)
+    assert np.array_equal(net.closed_adjacency, net.closed_adjacency.T)
+    assert np.array_equal(net.adjacency + np.eye(n), net.closed_adjacency)
+    # each view agrees with a derivation by sets and sorts, from the segments
+    # or from the edge list
+    reference = tuple(sorted({(i, j) for i, seg in enumerate(segments) for j in seg if i < j}))
+    assert net.edges == reference
+    assert net.degrees == tuple(graph.degree_sequence(net.edges, n))
+    closed = [{i} for i in range(n)]
+    for i, j in net.edges:
+        closed[i].add(j)
+        closed[j].add(i)
+    assert net.closed_neighbors == tuple(tuple(sorted(c)) for c in closed)
+    assert net.neighbors == tuple(tuple(sorted(c - {i})) for i, c in enumerate(closed))
+
