@@ -14,9 +14,10 @@ step t's, so the same draws give the same float bits wherever the
 super-urn proportions agree: always under CSR pooling, while dense BLAS
 pooling may round them otherwise.  Under equal, time-constant red and
 black masses every copy's urn totals are the same, so a batch pooled by
-CSR sums (more than 32 nodes) keeps them as one shared row, and its
-finite-memory ring holds red gains only; dense pooling keeps a total
-plane, for its BLAS products' bits and its speed on narrow rows.
+CSR sums (more than 32 nodes) keeps them as one shared row after its red
+rows, pooled by the same CSR product and added and expired with them;
+dense pooling keeps a total plane, for its BLAS products' bits and its
+speed on narrow rows.
 """
 
 from __future__ import annotations
@@ -435,11 +436,12 @@ class UrnBatch:
     Given ``sched`` with ``equal_masses`` (red and black masses equal and
     constant), a step's total gain is those masses whatever was drawn, so
     every row's total is the same.  CSR pooling then keeps ``total`` as one
-    shared (N,) row (``total`` is a read-only broadcast view of it): the
-    planes and the ring hold red only, and the super urn pools the red
-    plane plus the one row.  A CSR sum adds a neighbourhood in the same
-    order for one row as for many, so no bit changes.  Dense pooling keeps
-    the total plane: a BLAS product's rows can differ in the last bit by row
+    shared (N,) row, the last row of the red plane (``total`` is a
+    read-only broadcast view of it): a step adds, and the ring expires, its
+    gain with the red rows' gains, and one CSR product pools the red rows
+    and the row together.  A CSR sum adds a neighbourhood in the same order
+    for one row as for many, so no bit changes.  Dense pooling keeps the
+    total plane: a BLAS product's rows can differ in the last bit by row
     position, and the row's broadcast divide is slower on narrow rows.
     """
 
@@ -457,39 +459,44 @@ class UrnBatch:
             self._dense, self._csr = None, csr_matrix(
                 (np.ones(len(net.indices)), net.indices, net.indptr), shape=(n, n))
         first = np.array([start.red_mass, start.total_mass], dtype=float)
-        shared = self._csr is not None and sched is not None and sched.equal_masses is not None
-        self._row = first[1] if shared else None
-        planes = first if self._row is None else first[:1]
-        self._set_planes(np.repeat(planes[:, None, :], rows, axis=1))
+        self._shared = (self._csr is not None and sched is not None
+                        and sched.equal_masses is not None)
+        planes = np.repeat(first[:, None, :], rows, axis=1)
+        if self._shared:  # the red rows, then the one total row
+            planes = np.concatenate([planes[:1], first[None, 1:]], axis=1)
+        self._set_planes(planes)
         self.memory = memory
         # slot (t-1) % M holds step t's gains, planes ordered as _planes'
         self._ring = None if memory is None else np.zeros((memory, *self._planes.shape))
 
     def _set_planes(self, planes: np.ndarray) -> None:
         self._planes = planes
-        self.red = planes[0]
-        self.total = (planes[1] if self._row is None
-                      else np.broadcast_to(self._row, self.red.shape))
+        if self._shared:
+            self.red, row = planes[0, :-1], planes[0, -1]
+            self.total = np.broadcast_to(row, self.red.shape)
+        else:
+            self.red, self.total = planes
         self._u = self.red / self.total
 
     def proportions(self) -> np.ndarray:
         """``red / total``, kept up to date by :meth:`step`; read-only."""
         return self._u
 
-    def super_urn(self) -> np.ndarray:
-        """Red fraction of every node's super urn, per row."""
+    def super_urn(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Red fraction of every node's super urn, per row: into ``out``, a
+        C-contiguous (rows, N) array, if given, else a new array."""
         if self._csr is None:
             # one product per plane: a stacked product moves rows across the
             # BLAS kernels' row tails, which changes last bits
-            return (self.red @ self._dense) / (self.total @ self._dense)
+            return np.divide(self.red @ self._dense, self.total @ self._dense, out=out)
         # the closed adjacency is symmetric, so csr @ m.T sums every
         # neighbourhood in the same ascending order as m @ csr, without the
         # transposed copy of csr that scipy builds for m @ csr
         planes, rows = self._planes, self.red.shape[0]
-        pooled = (self._csr @ planes.reshape(planes.shape[0] * rows, -1).T).T
-        if self._row is None:
-            return pooled[:rows] / pooled[rows:]
-        return pooled / (self._csr @ self._row)
+        pooled = (self._csr @ planes.reshape(-1, planes.shape[-1]).T).T
+        # a shared total row is the last pooled row, else the total rows
+        return np.divide(pooled[:rows], pooled[rows] if self._shared else pooled[rows:],
+                         out=out)
 
     def pooled_totals_finite(self) -> bool:
         """Whether every super urn's total mass, a closed-neighbourhood sum
@@ -498,14 +505,21 @@ class UrnBatch:
         if self._csr is None:
             pooled = self.total @ self._dense
         else:
-            pooled = self._csr @ (self.total.T if self._row is None else self._row)
+            pooled = self._csr @ (self._planes[0, -1] if self._shared else self.total.T)
         return bool(np.isfinite(pooled).all())
 
     def tile(self, reps: int) -> None:
-        """Repeat the rows ``reps`` times: row c * rows + r copies row r."""
-        self._set_planes(np.tile(self._planes, (1, reps, 1)))
+        """Repeat the rows ``reps`` times: row c * rows + r copies row r; a
+        shared total row stays one row."""
+        rows = self.red.shape[0]
+
+        def repeat(a):  # rows on a's second-to-last axis
+            tiled = np.tile(a[..., :rows, :], (reps, 1))
+            return np.concatenate([tiled, a[..., rows:, :]], axis=-2) if self._shared else tiled
+
+        self._set_planes(repeat(self._planes))
         if self._ring is not None:
-            self._ring = np.tile(self._ring, (1, 1, reps, 1))
+            self._ring = repeat(self._ring)
 
     def step(self, t: int, z: np.ndarray, s: np.ndarray, sched: DeltaSchedule) -> None:
         """Apply step t's draws ``z`` (0/1 floats, rows x N) drawn at
@@ -522,14 +536,12 @@ class UrnBatch:
             gains = self._ring[(t - 1) % self.memory]
             if t > self.memory:
                 self._planes -= gains
-                if self._row is not None:
-                    self._row -= db
-        np.multiply(z, dr, out=gains[0])
-        if self._row is None:
+        np.multiply(z, dr, out=gains[0, :len(z)])
+        if self._shared:
+            gains[0, -1] = db
+        else:
             np.multiply(1.0 - z, db, out=gains[1])
             gains[1] += gains[0]
-        else:
-            self._row += db
         self._planes += gains
         np.divide(self.red, self.total, out=self._u)
 

@@ -6,6 +6,7 @@ construction, so forked worker processes can use the parent's copy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -110,23 +111,30 @@ def _segments(indptr: np.ndarray, indices: np.ndarray) -> tuple[tuple[int, ...],
     return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
 
 
-def build_network(n: int, edge_list: Iterable[tuple[int, int]]) -> Network:
-    """Build a connected undirected network on nodes 0..n-1.
+def build_network(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> Network:
+    """Build a connected undirected network on nodes 0..n-1 from pairs of
+    integer node indices, or an (E, 2) int64 array of them.
 
-    Duplicate and reversed edges are collapsed.  Raises ``SelfLoop``,
-    ``IndexOutOfRange`` or ``Disconnected`` on invalid input; the first
-    invalid edge is the one reported.
+    Duplicate and reversed edges are collapsed.  Raises ``InvalidParameter``
+    for an edge that is not a pair of integers, ``SelfLoop``,
+    ``IndexOutOfRange`` or ``Disconnected``; the first invalid edge is the
+    one reported.
     """
     if n < 1:
         raise InvalidParameter(f"node count must be >= 1, got {n}")
-    edges = list(edge_list)
+    edges = edge_list if isinstance(edge_list, (list, tuple, np.ndarray)) else list(edge_list)
     if len(edges) < n - 1:  # too few to connect: no per-node structure is built
         _check_edges(edges, n)
         raise _disconnected(n, len({(min(i, j), max(i, j)) for i, j in edges}))
     try:
-        pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
-    except OverflowError:  # an index past int64, so past n - 1 <= len(edges)
+        pairs = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.int64)
+    except (TypeError, ValueError):  # pairs and other lengths mixed
+        pairs = None
+    if pairs is None or pairs.dtype != np.int64 or pairs.shape != (len(edges), 2):
+        # not all int64 pairs: raise for the first bad edge, or convert the
+        # valid ones (narrower, unsigned, bool or past-int64 object indices)
         _check_edges(edges, n)
+        pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     bad = (lo == hi) | (lo < 0) | (hi >= n)
     if bad.any():
@@ -149,9 +157,16 @@ def build_network(n: int, edge_list: Iterable[tuple[int, int]]) -> Network:
     return net
 
 
-def _check_edges(edges: Sequence[tuple[int, int]], n: int) -> None:
-    """Raise ``SelfLoop`` or ``IndexOutOfRange`` for the first invalid edge."""
-    for i, j in edges:
+def _check_edges(edges: Sequence, n: int) -> None:
+    """Raise ``InvalidParameter``, ``SelfLoop`` or ``IndexOutOfRange`` for
+    the first invalid edge."""
+    for edge in edges:
+        try:
+            i, j = map(operator.index, edge)
+        except (TypeError, ValueError):
+            shown = tuple(edge.tolist()) if isinstance(edge, np.ndarray) else edge
+            raise InvalidParameter(
+                f"edge {shown!r} is not a pair of integer node indices") from None
         if i == j:
             raise SelfLoop(f"self loop at node {i}")
         if not (0 <= i < n and 0 <= j < n):
@@ -353,11 +368,13 @@ def read_edge_list(path) -> Network:
     if len(tokens) % 2 == 0:
         raise ParseError(f"odd number of node indices in {path}")
     try:
-        values = [int(tok) for tok in tokens]
+        values = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
     except ValueError as e:
         raise ParseError(f"edge-list file {path} holds a non-integer token: {e}") from e
-    n, body = values[0], values[1:]
-    return build_network(n, list(zip(body[::2], body[1::2])))
+    except OverflowError:  # an index past int64: build_network reports it
+        values = [int(tok) for tok in tokens]
+        return build_network(values[0], list(zip(values[1::2], values[2::2])))
+    return build_network(int(values[0]), values[1:].reshape(-1, 2))
 
 
 def degree_sequence(edges: Sequence[tuple[int, int]], n: int) -> list[int]:

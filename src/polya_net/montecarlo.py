@@ -22,8 +22,13 @@ record ``buf[block, k, N]``, so each step reads and writes one contiguous
 by its counter to the block's first double (:func:`_streams`), a fill
 group of trials at a time (:func:`_fill_group`) into a ``(group, block,
 N)`` scratch, and copied transposed into the record; each step then
-overwrites its uniforms with its 0/1 draws, and the block's counts are
-reduced from the record.
+compares its uniforms with the super urns, pooled into one reused
+C-contiguous (k, N) buffer, overwrites them with its 0/1 draws, and the
+block's counts are reduced from the record.  The float statistics are
+reduced a tile of steps at a time (:func:`_stats_tile`): each step writes
+its per-trial mean urn proportions as one contiguous row, and one
+``sum(axis=1)`` per statistic reduces the tile's rows, each by the same
+pairwise sum as the row alone, so the bits are those of per-step sums.
 """
 
 from __future__ import annotations
@@ -50,6 +55,11 @@ UNIFORM_BUFFER_BYTES = 64 << 20
 # bounds the scratch that a fill group of trials' uniforms is drawn into:
 # 16 trials of fig2's block, and small enough to stay in cache
 _FILL_SCRATCH_BYTES = 640 << 10
+# bounds the row means of a tile of steps whose statistics are reduced at
+# once: 8 steps of fig2's 1677-trial chunks, 38 of fig5's 419, small enough
+# to stay in cache beside a step's own arrays (64 of fig2's took 0.9 MB and
+# slowed its steps)
+_STATS_TILE_BYTES = 128 << 10
 
 
 def trial_generator(master_seed: int, trial: int) -> np.random.Generator:
@@ -213,6 +223,13 @@ def _fill_group(k: int, block: int, n: int) -> int:
     return max(1, min(k, _FILL_SCRATCH_BYTES // (8 * block * n)))
 
 
+def _stats_tile(h: int, k: int) -> int:
+    """Steps whose statistics are reduced at once: as many as the tile's
+    row means, one (k,) row per step and one before, fit in
+    ``_STATS_TILE_BYTES``, but at least one and at most the horizon."""
+    return max(1, min(h, _STATS_TILE_BYTES // (8 * k) - 1))
+
+
 def _streams(seed: int, lo: int, k: int, offset: int):
     """Trials ``lo .. lo + k - 1``'s documented streams, one after another,
     each positioned at its double ``offset``: a single reused ``Philox``
@@ -264,10 +281,15 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> tuple[TrialStatistics, np.nd
     pair, z_count = stats.pair_counts, stats.sample_averages
     codes = np.zeros(k, dtype=np.int64) if cfg.collect_assignments else None
 
-    u_mean, u_mean_next = np.empty(k), np.empty(k)
+    # row j of means holds the row mean after a tile's j-th step, row 0 the
+    # one before it; a tile's statistics are reduced over these contiguous
+    # rows at once, and a row's sum is the same pairwise sum as a (k,) array's
+    tile = _stats_tile(h, k)
+    means = np.empty((tile + 1, k))
+    _row_mean(batch.proportions(), out=means[0])
+    susc_sum[0] = means[0].sum()
+    s = np.empty((k, n))  # the super urns, C-contiguous like each draw slab
     ones = np.ones(k)
-    _row_mean(batch.proportions(), out=u_mean)
-    susc_sum[0] = u_mean.sum()
     z_last = None
     faults: list[str] = []
     for t0 in range(0, h, block):
@@ -281,17 +303,22 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> tuple[TrialStatistics, np.nd
         # numpy reports a float range fault to `faults`; a pooled sum that
         # overflowed in scipy's CSR product raises no flag and is caught below
         with contagion.record_float_faults(faults):
-            for i in range(b):
-                t = t0 + i + 1
-                s = batch.super_urn()
-                z = np.less(buf[i], s, out=buf[i])
-                batch.step(t, z, s, cfg.sched)
-                _row_mean(batch.proportions(), out=u_mean_next)
-                susc_sum[t] = u_mean_next.sum()
-                inc = u_mean_next - u_mean
-                inc_sum[t] = inc.sum()
-                inc_sumsq[t] = (inc ** 2).sum()
-                u_mean, u_mean_next = u_mean_next, u_mean
+            for i0 in range(0, b, tile):
+                m = min(tile, b - i0)
+                for i in range(i0, i0 + m):
+                    t = t0 + i + 1
+                    batch.super_urn(out=s)
+                    z = np.less(buf[i], s, out=buf[i])
+                    batch.step(t, z, s, cfg.sched)
+                    _row_mean(batch.proportions(), out=means[i - i0 + 1])
+                t = t0 + i0 + 1
+                susc_sum[t:t + m] = means[1:m + 1].sum(axis=1)
+                # each increment overwrites the row before it, in place
+                # with no temporary; row m starts the next tile
+                inc = np.subtract(means[1:m + 1], means[:m], out=means[:m])
+                inc_sum[t:t + m] = inc.sum(axis=1)
+                inc_sumsq[t:t + m] = np.square(inc, out=inc).sum(axis=1)
+                means[0] = means[m]
             if faults or not batch.pooled_totals_finite():
                 raise DomainError(
                     f"urn masses left the float range during steps {t0 + 1}-{t0 + b}; "
@@ -382,8 +409,8 @@ class HistogramResult:
 def histogram(samples: Sequence[float], bins: int) -> HistogramResult:
     """Density-normalized histogram on [0, 1] (total area 1)."""
     data = np.asarray(samples, dtype=np.float64)
-    if bins < 1:
-        raise InvalidParameter("bins must be >= 1")
+    if not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise InvalidParameter(f"bins must be an integer >= 1, got {bins!r}")
     if len(data) < bins:
         raise InvalidParameter("need at least as many samples as bins")
     if not np.all((data >= 0.0) & (data <= 1.0)):
@@ -468,6 +495,8 @@ def least_squares_trend(y: Sequence[float], t: Sequence[float] | None = None):
         raise SizeMismatch(f"{len(x)} times for {len(y)} values")
     if len(y) < 2 or np.all(x == x[0]):
         raise InvalidParameter("a trend needs at least two distinct times")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("a trend needs finite times and values")
     x_c = x - x.mean()
     denom = float(np.dot(x_c, x_c))
     slope = float(np.dot(x_c, y)) / denom

@@ -193,10 +193,21 @@ def test_build_gives_the_sorted_set_of_canonical_edges(n, edge_list):
     (4, [(0, 1), (1, 0), (2, 3), (3, 2)], Disconnected, "4 nodes with 2 edges"),
     (4, [(0, 1), (1, 2), (2, 0)], Disconnected, "4 nodes with 3 edges"),
     (10 ** 30, [(0, 1), (1, 0)], Disconnected, "with 1 edges"),
+    (3, [(0, 1.7), (1, 2)], InvalidParameter, r"edge \(0, 1\.7\) is not a pair of integer"),
+    (3, [("0", "1"), ("1", "2")], InvalidParameter, r"edge \('0', '1'\) is not a pair of integer"),
+    (3, [(0, 1), (1, 2, 5)], InvalidParameter, r"edge \(1, 2, 5\) is not a pair of integer"),
+    (3, [(0, 1), (2, 2), (1, 2.5)], SelfLoop, "self loop at node 2"),
 ])
 def test_build_reports_the_first_bad_edge(n, edges, err, message):
     with pytest.raises(err, match=message):
         graph.build_network(n, edges)
+
+
+def test_build_takes_an_int64_edge_array():
+    pairs = np.array([[0, 1], [2, 1], [1, 0]], dtype=np.int64)
+    assert graph.build_network(3, pairs).edges == ((0, 1), (1, 2))
+    with pytest.raises(IndexOutOfRange, match=r"edge \(2, 3\) outside \[0, 3\)"):
+        graph.build_network(3, np.array([[0, 1], [2, 3]], dtype=np.int64))
 
 
 def test_generate_dispatch_and_errors():

@@ -139,6 +139,7 @@ def test_sparse_multi_block_run_matches_scalar_reference(kind, memory):
 
 
 BA5 = graph.generate("ba", 5, m=1, seed=1)
+BA20 = graph.generate("ba", 20, m=2, seed=3)
 
 
 @pytest.mark.parametrize("memory", [None, 3])
@@ -180,6 +181,59 @@ def test_chunks_that_end_in_a_partial_fill_group_match_scalar_reference():
     assert np.array_equal(stats.red_draw_counts, counts)
     assert np.array_equal(stats.pair_counts, pairs)
     assert np.array_equal(stats.sample_averages, averages)
+
+
+def per_step_float_sums(cfg):
+    """The susceptibility, increment and squared-increment sums of ``cfg``,
+    reduced step by step: each chunk steps one ``UrnBatch`` on its trials'
+    documented streams, sums each step's row means as 1-D arrays, and the
+    chunks' sums are merged in chunk order."""
+    h, n = cfg.horizon, cfg.net.node_count
+    chunk = cfg.chunk_size or mc._auto_chunk(cfg)
+    memory = cfg.memory if cfg.memory is not None and cfg.memory < h else None
+    total = np.zeros((3, h + 1))
+    for lo in range(0, cfg.trials, chunk):
+        k = min(chunk, cfg.trials - lo)
+        gens = [mc.trial_generator(cfg.seed, lo + j) for j in range(k)]
+        batch = cg.UrnBatch(cfg.net, cfg.init, k, memory=memory, sched=cfg.sched)
+        part = np.zeros((3, h + 1))
+        u = mc._row_mean(batch.proportions(), np.empty(k))
+        part[0, 0] = u.sum()
+        for t in range(1, h + 1):
+            s = batch.super_urn()
+            z = (np.array([g.random(n) for g in gens]) < s).astype(float)
+            batch.step(t, z, s, cfg.sched)
+            u_next = mc._row_mean(batch.proportions(), np.empty(k))
+            inc = u_next - u
+            part[:, t] = u_next.sum(), inc.sum(), (inc ** 2).sum()
+            u = u_next
+        total += part
+    return total
+
+
+@pytest.mark.parametrize("net, sched, memory, horizon", [
+    (BA60, cg.ConstantDelta(1.0), None, 151),
+    (BA60, cg.ConstantDelta(1.0), 7, 151),
+    (BA60, cg.ConstantDelta(1.0, 2.0), 7, 151),
+    (BA60, cg.CuringDelta(2.0, multiplier=1.5), None, 151),
+    (BA20, cg.ConstantDelta(1.0), None, 449),
+    (BA20, cg.ConstantDelta(1.0, 2.0), 3, 449),
+], ids=["csr_shared_row", "csr_shared_row_memory", "csr_memory", "csr_curing",
+        "dense", "dense_memory"])
+def test_float_statistics_equal_per_step_sums(net, sched, memory, horizon):
+    n = net.node_count
+    # a prime horizon, so no time block and no statistics tile shorter than
+    # it divides it; chunks of 140, 140 and 1 trials, so that numpy's
+    # pairwise sums of the long chunks' rows split them into blocks
+    assert horizon % mc._time_block(horizon, n) and all(horizon % d for d in range(2, horizon))
+    init = cg.UrnInit(red=tuple(1.0 + 0.1 * (i % 7) for i in range(n)),
+                      black=tuple(2.0 - 0.2 * (i % 5) for i in range(n)))
+    cfg = mc.RunConfig(net=net, init=init, sched=sched, horizon=horizon, trials=281,
+                       seed=31, memory=memory, chunk_size=140)
+    stats = mc.run_trials(cfg)
+    expected = per_step_float_sums(cfg)
+    for name, row in zip(("susceptibility_sum", "increment_sum", "increment_sumsq"), expected):
+        assert np.array_equal(getattr(stats, name), row), name
 
 
 @pytest.mark.parametrize("n", [1, 7, 8])
@@ -695,6 +749,14 @@ def test_least_squares_trend_needs_two_distinct_times():
         mc.least_squares_trend([0.1, 0.2, 0.3], [0.0, 1.0])
 
 
+@pytest.mark.parametrize("y, t", [([1.0, np.nan, 3.0], None), ([1.0, np.inf, 3.0], None),
+                                  ([1.0, 2.0, 3.0], [0.0, np.nan, 2.0])],
+                         ids=["nan_value", "inf_value", "nan_time"])
+def test_least_squares_trend_rejects_values_that_are_not_finite(y, t):
+    with pytest.raises(DomainError, match="finite"):
+        mc.least_squares_trend(y, t)
+
+
 BAD_SCHEDULES = {
     "three_node_constant": cg.ConstantDelta((F(1), F(1), F(1))),
     "one_node_constant": cg.ConstantDelta((F(1),)),
@@ -755,6 +817,12 @@ def test_histogram_rejects_samples_outside_the_unit_interval():
     for bad in (np.nan, 2.0, -0.1):
         with pytest.raises(DomainError):
             mc.histogram([0.1, bad, 0.3], 2)
+
+
+@pytest.mark.parametrize("bins", [2.5, 2.0, "2", None])
+def test_histogram_rejects_a_bin_count_that_is_not_an_integer(bins):
+    with pytest.raises(InvalidParameter, match="bins must be an integer"):
+        mc.histogram([0.1, 0.5, 0.9], bins)
 
 
 def test_martingale_residual_rejects_schedules_without_one_equal_constant_mass():
