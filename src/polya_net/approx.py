@@ -110,8 +110,12 @@ def model1_fit(marginal: Mapping, rho: float, n: int, search: SearchConfig) -> M
     refinement (assuming the observed unimodality), falling back to the best
     grid point if refinement does not improve on it.
     """
-    rho = float(rho)
     counts, entropy = _count_masses(marginal, n)
+    return _fit_counts(counts, entropy, float(rho), n, search)
+
+
+def _fit_counts(counts, entropy, rho: float, n: int, search: SearchConfig) -> Model1Fit:
+    """``model1_fit`` on a marginal already collapsed by ``_count_masses``."""
     objective = lambda d: _kl_from_counts(counts, entropy, rho, n, d)
     grid = np.linspace(0.0, search.delta_max, search.coarse_points)
     grid_kl = np.array([objective(d) for d in grid])
@@ -164,7 +168,9 @@ def fit_node(net: Network, init: UrnInit, delta, i: int, n: int,
     rho = float(rho_for_node(net, init, i))
     if search is None:
         search = default_search(net, init, i, delta)
-    fit = model1_fit(marginal, rho, n, search)
+    # the three divergences share one pass over the 2^n marginal entries
+    counts, entropy = _count_masses(marginal, n)
+    fit = _fit_counts(counts, entropy, rho, n, search)
     d_prime = float(model2a_delta(net, init, i, delta))
     d_star = float(model2b_delta(net, init, i, delta))
     return {
@@ -173,9 +179,9 @@ def fit_node(net: Network, init: UrnInit, delta, i: int, n: int,
         "delta_hat": fit.delta_hat,
         "kl": fit.kl,
         "delta_prime": d_prime,
-        "kl_prime": divergence_at(marginal, rho, n, d_prime),
+        "kl_prime": _kl_from_counts(counts, entropy, rho, n, d_prime),
         "delta_star": d_star,
-        "kl_star": divergence_at(marginal, rho, n, d_star),
+        "kl_star": _kl_from_counts(counts, entropy, rho, n, d_star),
     }
 
 
@@ -185,8 +191,11 @@ def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
 
     Complete networks go through the count dynamic program; others enumerate
     in float, whatever the input arithmetic (fits are float-valued downstream
-    either way).  Both are held to ``cap``: 2^cap float64 cells in the DP's
-    final level, 2^cap assignments in the enumeration.
+    either way).  Both are held to ``cap``: the DP to 2^n x (N * n + 1)
+    <= 2^cap float64 cells, the size its last level would have if it
+    expanded every step (it meets in the middle and keeps about
+    2^(n/2) x (N * n/2 + 1) cells per pass), the enumeration to 2^cap
+    assignments.
     """
     from .graph import classify
 

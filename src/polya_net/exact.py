@@ -481,15 +481,12 @@ def classical_polya_table(params: PolyaParams, n: int) -> dict:
 def classical_count_log_probs(params: PolyaParams, n: int) -> np.ndarray:
     """log Q(a^n) for each red count 0..n (the joint depends only on the count)."""
     rho, delta = float(params.rho), float(params.delta)
-    reds = np.cumsum(np.log(rho + delta * np.arange(n))) if n else np.array([])
-    blacks = np.cumsum(np.log(1 - rho + delta * np.arange(n)))
+    # reds[k], blacks[k]: log-probability factors of the first k reds, blacks
+    zero = np.zeros(1)
+    reds = np.concatenate((zero, np.cumsum(np.log(rho + delta * np.arange(n)))))
+    blacks = np.concatenate((zero, np.cumsum(np.log(1 - rho + delta * np.arange(n)))))
     denom = np.sum(np.log(1 + delta * np.arange(n)))
-    out = np.empty(n + 1)
-    for k in range(n + 1):
-        r = reds[k - 1] if k else 0.0
-        b = blacks[n - k - 1] if n - k else 0.0
-        out[k] = r + b - denom
-    return out
+    return (reds + blacks[::-1]) - denom
 
 
 def kl_rate(p: Mapping, q: Mapping, n: int) -> float:
@@ -542,9 +539,12 @@ def beta_cdf(params: BetaParams, x):
 # ----------------------------------------------------------------------
 
 def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP) -> None:
-    """Raise ``CapExceeded`` when the final level of ``complete_node_marginal``,
-    2^horizon x (node_count * horizon + 1) float64 cells, exceeds 2^cap cells,
-    the budget of a float enumeration table."""
+    """Raise ``CapExceeded`` when 2^horizon x (node_count * horizon + 1)
+    float64 cells, the size of the one-node count table that
+    ``complete_node_marginal`` would build if it expanded every step, exceed
+    2^cap cells, the budget of a float enumeration table.  The DP meets in
+    the middle and never builds that table (see its docstring), but the cap
+    keeps refusing the same inputs."""
     _check_cap_limit(cap)
     # 2^horizon alone passes the cap for horizon > cap; that test first
     # keeps a huge horizon from building a huge shifted integer
@@ -563,44 +563,79 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
     proportion depends on the history only through the total red-draw count,
     so the marginal is computable by a count-state dynamic program instead
     of full enumeration: per step, the other N-1 nodes contribute a
-    binomial count transition.  The rows of the final level are indexed
-    by the node's own draws, so they form the node's one-node joint table,
-    and the marginal is read off it like any other table's.
+    binomial count transition.  The count is a Markov chain and the node's
+    draws are what it emits, so the DP meets in the middle at m = h // 2
+    like a forward-backward pass: a forward pass over times 1..m gives, per
+    own-draw prefix, the probability of each count at time m; a backward
+    pass over times h..m+1, started from ones, gives per own-draw suffix the
+    probability of those draws given each count at time m.  Their product
+    over the count is the one-node joint table, and the marginal is read off
+    it like any other table's.
 
     A count c moves to c + j (own draw black) or c + j + 1 (red) for
-    j < N, so each kernel row is a band of N entries.  The next level is
-    filled in column blocks of width ``max(N, 64)``: only the counts within
-    N - 1 below a block reach it, so each block is one product of those
-    level columns with the matching slice of the band.  Cost grows like
-    2^horizon * N^2 * horizon rather than 2^(N * horizon); peak memory is
-    the previous level plus the next one, 2^t * (N * t + 1) doubles at step t.
-    The kernel's binomial probabilities come from :func:`binomial_pmf`.
+    j < N, so each kernel row is a band of N entries.  Each step is filled
+    in column blocks of width ``max(N, 64)``, one product per block with the
+    matching slice of the band (see :func:`_count_step`).  Cost grows like
+    2^(h/2) * N^2 * h for the passes plus 2^h * (N * h/2 + 1) for the
+    meeting product, rather than 2^(N * h); peak memory is a pass's last
+    two levels, about 2^(h/2) * (N * h/2 + 1) doubles each, plus the step's
+    kernel and the 2^h joint table.  Each step's binomial probabilities come
+    from :func:`binomial_pmf`, once per step.
     """
-    if not 0 < rho < 1 or delta < 0:
-        raise InvalidParameter("need 0 < rho < 1 and delta >= 0")
+    if not 0 < rho < 1:
+        raise InvalidParameter(f"rho must lie in (0, 1), got {rho}")
+    if not delta >= 0:
+        raise InvalidParameter(f"delta must be >= 0, got {delta}")
     if node_count < 1 or horizon < 1:
         raise InvalidParameter("need node_count >= 1 and horizon >= 1")
     n_nodes, n = node_count, horizon
-    block = max(n_nodes, 64)
-    # rows: per own-draw-prefix (code bit t-1 = draw at time t) state vectors
-    # over the total red count c
-    level = np.ones((1, 1), dtype=np.float64)
-    for t in range(1, n + 1):
-        c_max = n_nodes * (t - 1)
-        c = np.arange(c_max + 1, dtype=np.float64)
+    m = n // 2
+    # rows: per own-draw prefix (bit t-1 = draw at time t) and per own-draw
+    # suffix (bit 0 = draw at time m+1), vectors over the count; both passes
+    # end at the counts of time m
+    prefixes = np.ones((1, 1))
+    suffixes = np.ones((1, n_nodes * n + 1))
+    for t in (*range(1, m + 1), *range(n, m, -1)):
+        c = np.arange(n_nodes * (t - 1) + 1, dtype=np.float64)
         s = (rho + (delta / n_nodes) * c) / (1 + (t - 1) * delta)
         pmf = binomial_pmf(n_nodes - 1, s)
-        width = n_nodes * t + 1
-        # new[d] extends every prefix by own draw d, which is code bit t-1
-        new = np.empty((2, level.shape[0], width))
-        for shift, weights in enumerate(((1 - s)[:, None] * pmf, s[:, None] * pmf)):
-            for o0 in range(0, width, block):
-                o1 = min(o0 + block, width)
-                lo, hi = max(0, o0 - shift - n_nodes + 1), min(c_max + 1, o1 - shift)
-                np.matmul(level[:, lo:hi], _band(weights, lo, hi, o0, o1, shift),
-                          out=new[shift, :, o0:o1])
-        level = new.reshape(-1, width)
-    return JointTable(1, horizon, level.sum(axis=1), exact=False).node_marginal(0)
+        weights = ((1 - s)[:, None] * pmf, s[:, None] * pmf)
+        if t <= m:
+            prefixes = _count_step(prefixes, weights, forward=True)
+        else:
+            suffixes = _count_step(suffixes, weights, forward=False)
+    probs = (suffixes @ prefixes.T).reshape(-1)
+    return JointTable(1, horizon, probs, exact=False).node_marginal(0)
+
+
+def _count_step(rows, weights, forward):
+    """One step t of the count DP, for both own draws d.
+
+    ``weights[d][c, j]`` is the probability that count c at time t-1 moves
+    to c + j + d at time t with own draw d.  Forward, ``rows`` are vectors
+    over the counts at t-1 and the result over those at t, with row
+    d * len(rows) + r extending row r by draw d; backward, the roles of the
+    two times swap and row 2 * r + d prepends draw d.  The result is filled
+    in column blocks of width ``max(N, 64)``: a block depends only on the
+    input columns within the band's reach, so it is one product of those
+    columns with the matching slice of the band (transposed backward)."""
+    n_prev, n_nodes = weights[0].shape
+    n_next = n_prev + n_nodes
+    width = n_next if forward else n_prev
+    new = np.empty((2, len(rows), width) if forward else (len(rows), 2, width))
+    halves = new if forward else new.swapaxes(0, 1)
+    block = max(n_nodes, 64)
+    for shift, w in enumerate(weights):
+        for a0 in range(0, width, block):
+            a1 = min(a0 + block, width)
+            if forward:  # counts a0..a1-1 at t, reached from lo..hi-1 at t-1
+                lo, hi = max(0, a0 - shift - n_nodes + 1), min(n_prev, a1 - shift)
+                band = _band(w, lo, hi, a0, a1, shift)
+            else:  # counts a0..a1-1 at t-1, reaching lo..hi-1 at t
+                lo, hi = a0 + shift, min(a1 + shift + n_nodes - 1, n_next)
+                band = _band(w, a0, a1, lo, hi, shift).T
+            np.matmul(rows[:, lo:hi], band, out=halves[shift, :, a0:a1])
+    return new.reshape(-1, width)
 
 
 def _band(weights, lo, hi, o0, o1, shift):

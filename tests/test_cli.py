@@ -379,6 +379,15 @@ def test_sizes_and_masses_out_of_range_are_runtime_errors(argv, message, k2_path
     assert len(err.splitlines()) == 1
 
 
+def test_fit_names_a_red_fraction_that_rounds_to_one(k2_path, capsys):
+    # 1e300 / (1e300 + 1) is 1.0 in float; the count DP used to say only
+    # "need 0 < rho < 1 and delta >= 0"
+    assert run("fit", "--graph", k2_path, "--red", "1e300", "--black", "1",
+               "--horizon", "2") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: rho must lie in (0, 1), got 1.0"
+
+
 def test_a_memory_past_the_horizon_runs_as_infinite_memory(k2_path, tmp_path):
     # the ring buffer of 10^17 steps used to be allocated up front
     base = ["simulate", "--graph", k2_path, "--horizon", "5", "--trials", "30", "--seed", "3"]

@@ -443,6 +443,22 @@ def test_count_log_probs_match_joint():
             float(exact.classical_polya_joint(params, draws)), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 40])
+def test_count_log_probs_are_the_per_count_loop(n):
+    # the vectorised form adds the same two cumsum entries in the same order
+    rho, delta = 0.3, 0.45
+    reds = np.cumsum(np.log(rho + delta * np.arange(n)))
+    blacks = np.cumsum(np.log(1 - rho + delta * np.arange(n)))
+    denom = np.sum(np.log(1 + delta * np.arange(n)))
+    loop = []
+    for k in range(n + 1):
+        r = reds[k - 1] if k else 0.0
+        b = blacks[n - k - 1] if n - k else 0.0
+        loop.append(r + b - denom)
+    logq = exact.classical_count_log_probs(exact.PolyaParams(rho, delta), n)
+    assert logq.tolist() == loop
+
+
 def test_kl_rate_zero_for_identical():
     params = exact.PolyaParams(F(1, 3), F(1, 3))
     q = exact.classical_polya_table(params, 3)
@@ -555,10 +571,13 @@ def _dense_count_dp(rho, delta, n_nodes, horizon):
     return level.sum(axis=1)
 
 
-@pytest.mark.parametrize("nodes,horizon", [(70, 5), (130, 4)])
+@pytest.mark.parametrize("nodes,horizon", [(70, 5), (130, 4), (1, 1), (1, 2), (1, 7), (3, 1),
+                                           (3, 2), (4, 5), (6, 8), (70, 3), (65, 6)])
 def test_banded_count_dp_matches_dense_kernels(nodes, horizon):
     # widths 351 and 521 cut into blocks of 70 and 130 columns: several
-    # blocks per step and a one-column last block
+    # blocks per step and a one-column last block.  The DP meets at
+    # m = horizon // 2: odd and even horizons, and h = 1 (m = 0) has an
+    # empty forward pass
     banded = exact.complete_node_marginal(0.3, 0.02, nodes, horizon)
     dense = _dense_count_dp(0.3, 0.02, nodes, horizon)
     assert list(banded) == [tuple((code >> t) & 1 for t in range(horizon))
@@ -651,6 +670,19 @@ def test_banded_count_dp_peak_memory_is_two_levels():
     finally:
         tracemalloc.stop()
     assert peak < 2 * final_level_bytes + 10 * 2 ** 20
+
+
+def test_count_dp_peak_memory_is_two_half_horizon_passes():
+    import tracemalloc
+
+    # expanding all 12 steps kept 2^12 x 1201 doubles (39 MB), 58 MB at peak
+    tracemalloc.start()
+    try:
+        exact.complete_node_marginal(0.5, 0.01, 100, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_count_dp_cap_bounds_the_final_level():
