@@ -10,6 +10,7 @@ match by construction.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Mapping
@@ -32,6 +33,16 @@ class SearchConfig:
     coarse_points: int = 200
     refine_tol: float = 1e-6
 
+    def __post_init__(self):
+        points = self.coarse_points
+        if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
+            raise InvalidParameter(f"coarse_points must be an integer >= 1, got {points!r}")
+        # a zero tolerance would never end the refinement
+        if not (isinstance(self.refine_tol, numbers.Real) and 0 < self.refine_tol < math.inf):
+            raise InvalidParameter(f"refine_tol must be finite and > 0, got {self.refine_tol!r}")
+        if not (isinstance(self.delta_max, numbers.Real) and 0 <= self.delta_max < math.inf):
+            raise InvalidParameter(f"delta_max must be finite and >= 0, got {self.delta_max!r}")
+
 
 @dataclass(frozen=True)
 class Model1Fit:
@@ -41,66 +52,109 @@ class Model1Fit:
     grid_kl: np.ndarray
 
 
+def _node_params(net: Network, init: UrnInit, i: int, delta):
+    """(rho, N * delta / super-urn total) of node i, from one sum of each
+    color over its closed neighbourhood."""
+    nbrs = net.closed_neighbors[i]
+    total = sum(init.totals[j] for j in nbrs)
+    return sum(init.red[j] for j in nbrs) / total, net.node_count * delta / total
+
+
 def rho_for_node(net: Network, init: UrnInit, i: int):
     """Initial red fraction of node i's super urn."""
-    nbrs = net.closed_neighbors[i]
-    red = sum(init.red[j] for j in nbrs)
-    total = sum(init.totals[j] for j in nbrs)
-    return red / total
+    return _node_params(net, init, i, 0)[0]
 
 
 def node_delta(net: Network, init: UrnInit, i: int, delta):
     """Correlation parameter N * delta / (super-urn total) used by both
     analytical models."""
-    total = sum(init.totals[j] for j in net.closed_neighbors[i])
-    return net.node_count * delta / total
+    return _node_params(net, init, i, delta)[1]
 
 
 def model2a_delta(net: Network, init: UrnInit, i: int, delta):
     """Large-network analytic choice: matches the first and the (n,1)-step
     second-order statistics of the node process on a complete network."""
-    d = node_delta(net, init, i, delta)
-    n = net.node_count
-    return d / (n + (n - 1) * d)
+    return _model2a(node_delta(net, init, i, delta), net.node_count)
 
 
 def model2b_delta(net: Network, init: UrnInit, i: int, delta):
     """Small-network analytic choice: the same matching transform applied to
     the correlation parameter reduced by a factor of N."""
-    d = node_delta(net, init, i, delta)
-    n = net.node_count
+    return _model2b(node_delta(net, init, i, delta), net.node_count)
+
+
+def _model2a(d, n):
+    return d / (n + (n - 1) * d)
+
+
+def _model2b(d, n):
     return d / (n * n + (n - 1) * d)
 
 
 def divergence_at(marginal: Mapping, rho: float, n: int, delta: float) -> float:
     """Per-step KL divergence of a node marginal from the classical joint
     with parameters (rho, delta)."""
-    counts, entropy = _count_masses(marginal, n)
+    counts, entropy = _mapping_counts(marginal, n)
     return _kl_from_counts(counts, entropy, rho, n, delta)
 
 
-def _count_masses(marginal: Mapping, n: int):
+def _mapping_counts(marginal: Mapping, n: int):
+    """``_count_masses`` of a marginal keyed by draw tuples, in its order."""
+    reds = []
+    for a in marginal:
+        if not isinstance(a, tuple) or len(a) != n or any(x not in (0, 1) for x in a):
+            raise DegenerateMarginal(f"marginal keys must be {n} draws of 0 or 1, got {a!r}")
+        reds.append(sum(a))
+    probs = np.fromiter((float(p) for p in marginal.values()), np.float64, len(reds))
+    return _count_masses(probs, np.array(reds, dtype=np.intp), n)
+
+
+def _red_counts(n: int) -> np.ndarray:
+    """The red draws of each code 0..2^n - 1, its popcount: code c + 2^t
+    has one more red than code c < 2^t."""
+    reds = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        reds = np.concatenate((reds, reds + 1))
+    return reds
+
+
+def _count_masses(probs: np.ndarray, reds: np.ndarray, n: int):
     """Collapse a node marginal onto red counts; the classical joint is
-    exchangeable so the cross term only needs count masses."""
-    counts = np.zeros(n + 1)
-    entropy_term = 0.0
-    total = 0.0
-    for a, p in marginal.items():
-        pf = float(p)
-        if pf < 0 or len(a) != n:
-            raise DegenerateMarginal("marginal must assign nonnegative mass to {0,1}^n")
-        total += pf
-        if pf > 0:
-            counts[sum(a)] += pf
-            entropy_term += pf * math.log(pf)
+    exchangeable so the cross term only needs count masses.
+
+    ``probs[c]`` is the probability of a draw sequence with ``reds[c]``
+    reds: the marginal in code order (``reds`` from :func:`_red_counts`)
+    or a Mapping's values in its order.  Each count adds its masses in
+    that order (``np.bincount`` adds one weight at a time), and the
+    entropy term sums p * log(p) over the positive p in that order too."""
+    if (probs < 0).any():
+        raise DegenerateMarginal("marginal must assign nonnegative mass to {0,1}^n")
+    counts = np.bincount(reds, weights=probs, minlength=n + 1)
+    total = float(counts.sum())
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
         raise DegenerateMarginal(f"marginal mass {total} is not 1")
+    entropy_term = 0.0
+    for pf in probs.tolist():
+        if pf > 0:
+            entropy_term += pf * math.log(pf)
     return counts, entropy_term
 
 
+def _kl_rows(counts, entropy_term, rho, n, deltas) -> np.ndarray:
+    """Per-step KL divergence of the collapsed marginal from the classical
+    joint at (rho, each of ``deltas``): one log-probability row per delta,
+    each dotted with the counts on its own so that it keeps the bits of
+    that delta alone."""
+    exact.PolyaParams(rho, float(np.min(deltas)))  # the rho and delta checks
+    if n < 1:
+        raise InvalidParameter(f"the horizon n must be >= 1, got {n}")
+    logq = exact._count_log_prob_rows(float(rho), deltas, n)
+    cross = np.array([np.dot(counts, row) for row in logq])
+    return (entropy_term - cross) / n
+
+
 def _kl_from_counts(counts, entropy_term, rho, n, delta) -> float:
-    logq = exact.classical_count_log_probs(exact.PolyaParams(rho, delta), n)
-    return (entropy_term - float(np.dot(counts, logq))) / n
+    return float(_kl_rows(counts, entropy_term, rho, n, np.array([float(delta)]))[0])
 
 
 def model1_fit(marginal: Mapping, rho: float, n: int, search: SearchConfig) -> Model1Fit:
@@ -110,18 +164,18 @@ def model1_fit(marginal: Mapping, rho: float, n: int, search: SearchConfig) -> M
     refinement (assuming the observed unimodality), falling back to the best
     grid point if refinement does not improve on it.
     """
-    counts, entropy = _count_masses(marginal, n)
+    counts, entropy = _mapping_counts(marginal, n)
     return _fit_counts(counts, entropy, float(rho), n, search)
 
 
 def _fit_counts(counts, entropy, rho: float, n: int, search: SearchConfig) -> Model1Fit:
     """``model1_fit`` on a marginal already collapsed by ``_count_masses``."""
-    objective = lambda d: _kl_from_counts(counts, entropy, rho, n, d)
     grid = np.linspace(0.0, search.delta_max, search.coarse_points)
-    grid_kl = np.array([objective(d) for d in grid])
+    grid_kl = _kl_rows(counts, entropy, rho, n, grid)
     k = int(np.argmin(grid_kl))
     lo = grid[k - 1] if k > 0 else grid[0]
     hi = grid[k + 1] if k + 1 < len(grid) else grid[-1]
+    objective = lambda d: _kl_from_counts(counts, entropy, rho, n, d)
     d_hat, kl_hat = _golden_section(objective, float(lo), float(hi), search.refine_tol)
     if grid_kl[k] < kl_hat:
         d_hat, kl_hat = float(grid[k]), float(grid_kl[k])
@@ -132,7 +186,8 @@ def _golden_section(f, lo: float, hi: float, tol: float):
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    width = hi - lo
+    while width > tol:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - GOLDEN * (hi - lo)
@@ -141,6 +196,11 @@ def _golden_section(f, lo: float, hi: float, tol: float):
             lo, c, fc = c, d, fd
             d = lo + GOLDEN * (hi - lo)
             fd = f(d)
+        # a tolerance below the float spacing at the bracket would never be
+        # met: stop once the bracket no longer narrows
+        if not hi - lo < width:
+            break
+        width = hi - lo
     x = (lo + hi) / 2
     return x, f(x)
 
@@ -158,21 +218,27 @@ def fit_node(net: Network, init: UrnInit, delta, i: int, n: int,
     """All three approximations for one node, as a JSON-ready record.
 
     ``marginal`` defaults to the exact node marginal at horizon n (complete
-    networks use the count dynamic program, others full enumeration).
+    networks use the count dynamic program, others full enumeration), which
+    reaches the fit as the array that ``node_marginal_for_fit`` keys.  The
+    super urn is summed once: rho, the node correlation parameter, the
+    search range and both analytic choices derive from those two sums.
     """
-    if 10 * node_delta(net, init, i, delta) > sys.float_info.max:
+    rho, d = _node_params(net, init, i, delta)
+    if 10 * d > sys.float_info.max:
         raise DomainError("the fit's search range, 10 x the node correlation parameter, "
                           "is outside the float range; use a smaller reinforcement")
     if marginal is None:
-        marginal = node_marginal_for_fit(net, init, delta, i, n)
-    rho = float(rho_for_node(net, init, i))
-    if search is None:
-        search = default_search(net, init, i, delta)
-    # the three divergences share one pass over the 2^n marginal entries
-    counts, entropy = _count_masses(marginal, n)
+        probs = _fit_marginal_probs(net, init, delta, i, n, exact.ENUMERATION_CAP, rho, d)
+        counts, entropy = _count_masses(probs, _red_counts(n), n)
+    else:
+        counts, entropy = _mapping_counts(marginal, n)
+    rho = float(rho)
+    if search is None:  # default_search's, from the sums above
+        search = SearchConfig(delta_max=10.0 * float(d))
+    # the three divergences share one collapse of the 2^n marginal entries
     fit = _fit_counts(counts, entropy, rho, n, search)
-    d_prime = float(model2a_delta(net, init, i, delta))
-    d_star = float(model2b_delta(net, init, i, delta))
+    d_prime = float(_model2a(d, net.node_count))
+    d_star = float(_model2b(d, net.node_count))
     return {
         "node": i,
         "rho": rho,
@@ -186,8 +252,9 @@ def fit_node(net: Network, init: UrnInit, delta, i: int, n: int,
 
 
 def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
-                          cap: int = exact.ENUMERATION_CAP) -> Mapping:
-    """Marginal of node i's first n draws under constant reinforcement.
+                          cap: int = exact.ENUMERATION_CAP) -> dict:
+    """Marginal of node i's first n draws under constant reinforcement,
+    keyed by draw tuples in code order.
 
     Complete networks go through the count dynamic program; others enumerate
     in float, whatever the input arithmetic (fits are float-valued downstream
@@ -195,17 +262,24 @@ def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
     <= 2^cap float64 cells, the size its last level would have if it
     expanded every step (it meets in the middle and keeps about
     2^(n/2) x (N * n/2 + 1) cells per pass), the enumeration to 2^cap
-    assignments.
+    assignments.  The values are those of the (2^n,) array that
+    ``fit_node`` collapses when it is given no marginal, so fitting this
+    dict gives the same record.
     """
+    rho, d = _node_params(net, init, i, delta)
+    return exact._draw_dict(_fit_marginal_probs(net, init, delta, i, n, cap, rho, d))
+
+
+def _fit_marginal_probs(net, init, delta, i, n, cap, rho, d) -> np.ndarray:
+    """``node_marginal_for_fit`` as a (2^n,) float array in code order;
+    ``rho`` and ``d`` are node i's from :func:`_node_params`."""
     from .graph import classify
 
     if classify(net) == "complete":
         exact.check_count_dp_cap(net.node_count, n, cap)
-        rho = float(rho_for_node(net, init, i))
-        d = float(node_delta(net, init, i, delta))
-        return exact.complete_node_marginal(rho, d, net.node_count, n)
+        return exact.complete_node_marginal_probs(float(rho), float(d), net.node_count, n)
     table = exact.enumerate_joint(net, init, ConstantDelta(delta), n, exact=False, cap=cap)
-    return table.node_marginal(i)
+    return table.node_marginal_probs(i)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ rates, and the limiting Beta density/CDF live here as well.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ class PolyaParams:
     def __post_init__(self):
         if not 0 < self.rho < 1:
             raise InvalidParameter(f"rho must lie in (0, 1), got {self.rho}")
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise InvalidParameter(f"delta must be >= 0, got {self.delta}")
 
 
@@ -157,7 +158,14 @@ class JointTable:
     def node_marginal(self, i: int, window: tuple[int, int] | None = None) -> dict:
         """Distribution of node i's draws over the window (1-indexed, inclusive),
         summing out all other coordinates.  Defaults to the full horizon.
-        Keys are draw tuples, in the order of their assignment codes."""
+        Keys are draw tuples, in the order of their assignment codes; the
+        values are those of :meth:`node_marginal_probs`."""
+        return _draw_dict(self.node_marginal_probs(i, window))
+
+    def node_marginal_probs(self, i: int,
+                            window: tuple[int, int] | None = None) -> np.ndarray:
+        """``node_marginal`` as an array in code order: entry c is the
+        probability of the draws whose bit t-lo is node i's draw at time t."""
         if not 0 <= i < self.node_count:
             raise InvalidParameter(f"node {i} outside the table's {self.node_count} nodes")
         lo, hi = window if window is not None else (1, self.horizon)
@@ -166,7 +174,7 @@ class JointTable:
         keep = {(t - 1) * self.node_count + i for t in range(lo, hi + 1)}
         m = self._sum_out(self._cube(),
                           tuple(a for a in range(self._bits) if a not in keep))
-        return {k[::-1]: m[k[::-1]] for k in np.ndindex(m.shape)}
+        return m.T.reshape(-1)
 
     def event_probability(self, fixed: Mapping[tuple[int, int], int]):
         """Probability that each (node, time) in ``fixed`` drew the given bit."""
@@ -224,6 +232,15 @@ class JointTable:
                 writer.writerow(bits + [frac.numerator, frac.denominator])
             else:
                 writer.writerow(bits + [repr(float(p))])
+
+
+def _draw_dict(probs) -> dict:
+    """``probs``, a distribution over the 2^h draw sequences of one node
+    in code order (bit t-1 of the code is the draw at time t), keyed by
+    draw tuples."""
+    horizon = len(probs).bit_length() - 1
+    keys = (k[::-1] for k in itertools.product((0, 1), repeat=horizon))
+    return dict(zip(keys, probs))
 
 
 def joint_probability(net: Network, init: UrnInit, sched: DeltaSchedule,
@@ -480,13 +497,21 @@ def classical_polya_table(params: PolyaParams, n: int) -> dict:
 
 def classical_count_log_probs(params: PolyaParams, n: int) -> np.ndarray:
     """log Q(a^n) for each red count 0..n (the joint depends only on the count)."""
-    rho, delta = float(params.rho), float(params.delta)
-    # reds[k], blacks[k]: log-probability factors of the first k reds, blacks
-    zero = np.zeros(1)
-    reds = np.concatenate((zero, np.cumsum(np.log(rho + delta * np.arange(n)))))
-    blacks = np.concatenate((zero, np.cumsum(np.log(1 - rho + delta * np.arange(n)))))
-    denom = np.sum(np.log(1 + delta * np.arange(n)))
-    return (reds + blacks[::-1]) - denom
+    return _count_log_prob_rows(float(params.rho), np.array([float(params.delta)]), n)[0]
+
+
+def _count_log_prob_rows(rho: float, deltas: np.ndarray, n: int) -> np.ndarray:
+    """Row g is ``classical_count_log_probs`` at (rho, deltas[g]), with the
+    same bits as that delta alone: every row is formed by the same
+    elementwise operations, a cumulative sum along the row and a sum of
+    the row.  The caller has checked rho and the deltas."""
+    d = deltas[:, None] * np.arange(n)
+    # reds[g, k], blacks[g, k]: log-probability factors of the first k reds, blacks
+    zero = np.zeros((len(deltas), 1))
+    reds = np.concatenate((zero, np.cumsum(np.log(rho + d), axis=1)), axis=1)
+    blacks = np.concatenate((zero, np.cumsum(np.log(1 - rho + d), axis=1)), axis=1)
+    denom = np.sum(np.log(1 + d), axis=1, keepdims=True)
+    return (reds + blacks[:, ::-1]) - denom
 
 
 def kl_rate(p: Mapping, q: Mapping, n: int) -> float:
@@ -557,7 +582,16 @@ def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP
 
 def complete_node_marginal(rho: float, delta: float, node_count: int,
                            horizon: int) -> dict:
-    """Exact-in-float marginal of one node's draw sequence, complete network.
+    """Exact-in-float marginal of one node's draw sequence, complete network,
+    keyed by draw tuples in code order; the values are those of
+    :func:`complete_node_marginal_probs`."""
+    return _draw_dict(complete_node_marginal_probs(rho, delta, node_count, horizon))
+
+
+def complete_node_marginal_probs(rho: float, delta: float, node_count: int,
+                                 horizon: int) -> np.ndarray:
+    """One node's draw distribution on a complete network, as a (2^horizon,)
+    float array in code order (bit t-1 of the code is the draw at time t).
 
     On a complete network every node shares one super urn whose red
     proportion depends on the history only through the total red-draw count,
@@ -569,8 +603,7 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
     own-draw prefix, the probability of each count at time m; a backward
     pass over times h..m+1, started from ones, gives per own-draw suffix the
     probability of those draws given each count at time m.  Their product
-    over the count is the one-node joint table, and the marginal is read off
-    it like any other table's.
+    over the count is the one-node joint table, which is the marginal.
 
     A count c moves to c + j (own draw black) or c + j + 1 (red) for
     j < N, so each kernel row is a band of N entries.  Each step is filled
@@ -604,8 +637,7 @@ def complete_node_marginal(rho: float, delta: float, node_count: int,
             prefixes = _count_step(prefixes, weights, forward=True)
         else:
             suffixes = _count_step(suffixes, weights, forward=False)
-    probs = (suffixes @ prefixes.T).reshape(-1)
-    return JointTable(1, horizon, probs, exact=False).node_marginal(0)
+    return (suffixes @ prefixes.T).reshape(-1)
 
 
 def _count_step(rows, weights, forward):
@@ -696,10 +728,16 @@ def _power(x, k):
 
     x is split as m * 2^e with m in [1/sqrt 2, sqrt 2); m^k is a product of
     ``np.power`` pieces of at most ``_POW_PIECE`` steps each, renormalised
-    after each piece, so no partial product leaves the float range."""
+    after each piece, so no partial product leaves the float range.  When
+    every k is at most one piece, m^k (within 2^-512..2^512) is returned
+    as it is: the renormalising scalings are exact powers of two, so
+    skipping them leaves the bits of every product of such mantissas
+    that stays in the normal range, as binomial_pmf's do for n <= 1024."""
     m, e = np.frexp(x)
     low = m < _SQRT_HALF
     m, e = np.where(low, 2 * m, m), e - low
+    if k.max() <= _POW_PIECE:
+        return np.power(m, k), e * k
     mant, exp = np.ones(np.broadcast_shapes(m.shape, k.shape)), e * k
     for piece in range(0, int(k.max()), _POW_PIECE):
         mant, shift = np.frexp(mant * np.power(m, np.clip(k - piece, 0, _POW_PIECE)))

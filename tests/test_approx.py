@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +114,91 @@ def test_count_masses_rejects_bad_marginal():
     with pytest.raises(DegenerateMarginal):
         approx.model1_fit({(0, 1): 0.4, (1, 1): 0.4}, 0.5, 2,
                           approx.SearchConfig(delta_max=1.0))
+
+
+@pytest.mark.parametrize("key", [(2, 0), (2, 2), (1, "1"), (1,), (0, 1, 0), "01"])
+def test_count_masses_rejects_keys_that_are_not_draws(key):
+    # (2, 0) was counted as two reds, and (2, 2) indexed past the n + 1 counts
+    marginal = {key: 0.5, (0, 0): 0.5}
+    with pytest.raises(DegenerateMarginal):
+        approx.model1_fit(marginal, 0.5, 2, approx.SearchConfig(delta_max=1.0))
+    with pytest.raises(DegenerateMarginal):
+        approx.divergence_at(marginal, 0.5, 2, 0.5)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(coarse_points=0), dict(coarse_points=-3), dict(coarse_points=2.0),
+    dict(coarse_points=True), dict(refine_tol=0.0), dict(refine_tol=-1e-6),
+    dict(refine_tol=math.inf), dict(refine_tol=math.nan), dict(delta_max=-1.0),
+    dict(delta_max=math.inf), dict(delta_max=math.nan), dict(delta_max="1"),
+])
+def test_search_config_refuses_bad_fields(fields):
+    # refine_tol = 0 looped forever, coarse_points = 0 ended in numpy's argmin
+    with pytest.raises(InvalidParameter):
+        approx.SearchConfig(**{"delta_max": 1.0, **fields})
+
+
+def test_divergence_refuses_nan_delta():
+    marginal = {(0,): 0.5, (1,): 0.5}
+    with pytest.raises(InvalidParameter):
+        exact.PolyaParams(0.5, math.nan)
+    with pytest.raises(InvalidParameter):
+        approx.divergence_at(marginal, 0.5, 1, math.nan)
+    with pytest.raises(InvalidParameter):
+        approx.divergence_at({(): 1.0}, 0.5, 0, 0.5)
+
+
+@pytest.mark.parametrize("tol", [1e-17, 5e-324])
+def test_refinement_below_the_float_spacing_ends(tol):
+    init = cg.UrnInit(red=(F(1),), black=(F(1),))
+    marg = approx.node_marginal_for_fit(SINGLE, init, F(1), 0, 6)
+    fit = approx.model1_fit(marg, 0.5, 6, approx.SearchConfig(delta_max=5.0, refine_tol=tol))
+    assert fit.delta_hat == pytest.approx(0.5, abs=1e-6)
+
+
+def _fit_case(kind, nodes, horizon):
+    net = graph.generate(kind, nodes)
+    init = cg.uniform_init(nodes, F(1), F(1))
+    return net, init, approx.node_marginal_for_fit(net, init, F(1), 0, horizon)
+
+
+FIT_CASES = [("complete", 100, 12), ("cycle", 4, 5)]
+
+
+@pytest.mark.parametrize("kind,nodes,horizon", FIT_CASES)
+def test_grid_rows_keep_the_bits_of_each_point(kind, nodes, horizon):
+    net, init, marg = _fit_case(kind, nodes, horizon)
+    rho = float(approx.rho_for_node(net, init, 0))
+    fit = approx.model1_fit(marg, rho, horizon, approx.default_search(net, init, 0, F(1)))
+    counts, entropy = approx._mapping_counts(marg, horizon)
+    per_point = [approx._kl_from_counts(counts, entropy, rho, horizon, d)
+                 for d in fit.grid_deltas]
+    assert fit.grid_kl.tolist() == per_point
+
+
+@pytest.mark.parametrize("kind,nodes,horizon", FIT_CASES)
+def test_array_and_dict_collapse_agree(kind, nodes, horizon):
+    net, init, marg = _fit_case(kind, nodes, horizon)
+    probs = np.fromiter(marg.values(), np.float64)
+    counts, entropy = approx._count_masses(probs, approx._red_counts(horizon), horizon)
+    dict_counts, dict_entropy = approx._mapping_counts(marg, horizon)
+    assert counts.tolist() == dict_counts.tolist()
+    assert entropy == dict_entropy
+    # both add in code order, one term at a time
+    loop_counts, loop_entropy = [0.0] * (horizon + 1), 0.0
+    for draws, p in marg.items():
+        if p > 0:
+            loop_counts[sum(draws)] += float(p)
+            loop_entropy += float(p) * math.log(p)
+    assert counts.tolist() == loop_counts
+    assert entropy == loop_entropy
+
+
+@pytest.mark.parametrize("kind,nodes,horizon", FIT_CASES)
+def test_fit_node_of_its_own_marginal_is_the_same_record(kind, nodes, horizon):
+    net, init, marg = _fit_case(kind, nodes, horizon)
+    assert (approx.fit_node(net, init, F(1), 0, horizon)
+            == approx.fit_node(net, init, F(1), 0, horizon, marginal=marg))
 
 
 def test_node_marginal_for_fit_complete_uses_count_dp():

@@ -611,7 +611,11 @@ PMF_ULPS = 4
 PMF_S = (1e-3, 0.013, 0.3, 1 / 3, 0.49999, 0.5, 0.7, 0.999)
 
 
-@pytest.mark.parametrize("nodes", [2, 100, 1030, 1448])
+# N = 1025 is the largest network whose powers fit in one np.power piece
+PMF_NODES = [2, 100, 1024, 1025, 1026, 1030, 1448]
+
+
+@pytest.mark.parametrize("nodes", PMF_NODES)
 def test_binomial_pmf_matches_exact_rationals(nodes):
     # every value >= 1e-300 against C(n, j) * s^j * (1 - s)^(n - j) for the
     # float s, in integers: s = a / d with d a power of two, so the value is
@@ -634,7 +638,7 @@ def test_binomial_pmf_matches_exact_rationals(nodes):
     assert checked >= len(PMF_S) * min(nodes, 40)
 
 
-@pytest.mark.parametrize("nodes", [2, 100, 1030, 1448])
+@pytest.mark.parametrize("nodes", PMF_NODES)
 def test_binomial_pmf_matches_scipy(nodes):
     from scipy.stats import binom
 
@@ -646,6 +650,26 @@ def test_binomial_pmf_matches_scipy(nodes):
     bulk = ref >= 1e-10
     np.testing.assert_allclose(pmf[bulk], ref[bulk], rtol=1e-13, atol=0)
     np.testing.assert_allclose(pmf.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+
+
+def _renormalised_power(x, k):
+    """``exact._power`` renormalising after every piece, also for one piece."""
+    m, e = np.frexp(x)
+    low = m < math.sqrt(0.5)
+    m, e = np.where(low, 2 * m, m), e - low
+    mant, exp = np.ones(np.broadcast_shapes(m.shape, k.shape)), e * k
+    for piece in range(0, int(k.max()), exact._POW_PIECE):
+        mant, shift = np.frexp(mant * np.power(m, np.clip(k - piece, 0, exact._POW_PIECE)))
+        exp = exp + shift
+    return mant, exp
+
+
+@pytest.mark.parametrize("nodes", [2, 100, 1024, 1025])
+def test_single_piece_power_keeps_the_pmf_bits(nodes, monkeypatch):
+    s = (*PMF_S, 0.0, 1.0, 1e-300)
+    single = exact.binomial_pmf(nodes - 1, s)
+    monkeypatch.setattr(exact, "_power", _renormalised_power)
+    assert np.array_equal(exact.binomial_pmf(nodes - 1, s), single)
 
 
 def test_binomial_pmf_at_certain_outcomes():
