@@ -34,9 +34,7 @@ class SearchConfig:
     refine_tol: float = 1e-6
 
     def __post_init__(self):
-        points = self.coarse_points
-        if isinstance(points, bool) or not isinstance(points, numbers.Integral) or points < 1:
-            raise InvalidParameter(f"coarse_points must be an integer >= 1, got {points!r}")
+        exact.check_int(self.coarse_points, "coarse_points", minimum=1)
         # a zero tolerance would never end the refinement
         if not (isinstance(self.refine_tol, numbers.Real) and 0 < self.refine_tol < math.inf):
             raise InvalidParameter(f"refine_tol must be finite and > 0, got {self.refine_tol!r}")
@@ -144,11 +142,18 @@ def _kl_rows(counts, entropy_term, rho, n, deltas) -> np.ndarray:
     """Per-step KL divergence of the collapsed marginal from the classical
     joint at (rho, each of ``deltas``): one log-probability row per delta,
     each dotted with the counts on its own so that it keeps the bits of
-    that delta alone."""
+    that delta alone.  A row that is not finite in floats, from a delta
+    too large, is a ``DomainError``."""
     exact.PolyaParams(rho, float(np.min(deltas)))  # the rho and delta checks
     if n < 1:
         raise InvalidParameter(f"the horizon n must be >= 1, got {n}")
-    logq = exact._count_log_prob_rows(float(rho), deltas, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logq = exact._count_log_prob_rows(float(rho), deltas, n)
+    finite = np.isfinite(logq).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"the classical log-probabilities at delta {deltas[~finite][0]} "
+                          f"over {n} steps are not finite in floats; use a smaller "
+                          "reinforcement")
     cross = np.array([np.dot(counts, row) for row in logq])
     return (entropy_term - cross) / n
 

@@ -266,7 +266,9 @@ def _cmd_fit(args) -> int:
     init = _urns(s, net.node_count)
     delta = _fraction("1" if s["delta"] is None else s["delta"], "delta")
     _require(delta >= 0, f"delta must be >= 0, got {delta}")
-    _to_float_init(init)  # the fits enumerate and search in floats
+    # only a range check: the urns stay exact, so the fit sums the super urn
+    # in Fractions and rounds rho and the node delta once
+    _to_float_init(init)
     _float(delta, "delta")
     horizon = _int_field(s, "horizon", minimum=1)
     node = _int_field(s, "node", default=0, minimum=0)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,8 +43,8 @@ class PolyaParams:
     def __post_init__(self):
         if not 0 < self.rho < 1:
             raise InvalidParameter(f"rho must lie in (0, 1), got {self.rho}")
-        if not self.delta >= 0:
-            raise InvalidParameter(f"delta must be >= 0, got {self.delta}")
+        if not 0 <= self.delta < math.inf:
+            raise InvalidParameter(f"delta must be finite and >= 0, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,14 @@ class BetaParams:
             alpha=float(params.rho / params.delta),
             beta=float((1 - params.rho) / params.delta),
         )
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """``value`` as an int; ``InvalidParameter`` unless it is an integer
+    (a Python or numpy integer, not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParameter(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _check_cap_limit(cap: int) -> None:
@@ -166,9 +175,10 @@ class JointTable:
                             window: tuple[int, int] | None = None) -> np.ndarray:
         """``node_marginal`` as an array in code order: entry c is the
         probability of the draws whose bit t-lo is node i's draw at time t."""
-        if not 0 <= i < self.node_count:
+        if check_int(i, "node", minimum=0) >= self.node_count:
             raise InvalidParameter(f"node {i} outside the table's {self.node_count} nodes")
         lo, hi = window if window is not None else (1, self.horizon)
+        lo, hi = check_int(lo, "window start", minimum=1), check_int(hi, "window end", minimum=1)
         if not (1 <= lo <= hi <= self.horizon):
             raise InvalidParameter(f"window {window} not within horizon {self.horizon}")
         keep = {(t - 1) * self.node_count + i for t in range(lo, hi + 1)}
@@ -275,8 +285,7 @@ def enumerate_joint(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: 
     (128 MiB at the default cap), since the urn state of every history is
     kept for all but the last level.
     """
-    if horizon < 1:
-        raise InvalidParameter("horizon must be >= 1")
+    horizon = check_int(horizon, "horizon", minimum=1)
     bits = _check_cap(net.node_count, horizon, cap)
     sched.check_size(net.node_count, horizon - 1)  # masses added after the last draw never count
     if not exact:
@@ -340,8 +349,7 @@ def iter_histories(net: Network, init: UrnInit, sched: DeltaSchedule, steps: int
                    memory: int | None = None, cap: int = ENUMERATION_CAP):
     """Iterate (draw steps, probability, state) over every history of the
     given length; the arguments are checked before the first history."""
-    if steps < 0:
-        raise InvalidParameter(f"steps must be >= 0, got {steps}")
+    steps = check_int(steps, "steps", minimum=0)
     _check_cap(net.node_count, steps, cap)
     start = contagion.initial_state(net, init, memory=memory)
     sched.check_size(net.node_count, steps)
@@ -378,8 +386,7 @@ def average_infection_rate(net: Network, init: UrnInit, sched: DeltaSchedule, n:
     ``mode='exact'`` enumerates and raises ``CapExceeded`` past the cap;
     ``mode='auto'`` falls back to a Monte Carlo estimate flagged as inexact.
     """
-    if n < 1:
-        raise InvalidParameter(f"the draw time n must be >= 1, got {n}")
+    n = check_int(n, "the draw time n", minimum=1)
     if mode not in ("exact", "auto"):
         raise InvalidParameter(f"mode must be 'exact' or 'auto', got {mode!r}")
     try:
@@ -570,6 +577,8 @@ def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP
     2^cap cells, the budget of a float enumeration table.  The DP meets in
     the middle and never builds that table (see its docstring), but the cap
     keeps refusing the same inputs."""
+    node_count = check_int(node_count, "node_count", minimum=0)
+    horizon = check_int(horizon, "horizon", minimum=0)
     _check_cap_limit(cap)
     # 2^horizon alone passes the cap for horizon > cap; that test first
     # keeps a huge horizon from building a huge shifted integer
@@ -615,13 +624,9 @@ def complete_node_marginal_probs(rho: float, delta: float, node_count: int,
     kernel and the 2^h joint table.  Each step's binomial probabilities come
     from :func:`binomial_pmf`, once per step.
     """
-    if not 0 < rho < 1:
-        raise InvalidParameter(f"rho must lie in (0, 1), got {rho}")
-    if not delta >= 0:
-        raise InvalidParameter(f"delta must be >= 0, got {delta}")
-    if node_count < 1 or horizon < 1:
-        raise InvalidParameter("need node_count >= 1 and horizon >= 1")
-    n_nodes, n = node_count, horizon
+    PolyaParams(rho, delta)  # the rho and delta checks
+    n_nodes = check_int(node_count, "node_count", minimum=1)
+    n = check_int(horizon, "horizon", minimum=1)
     m = n // 2
     # rows: per own-draw prefix (bit t-1 = draw at time t) and per own-draw
     # suffix (bit 0 = draw at time m+1), vectors over the count; both passes
@@ -630,9 +635,18 @@ def complete_node_marginal_probs(rho: float, delta: float, node_count: int,
     suffixes = np.ones((1, n_nodes * n + 1))
     for t in (*range(1, m + 1), *range(n, m, -1)):
         c = np.arange(n_nodes * (t - 1) + 1, dtype=np.float64)
-        s = (rho + (delta / n_nodes) * c) / (1 + (t - 1) * delta)
-        pmf = binomial_pmf(n_nodes - 1, s)
-        weights = ((1 - s)[:, None] * pmf, s[:, None] * pmf)
+        denom = 1 + (t - 1) * delta
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = (rho + (delta / n_nodes) * c) / denom
+        if not (denom < math.inf and np.isfinite(s).all()):
+            raise DomainError(f"the super-urn proportion at step {t} is not finite in "
+                              f"floats: delta {delta} is too large")
+        # at most 1 exactly, but the top count's can round an ulp above it
+        np.minimum(s, 1.0, out=s)
+        red = binomial_pmf(n_nodes - 1, s)
+        black = red * (1 - s)[:, None]
+        red *= s[:, None]
+        weights = (black, red)
         if t <= m:
             prefixes = _count_step(prefixes, weights, forward=True)
         else:
@@ -690,6 +704,11 @@ _SQRT_HALF = math.sqrt(0.5)
 # a mantissa m in [1/sqrt 2, sqrt 2) has |log2 m| <= 1/2, so m^k for k up to
 # this piece stays within 2^-512..2^512
 _POW_PIECE = 1024
+# binomial_pmf's sums of exponents fit in int32 for every n below this:
+# s and 1 - s are at least 2^-1074, renormalising shifts a power by at most
+# n / 2 + 2 and C(n, j) < 2^n, so every partial sum stays within
+# 1076 * n + 3 of zero, under 2^31
+_INT32_EXPONENTS_BELOW = 1 << 20
 
 
 def binomial_pmf(n: int, s) -> np.ndarray:
@@ -700,12 +719,25 @@ def binomial_pmf(n: int, s) -> np.ndarray:
     No factor is formed as a float on its own: C(n, j) overflows above
     n = 1029, and s^j underflows long before the product is negligible.
     Each factor is carried as a mantissa and a power of two, and only the
-    product of the mantissas is scaled back.  C(n, j) is an exact integer,
-    rounded once; 1 - s is the rounded difference plus its exact rounding
-    error, applied to the power to first order (the next term is below an
-    ulp while n < 2^26)."""
-    s = np.asarray(s, dtype=np.float64)[:, None]
-    j = np.arange(n + 1)[None, :]
+    product of the mantissas, ``((C * s^j) * (1-s)^(n-j)) * correction``,
+    is scaled back.  C(n, j) is an exact integer, rounded once; 1 - s is
+    the rounded difference plus its exact rounding error, applied to the
+    power to first order (the next term is below an ulp while n < 2^26).
+    That correction is exactly 1 on every row whose error is 0, among them
+    every s >= 1/2, so only the rows from the first to the last whose error
+    is not 0 are multiplied by it, in place.
+
+    The powers of two are summed in int32 for n < ``_INT32_EXPONENTS_BELOW``
+    = 2^20, where no partial sum can reach 2^31 in magnitude, and in int64
+    from there on; ``np.ldexp`` has a vectorised loop only for int32
+    exponents, and the scaled values are the same either way."""
+    n = check_int(n, "the binomial n", minimum=0)
+    s = np.asarray(s, dtype=np.float64)
+    inside = (s >= 0) & (s <= 1)
+    if not inside.all():
+        raise DomainError(f"binomial probabilities must lie in [0, 1], got {s[~inside][0]}")
+    s = s[:, None]
+    j = np.arange(n + 1, dtype=np.int32 if n < _INT32_EXPONENTS_BELOW else np.int64)[None, :]
     combs, c = [], 1
     for i in range(n + 1):
         combs.append(c)
@@ -716,15 +748,31 @@ def binomial_pmf(n: int, s) -> np.ndarray:
     # 1 - s == one_minus + error exactly (Fast2Sum); error is 0 for s >= 1/2,
     # and one_minus > 1/2 wherever it is not
     error = (1 - one_minus) - s
-    correction = 1 + (n - j) * np.divide(error, one_minus, out=np.zeros_like(s),
-                                         where=error != 0)
-    s_mant, s_exp = _power(s, j)
-    r_mant, r_exp = _power(one_minus, n - j)
-    return np.ldexp(comb_mant * s_mant * r_mant * correction, np.array(bits) + s_exp + r_exp)
+    pmf, s_exp, s_shift = _power(s, j)
+    r_mant, r_exp, r_shift = _power(one_minus, n - j)
+    pmf *= comb_mant
+    pmf *= r_mant
+    rows = np.flatnonzero(error)
+    if rows.size:  # r_mant's rows hold the correction: 1 where the error is 0
+        lo, hi = rows[0], rows[-1] + 1
+        ratio = np.divide(error[lo:hi], one_minus[lo:hi], out=np.zeros((hi - lo, 1)),
+                          where=error[lo:hi] != 0)
+        correction = np.multiply(n - j, ratio, out=r_mant[lo:hi])
+        correction += 1
+        pmf[lo:hi] *= correction
+    # s_exp * j + r_exp * (n - j), summed without a second exponent array
+    exp = np.multiply(s_exp - r_exp, j)
+    exp += r_exp * n
+    exp += np.array(bits, dtype=j.dtype)
+    exp += s_shift
+    exp += r_shift
+    return np.ldexp(pmf, exp, out=pmf)
 
 
 def _power(x, k):
-    """``x^k`` elementwise as a mantissa and an integer exponent of two.
+    """``x^k`` elementwise as ``(mant, e, shift)``, x^k = mant * 2^(e * k +
+    shift): e is each x's own power of two, in k's integer dtype, and shift
+    what renormalising took out of the mantissa, 0 for one piece.
 
     x is split as m * 2^e with m in [1/sqrt 2, sqrt 2); m^k is a product of
     ``np.power`` pieces of at most ``_POW_PIECE`` steps each, renormalised
@@ -735,11 +783,12 @@ def _power(x, k):
     that stays in the normal range, as binomial_pmf's do for n <= 1024."""
     m, e = np.frexp(x)
     low = m < _SQRT_HALF
-    m, e = np.where(low, 2 * m, m), e - low
+    m, e = np.where(low, 2 * m, m), (e - low).astype(k.dtype)
     if k.max() <= _POW_PIECE:
-        return np.power(m, k), e * k
-    mant, exp = np.ones(np.broadcast_shapes(m.shape, k.shape)), e * k
+        return np.power(m, k), e, 0
+    mant = np.ones(np.broadcast_shapes(m.shape, k.shape))
+    shift = np.zeros(mant.shape, dtype=np.int32)
     for piece in range(0, int(k.max()), _POW_PIECE):
-        mant, shift = np.frexp(mant * np.power(m, np.clip(k - piece, 0, _POW_PIECE)))
-        exp = exp + shift
-    return mant, exp
+        mant, step = np.frexp(mant * np.power(m, np.clip(k - piece, 0, _POW_PIECE)))
+        shift += step
+    return mant, e, shift

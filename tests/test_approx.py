@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polya_net import approx, contagion as cg, exact, graph
-from polya_net.errors import DegenerateMarginal, InvalidParameter
+from polya_net.errors import DegenerateMarginal, DomainError, InvalidParameter
 
 K2 = graph.generate_complete(2)
 SINGLE = graph.generate_complete(1)
@@ -146,6 +146,16 @@ def test_divergence_refuses_nan_delta():
         approx.divergence_at(marginal, 0.5, 1, math.nan)
     with pytest.raises(InvalidParameter):
         approx.divergence_at({(): 1.0}, 0.5, 0, 0.5)
+
+
+def test_log_probabilities_that_overflow_are_a_domain_error():
+    # delta * (n - 1) overflows: the grid's argmin landed on a NaN and the
+    # fit recorded "kl": NaN
+    marginal = exact.complete_node_marginal(0.5, 1.0, 3, 4)
+    with pytest.raises(DomainError, match="not finite in floats"):
+        approx.divergence_at(marginal, 0.5, 4, 1e308)
+    with pytest.raises(DomainError, match="not finite in floats"):
+        approx.model1_fit(marginal, 0.5, 4, approx.SearchConfig(delta_max=1.6e308))
 
 
 @pytest.mark.parametrize("tol", [1e-17, 5e-324])

@@ -379,6 +379,18 @@ def test_sizes_and_masses_out_of_range_are_runtime_errors(argv, message, k2_path
     assert len(err.splitlines()) == 1
 
 
+def test_fit_with_log_probabilities_out_of_float_range_is_a_runtime_error(tmp_path, capsys):
+    # delta passed the 10 x d range check, the coarse grid overflowed, and
+    # the record said "kl": NaN with exit code 0
+    path = tmp_path / "k3.edges"
+    graph.write_edge_list(graph.generate_complete(3), path)
+    assert run("fit", "--graph", str(path), "--red", "1", "--black", "1",
+               "--delta", "5e306", "--horizon", "12") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: the classical log-probabilities at delta ")
+
+
 def test_fit_names_a_red_fraction_that_rounds_to_one(k2_path, capsys):
     # 1e300 / (1e300 + 1) is 1.0 in float; the count DP used to say only
     # "need 0 < rho < 1 and delta >= 0"

@@ -656,12 +656,12 @@ def _renormalised_power(x, k):
     """``exact._power`` renormalising after every piece, also for one piece."""
     m, e = np.frexp(x)
     low = m < math.sqrt(0.5)
-    m, e = np.where(low, 2 * m, m), e - low
-    mant, exp = np.ones(np.broadcast_shapes(m.shape, k.shape)), e * k
+    m, e = np.where(low, 2 * m, m), (e - low).astype(k.dtype)
+    mant, shift = np.ones(np.broadcast_shapes(m.shape, k.shape)), 0
     for piece in range(0, int(k.max()), exact._POW_PIECE):
-        mant, shift = np.frexp(mant * np.power(m, np.clip(k - piece, 0, exact._POW_PIECE)))
-        exp = exp + shift
-    return mant, exp
+        mant, step = np.frexp(mant * np.power(m, np.clip(k - piece, 0, exact._POW_PIECE)))
+        shift = shift + step
+    return mant, e, shift
 
 
 @pytest.mark.parametrize("nodes", [2, 100, 1024, 1025])
@@ -675,6 +675,137 @@ def test_single_piece_power_keeps_the_pmf_bits(nodes, monkeypatch):
 def test_binomial_pmf_at_certain_outcomes():
     assert exact.binomial_pmf(3, [0.0, 1.0]).tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
     assert exact.binomial_pmf(0, [0.25]).tolist() == [[1.0]]
+
+
+def _int64_power(x, k):
+    """``exact._power``'s mantissa and its whole exponent, e * k + shift,
+    as one int64 array: one piece as it is, more renormalised after each."""
+    k = k.astype(np.int64)
+    if k.max() > exact._POW_PIECE:
+        mant, e, shift = _renormalised_power(x, k)
+        return mant, e * k + shift
+    m, e = np.frexp(x)
+    low = m < math.sqrt(0.5)
+    m, e = np.where(low, 2 * m, m), e - low
+    return np.power(m, k), e * k
+
+
+def _reference_pmf(n, s):
+    """``exact.binomial_pmf`` with int64 exponent arrays, one per factor,
+    and the first-order correction broadcast to every cell."""
+    s = np.asarray(s, dtype=np.float64)[:, None]
+    j = np.arange(n + 1)[None, :]
+    combs = [math.comb(n, i) for i in range(n + 1)]
+    bits = [c.bit_length() for c in combs]
+    comb_mant = np.array([c / (1 << b) for c, b in zip(combs, bits)])
+    one_minus = 1 - s
+    error = (1 - one_minus) - s
+    correction = 1 + (n - j) * np.divide(error, one_minus, out=np.zeros_like(s),
+                                         where=error != 0)
+    s_mant, s_exp = _int64_power(s, j)
+    r_mant, r_exp = _int64_power(one_minus, n - j)
+    return np.ldexp(comb_mant * s_mant * r_mant * correction,
+                    np.array(bits) + s_exp + r_exp)
+
+
+PMF_EDGE_S = (*PMF_S, 0.0, 1.0, 1e-300, 5e-324)
+
+
+@pytest.mark.parametrize("nodes", PMF_NODES)
+def test_binomial_pmf_keeps_the_int64_all_cells_bits(nodes):
+    # int32 exponents, and the correction only on rows where it is not 1
+    assert np.array_equal(exact.binomial_pmf(nodes - 1, PMF_EDGE_S),
+                          _reference_pmf(nodes - 1, PMF_EDGE_S))
+
+
+@pytest.mark.parametrize("nodes", [100, 1448])
+def test_binomial_pmf_int64_exponents_keep_the_bits(nodes, monkeypatch):
+    # from n = 2^20 on the exponents are int64; C(n, j) for every j of such
+    # an n is hours of integer arithmetic, so the int64 path runs at small n
+    monkeypatch.setattr(exact, "_INT32_EXPONENTS_BELOW", 50)
+    assert np.array_equal(exact.binomial_pmf(nodes - 1, PMF_EDGE_S),
+                          _reference_pmf(nodes - 1, PMF_EDGE_S))
+
+
+def test_int32_exponents_hold_the_largest_sums_below_the_bound():
+    # the extremes of the last int32 n: s^j and (1 - s)^(n - j) at the
+    # smallest subnormal, summed as binomial_pmf sums them, in int32
+    # against Python integers
+    n = exact._INT32_EXPONENTS_BELOW - 1
+    x = np.array([[5e-324], [1e-300], [0.5], [1.0]])
+    j = np.array([[0, 1, n - 1, n]], dtype=np.int32)
+    mant, s_exp, s_shift = exact._power(x, j)
+    r_mant, r_exp, r_shift = exact._power(x[::-1], n - j)
+    assert s_exp.dtype == r_exp.dtype == np.int32
+    exp = np.multiply(s_exp - r_exp, j)
+    exp += r_exp * n
+    exp += s_shift
+    exp += r_shift
+    whole = [[int(a) * int(b) + int(c) * (n - int(b)) + int(d) + int(f)
+              for b, d, f in zip(j[0], s_shift[r], r_shift[r])]
+             for r, (a, c) in enumerate(zip(s_exp[:, 0], r_exp[:, 0]))]
+    assert exp.tolist() == whole
+    assert min(min(row) for row in whole) < -1073 * n  # the int32 bound is reached
+
+
+@pytest.mark.parametrize("args", [(0.3, 0.7, 40, 9), (0.01, 3.0, 200, 6),
+                                  (0.99, 0.05, 7, 12)])
+def test_count_dp_keeps_the_reference_kernel_bits(args, monkeypatch):
+    marginal = exact.complete_node_marginal_probs(*args)
+    monkeypatch.setattr(exact, "binomial_pmf", _reference_pmf)
+    assert np.array_equal(marginal, exact.complete_node_marginal_probs(*args))
+
+
+@pytest.mark.parametrize("n, s", [(3, [1.5]), (3, [0.5, math.nan]), (3, [-1e-300]),
+                                  (2, [math.inf])])
+def test_binomial_pmf_refuses_probabilities_outside_the_unit_interval(n, s):
+    # 1.5 gave negative "probabilities" and NaN passed through
+    with pytest.raises(DomainError, match="must lie in"):
+        exact.binomial_pmf(n, s)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, "3"])
+def test_binomial_pmf_refuses_a_count_that_is_not_a_natural_number(n):
+    # -1 raised numpy's ValueError and 2.5 a TypeError
+    with pytest.raises(InvalidParameter, match="must be an integer >= 0"):
+        exact.binomial_pmf(n, [0.5])
+
+
+def test_integer_arguments_are_checked_with_a_typed_error():
+    # each of these raised a raw TypeError
+    with pytest.raises(InvalidParameter, match="horizon must be an integer"):
+        exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(1)), 2.0)
+    with pytest.raises(InvalidParameter, match="horizon must be an integer"):
+        exact.check_count_dp_cap(3, 2.5)
+    with pytest.raises(InvalidParameter, match="node_count must be an integer"):
+        exact.complete_node_marginal_probs(0.5, 1.0, 2.5, 3)
+    table = exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(1)), 3)
+    with pytest.raises(InvalidParameter, match="window start must be an integer"):
+        table.node_marginal_probs(0, (2.5, 3))
+    with pytest.raises(InvalidParameter, match="node must be an integer"):
+        table.node_marginal_probs(0.0)
+    assert table.node_marginal_probs(np.int64(1), (np.int32(2), 3)).sum() == 1
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0])
+def test_count_dp_refuses_a_delta_that_is_not_finite(delta):
+    # inf gave all-NaN marginals with numpy RuntimeWarnings
+    with pytest.raises(InvalidParameter, match="delta must be finite and >= 0"):
+        exact.complete_node_marginal_probs(0.5, delta, 3, 3)
+
+
+def test_count_dp_refuses_a_proportion_that_overflows():
+    # 1 + 2 * 1e308 overflows at step 3: the marginal was NaN
+    with pytest.raises(DomainError, match="step 3 is not finite"):
+        exact.complete_node_marginal_probs(0.5, 1e308, 3, 3)
+
+
+def test_count_dp_proportion_that_rounds_above_one_is_clamped():
+    # the top count's proportion rounds to 1 + 2^-52 here, which gave a
+    # marginal entry of -3.2e-17
+    marginal = exact.complete_node_marginal_probs(1 - 2 ** -52, 7.0, 100, 3)
+    assert marginal.min() >= 0
+    assert math.isclose(math.fsum(marginal), 1, abs_tol=1e-14)
 
 
 def test_count_dp_on_the_largest_generated_complete_network():
