@@ -53,9 +53,17 @@ class Model1Fit:
 def _node_params(net: Network, init: UrnInit, i: int, delta):
     """(rho, N * delta / super-urn total) of node i, from one sum of each
     color over its closed neighbourhood."""
+    if exact.check_int(i, "node", minimum=0) >= net.node_count:
+        raise InvalidParameter(f"node {i} outside the network's {net.node_count} nodes")
+    if not 0 <= delta < math.inf:  # NaN fails both
+        raise InvalidParameter(f"delta must be finite and >= 0, got {delta}")
     nbrs = net.closed_neighbors[i]
     total = sum(init.totals[j] for j in nbrs)
-    return sum(init.red[j] for j in nbrs) / total, net.node_count * delta / total
+    d = net.node_count * delta / total
+    if isinstance(d, float) and not math.isfinite(d):
+        raise DomainError(f"the node correlation parameter {net.node_count} x {delta} / "
+                          f"{total} is outside the float range; use a smaller reinforcement")
+    return sum(init.red[j] for j in nbrs) / total, d
 
 
 def rho_for_node(net: Network, init: UrnInit, i: int):
@@ -147,13 +155,7 @@ def _kl_rows(counts, entropy_term, rho, n, deltas) -> np.ndarray:
     exact.PolyaParams(rho, float(np.min(deltas)))  # the rho and delta checks
     if n < 1:
         raise InvalidParameter(f"the horizon n must be >= 1, got {n}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        logq = exact._count_log_prob_rows(float(rho), deltas, n)
-    finite = np.isfinite(logq).all(axis=1)
-    if not finite.all():
-        raise DomainError(f"the classical log-probabilities at delta {deltas[~finite][0]} "
-                          f"over {n} steps are not finite in floats; use a smaller "
-                          "reinforcement")
+    logq = exact._count_log_prob_rows(float(rho), deltas, n)
     cross = np.array([np.dot(counts, row) for row in logq])
     return (entropy_term - cross) / n
 
@@ -223,10 +225,11 @@ def fit_node(net: Network, init: UrnInit, delta, i: int, n: int,
     """All three approximations for one node, as a JSON-ready record.
 
     ``marginal`` defaults to the exact node marginal at horizon n (complete
-    networks use the count dynamic program, others full enumeration), which
-    reaches the fit as the array that ``node_marginal_for_fit`` keys.  The
-    super urn is summed once: rho, the node correlation parameter, the
-    search range and both analytic choices derive from those two sums.
+    networks use the count dynamic program, others an expansion that merges
+    histories reaching the same urn state), which reaches the fit as the
+    array that ``node_marginal_for_fit`` keys.  The super urn is summed
+    once: rho, the node correlation parameter, the search range and both
+    analytic choices derive from those two sums.
     """
     rho, d = _node_params(net, init, i, delta)
     if 10 * d > sys.float_info.max:
@@ -261,15 +264,17 @@ def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
     """Marginal of node i's first n draws under constant reinforcement,
     keyed by draw tuples in code order.
 
-    Complete networks go through the count dynamic program; others enumerate
-    in float, whatever the input arithmetic (fits are float-valued downstream
-    either way).  Both are held to ``cap``: the DP to 2^n x (N * n + 1)
-    <= 2^cap float64 cells, the size its last level would have if it
-    expanded every step (it meets in the middle and keeps about
-    2^(n/2) x (N * n/2 + 1) cells per pass), the enumeration to 2^cap
-    assignments.  The values are those of the (2^n,) array that
-    ``fit_node`` collapses when it is given no marginal, so fitting this
-    dict gives the same record.
+    Complete networks go through the count dynamic program; others through
+    :func:`exact.float_node_marginal_probs`, a float expansion that merges
+    the histories with equal red counts per node, whatever the input
+    arithmetic (fits are float-valued downstream either way).  Both are held
+    to ``cap``: the DP to 2^n x (N * n + 1) <= 2^cap float64 cells, the size
+    its last level would have if it expanded every step (it meets in the
+    middle and keeps about 2^(n/2) x (N * n/2 + 1) cells per pass), the
+    expansion to N * n <= cap, the bits of an enumeration table (it keeps
+    at most 2^t (t+1)^(N-1) rows at step t).  The values are those of the
+    (2^n,) array that ``fit_node`` collapses when it is given no marginal,
+    so fitting this dict gives the same record.
     """
     rho, d = _node_params(net, init, i, delta)
     return exact._draw_dict(_fit_marginal_probs(net, init, delta, i, n, cap, rho, d))
@@ -283,8 +288,7 @@ def _fit_marginal_probs(net, init, delta, i, n, cap, rho, d) -> np.ndarray:
     if classify(net) == "complete":
         exact.check_count_dp_cap(net.node_count, n, cap)
         return exact.complete_node_marginal_probs(float(rho), float(d), net.node_count, n)
-    table = exact.enumerate_joint(net, init, ConstantDelta(delta), n, exact=False, cap=cap)
-    return table.node_marginal_probs(i)
+    return exact.float_node_marginal_probs(net, init, ConstantDelta(delta), n, i, cap)
 
 
 @dataclass(frozen=True)

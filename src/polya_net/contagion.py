@@ -508,18 +508,18 @@ class UrnBatch:
             pooled = self._csr @ (self._planes[0, -1] if self._shared else self.total.T)
         return bool(np.isfinite(pooled).all())
 
-    def tile(self, reps: int) -> None:
-        """Repeat the rows ``reps`` times: row c * rows + r copies row r; a
-        shared total row stays one row."""
-        rows = self.red.shape[0]
+    def take(self, rows: np.ndarray) -> None:
+        """Keep the given rows, in that order (an index may repeat): row k
+        becomes a copy of row ``rows[k]``; a shared total row stays one row."""
+        count = self.red.shape[0]
 
-        def repeat(a):  # rows on a's second-to-last axis
-            tiled = np.tile(a[..., :rows, :], (reps, 1))
-            return np.concatenate([tiled, a[..., rows:, :]], axis=-2) if self._shared else tiled
+        def pick(a):  # rows on a's second-to-last axis, copied in C order like a new batch's
+            taken = np.take(a, rows, axis=-2)
+            return np.concatenate([taken, a[..., count:, :]], axis=-2) if self._shared else taken
 
-        self._set_planes(repeat(self._planes))
+        self._set_planes(pick(self._planes))
         if self._ring is not None:
-            self._ring = repeat(self._ring)
+            self._ring = pick(self._ring)
 
     def step(self, t: int, z: np.ndarray, s: np.ndarray, sched: DeltaSchedule) -> None:
         """Apply step t's draws ``z`` (0/1 floats, rows x N) drawn at

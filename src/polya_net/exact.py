@@ -3,13 +3,15 @@
 The reference path enumerates every draw assignment with ``Fraction``
 arithmetic, so distribution identities can be asserted with ``==`` instead
 of tolerances.  A float path covers assignment spaces too large for exact
-mode, and a dynamic program provides node marginals on complete networks
-far beyond the enumeration cap.  Classical single-urn joints, divergence
+mode, an expansion that merges histories reaching the same urn state gives
+node marginals without the float table, and a dynamic program provides
+node marginals on complete networks far beyond the enumeration cap.  Classical single-urn joints, divergence
 rates, and the limiting Beta density/CDF live here as well.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -317,32 +319,111 @@ def _combo_products(prob, s):
 def _float_table(net, init, sched, horizon, memory):
     """Float64 level-by-level expansion; row c * width + r of level t extends
     history r of level t-1 by draw combo c, which is its assignment code."""
-    n = net.node_count
     batch = contagion.UrnBatch(net, init, 1, memory=memory)
     probs = np.ones(1)
-    faults: list[str] = []
     for t in range(1, horizon + 1):
-        # networks under the enumeration cap pool by dense products, which
-        # raise a float flag on overflow
-        with contagion.record_float_faults(faults):
-            s = batch.super_urn()
-            width = probs.shape[0]
-            # the array form of _combo_products: row c holds combo c's products
-            level = np.empty((1 << n, width))
-            level[0] = probs
-            for i in range(n):
-                half = level[:1 << i]
-                np.multiply(half, s[:, i], out=level[1 << i:2 << i])
-                half *= 1.0 - s[:, i]
-            probs = level.reshape(-1)
-            if t < horizon:
-                combos = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-                batch.tile(1 << n)
-                batch.step(t, np.repeat(combos, width, axis=0), np.tile(s, (1 << n, 1)), sched)
-        if faults:
-            raise DomainError(f"urn masses left the float range by step {t}; "
-                              "use smaller urn masses or reinforcements, or exact mode")
-    return JointTable(n, horizon, probs, exact=False)
+        keep = np.arange(probs.size << net.node_count) if t < horizon else None
+        probs = _expand(batch, probs, t, sched, keep)
+    return JointTable(net.node_count, horizon, probs, exact=False)
+
+
+def _combo_bits(n: int) -> np.ndarray:
+    """(2^n, n) int array: row c holds draw combo c, node i's draw in bit i."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+
+
+def _expand(batch, probs, t, sched, keep=None):
+    """Level t of a float expansion.  Row r of ``batch`` is a history of
+    t - 1 steps with probability ``probs[r]``; entry c * width + r of the
+    result is the probability of history r extended by draw combo c.  Given
+    ``keep``, indices of such entries, ``batch`` steps to those histories,
+    in that order: each kept row is its history's row, taken, then stepped
+    by its combo (a step acts row by row, so no other row is stepped)."""
+    n = batch.red.shape[1]
+    with _float_range(t):
+        s = batch.super_urn()
+        width = probs.shape[0]
+        # the array form of _combo_products: row c holds combo c's products
+        level = np.empty((1 << n, width))
+        level[0] = probs
+        for i in range(n):
+            half = level[:1 << i]
+            np.multiply(half, s[:, i], out=level[1 << i:2 << i])
+            half *= 1.0 - s[:, i]
+        if keep is not None:
+            combo, history = np.divmod(keep, width)
+            batch.take(history)
+            # np.take gathers rows faster than fancy indexing
+            batch.step(t, np.take(_combo_bits(n).astype(float), combo, axis=0),
+                       np.take(s, history, axis=0), sched)
+    return level.reshape(-1)
+
+
+@contextlib.contextmanager
+def _float_range(t: int):
+    """``DomainError`` after the block if a float range fault was flagged
+    in it: networks under the enumeration cap pool by dense products, which
+    raise a float flag on overflow."""
+    faults: list[str] = []
+    with contagion.record_float_faults(faults):
+        yield
+    if faults:
+        raise DomainError(f"urn masses left the float range by step {t}; "
+                          "use smaller urn masses or reinforcements, or exact mode")
+
+
+def float_node_marginal_probs(net: Network, init: UrnInit, sched: DeltaSchedule,
+                              horizon: int, node: int,
+                              cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """Node ``node``'s draw distribution as a (2^horizon,) float array in
+    code order: ``enumerate_joint(..., exact=False).node_marginal_probs(node)``
+    up to rounding, without the 2^(N * horizon) table, for a schedule with
+    ``equal_masses``.
+
+    Under such a schedule a step adds exactly delta_j or 0 to node j's red
+    mass and exactly delta_j to its total, so after t steps the urn planes
+    depend on a history only through each node's red-draw count: the chain
+    is lumpable (Kemeny and Snell, *Finite Markov Chains*, 6.3), and
+    histories with equal counts hold bit-identical planes.  The expansion
+    keeps one row per distinct key, the node's draws so far plus every
+    node's red count.  Each level extends every row by its 2^N draw combos
+    (:func:`_expand`, as the float table does) and merges the rows of each
+    key: their probabilities are added in row order (``np.bincount``), and
+    only the first row is stepped and kept.  The last step extends only the
+    node's own draw, since every other last draw is summed out.  A level
+    has at most 2^t (t+1)^(N-1) rows, never more than the table's 2^(N t),
+    and the cap refuses the same inputs as the table's.
+    """
+    horizon = check_int(horizon, "horizon", minimum=1)
+    n = net.node_count
+    _check_cap(n, horizon, cap)
+    if check_int(node, "node", minimum=0) >= n:
+        raise InvalidParameter(f"node {node} outside the network's {n} nodes")
+    sched.check_size(n, horizon - 1)
+    if sched.equal_masses is None:
+        raise InvalidParameter("merging histories by red counts needs equal, "
+                               "time-constant red and black masses")
+    batch = contagion.UrnBatch(net, init, 1)
+    probs = np.ones(1)
+    # per row: the node's draws so far (bit t-1: time t), every node's red count
+    drawn = np.zeros(1, dtype=np.int64)
+    reds = np.zeros((1, n), dtype=np.int64)
+    for t in range(1, horizon):  # N <= 12 from here, as N * horizon <= 24
+        combos = _combo_bits(n)
+        # the keys of level t's rows, in _expand's order: the node's draws
+        # in the low t bits, the red counts above them in radix t + 1
+        drawn = ((combos[:, node, None] << (t - 1)) | drawn).reshape(-1)
+        reds = (combos[:, None, :] + reds).reshape(-1, n)
+        key = drawn + ((reds @ (t + 1) ** np.arange(n)) << t)
+        _, first, merged = np.unique(key, return_index=True, return_inverse=True)
+        probs = np.bincount(merged, weights=_expand(batch, probs, t, sched, first))
+        drawn, reds = drawn[first], reds[first]
+    with _float_range(horizon):
+        s = batch.super_urn()[:, node]
+    # the last draw is the top code bit: black codes, then red ones
+    size = 1 << (horizon - 1)
+    return np.concatenate((np.bincount(drawn, probs * (1.0 - s), minlength=size),
+                           np.bincount(drawn, probs * s, minlength=size)))
 
 
 def iter_histories(net: Network, init: UrnInit, sched: DeltaSchedule, steps: int,
@@ -430,9 +511,8 @@ def complete_n1_joint(rho, delta, node_count: int):
     Holds for every n >= 2 and for cross-node pairs as well:
     rho * (rho + (1 + (N-1) rho) delta / N) / (1 + delta).
     """
-    if node_count < 1:
-        raise InvalidParameter("node_count must be >= 1")
-    n = node_count
+    PolyaParams(rho, delta)  # the rho and delta checks
+    n = check_int(node_count, "node_count", minimum=1)
     return rho * (rho + (1 + (n - 1) * rho) * delta / n) / (1 + delta)
 
 
@@ -442,6 +522,7 @@ def nonstationarity_witness(rho, delta):
     Returns (P(Z_2=1, Z_1=1), P(Z_3=1, Z_2=1)); the two differ whenever
     delta > 0, witnessing that the network draw process is not stationary.
     """
+    PolyaParams(rho, delta)  # the rho and delta checks
     p21 = rho * (rho + (1 + rho) * delta / 2) / (1 + delta)
     p32 = rho * (
         4 * rho
@@ -503,7 +584,9 @@ def classical_polya_table(params: PolyaParams, n: int) -> dict:
 
 
 def classical_count_log_probs(params: PolyaParams, n: int) -> np.ndarray:
-    """log Q(a^n) for each red count 0..n (the joint depends only on the count)."""
+    """log Q(a^n) for each red count 0..n (the joint depends only on the count);
+    ``DomainError`` if a value is not finite in floats."""
+    n = check_int(n, "n", minimum=0)
     return _count_log_prob_rows(float(params.rho), np.array([float(params.delta)]), n)[0]
 
 
@@ -511,14 +594,22 @@ def _count_log_prob_rows(rho: float, deltas: np.ndarray, n: int) -> np.ndarray:
     """Row g is ``classical_count_log_probs`` at (rho, deltas[g]), with the
     same bits as that delta alone: every row is formed by the same
     elementwise operations, a cumulative sum along the row and a sum of
-    the row.  The caller has checked rho and the deltas."""
-    d = deltas[:, None] * np.arange(n)
-    # reds[g, k], blacks[g, k]: log-probability factors of the first k reds, blacks
-    zero = np.zeros((len(deltas), 1))
-    reds = np.concatenate((zero, np.cumsum(np.log(rho + d), axis=1)), axis=1)
-    blacks = np.concatenate((zero, np.cumsum(np.log(1 - rho + d), axis=1)), axis=1)
-    denom = np.sum(np.log(1 + d), axis=1, keepdims=True)
-    return (reds + blacks[:, ::-1]) - denom
+    the row.  The caller has checked rho and the deltas; a row that is not
+    finite in floats, from a delta too large, is a ``DomainError``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = deltas[:, None] * np.arange(n)
+        # reds[g, k], blacks[g, k]: log-probability factors of the first k reds, blacks
+        zero = np.zeros((len(deltas), 1))
+        reds = np.concatenate((zero, np.cumsum(np.log(rho + d), axis=1)), axis=1)
+        blacks = np.concatenate((zero, np.cumsum(np.log(1 - rho + d), axis=1)), axis=1)
+        denom = np.sum(np.log(1 + d), axis=1, keepdims=True)
+        rows = (reds + blacks[:, ::-1]) - denom
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"the classical log-probabilities at delta {deltas[~finite][0]} "
+                          f"over {n} steps are not finite in floats; use a smaller "
+                          "reinforcement")
+    return rows
 
 
 def kl_rate(p: Mapping, q: Mapping, n: int) -> float:
@@ -627,6 +718,7 @@ def complete_node_marginal_probs(rho: float, delta: float, node_count: int,
     PolyaParams(rho, delta)  # the rho and delta checks
     n_nodes = check_int(node_count, "node_count", minimum=1)
     n = check_int(horizon, "horizon", minimum=1)
+    check_count_dp_cap(n_nodes, n)
     m = n // 2
     # rows: per own-draw prefix (bit t-1 = draw at time t) and per own-draw
     # suffix (bit 0 = draw at time m+1), vectors over the count; both passes

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polya_net import approx, contagion as cg, exact, graph
-from polya_net.errors import DegenerateMarginal, DomainError, InvalidParameter
+from polya_net.errors import CapExceeded, DegenerateMarginal, DomainError, InvalidParameter
 
 K2 = graph.generate_complete(2)
 SINGLE = graph.generate_complete(1)
@@ -219,6 +219,54 @@ def test_node_marginal_for_fit_complete_uses_count_dp():
     slow = table.node_marginal(0)
     for key, value in slow.items():
         assert fast[key] == pytest.approx(float(value), abs=1e-14)
+
+
+@pytest.mark.parametrize("kind,nodes,attach,horizon",
+                         [("cycle", 4, None, 5), ("star", 5, None, 4), ("ba", 10, 2, 2)])
+def test_fit_marginal_of_other_networks_merges_histories(kind, nodes, attach, horizon):
+    net = graph.generate(kind, nodes, m=attach, seed=1)
+    init = cg.uniform_init(nodes, F(1), F(1))
+    merged = np.fromiter(approx.node_marginal_for_fit(net, init, F(1), 0, horizon).values(),
+                         np.float64)
+    assert merged.tolist() == exact.float_node_marginal_probs(
+        net, init, cg.ConstantDelta(F(1)), horizon, 0).tolist()
+
+
+def test_fit_past_the_cap_raises_the_table_cap_error():
+    init = cg.uniform_init(4, F(1), F(1))
+    with pytest.raises(CapExceeded) as table:
+        exact.enumerate_joint(graph.generate_cycle(4), init, cg.ConstantDelta(F(1)), 7,
+                              exact=False)
+    with pytest.raises(CapExceeded) as fit:
+        approx.fit_node(graph.generate_cycle(4), init, F(1), 0, 7)
+    assert str(fit.value) == str(table.value)
+    with pytest.raises(CapExceeded):
+        approx.node_marginal_for_fit(graph.generate_cycle(4), init, F(1), 0, 4, cap=15)
+
+
+@pytest.mark.parametrize("node", [2.5, -1, 3, True, "0"])
+def test_fit_entry_points_refuse_a_node_outside_the_network(node):
+    # 2.5 raised a raw TypeError from the neighbour lookup
+    with pytest.raises(InvalidParameter, match="node"):
+        approx.fit_node(STAR3, cg.uniform_init(3, F(1), F(1)), F(1), node, 2)
+    with pytest.raises(InvalidParameter, match="node"):
+        approx.node_marginal_for_fit(STAR3, cg.uniform_init(3, F(1), F(1)), F(1), node, 2)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -1.0])
+def test_analytic_choices_refuse_a_delta_that_is_not_finite(delta):
+    # NaN passed through both transforms as a NaN correlation parameter
+    init = cg.uniform_init(3, F(1), F(1))
+    for choice in (approx.model2a_delta, approx.model2b_delta, approx.node_delta):
+        with pytest.raises(InvalidParameter, match="delta must be finite"):
+            choice(STAR3, init, 0, delta)
+
+
+def test_analytic_choices_refuse_a_correlation_parameter_past_the_float_range():
+    # 3 x 1e308 overflows to inf, and inf / inf gave NaN
+    init = cg.uniform_init(3, 1.0, 1.0)
+    with pytest.raises(DomainError, match="outside the float range"):
+        approx.model2a_delta(STAR3, init, 0, 1e308)
 
 
 def test_exact_representation_gap_single_node_is_zero():

@@ -477,9 +477,11 @@ def test_shared_total_row_matches_total_planes_after_every_step(memory, equal):
     assert not shared.total.flags.writeable and planes.total.flags.writeable
     rng = np.random.default_rng(6)
     for t in range(1, h + 1):
-        if t == 8:
-            shared.tile(3)
-            planes.tile(3)
+        if t == 8:  # reorder and repeat rows mid-run, into C-order copies
+            rows = np.array([3, 0, 0, 2, 1, 3, 1, 3, 0, 3, 2, 1])
+            shared.take(rows)
+            planes.take(rows)
+            assert shared.red.flags.c_contiguous and planes.red.flags.c_contiguous
         s = shared.super_urn()
         z = (rng.random(s.shape) < s).astype(float)
         shared.step(t, z, s, equal)

@@ -169,6 +169,85 @@ def test_float_marginals_of_a_16_bit_table_match_the_exact_ones():
         assert max(abs(float(want[k]) - got[k]) for k in want) <= 1e-16
 
 
+STAR5 = graph.generate_star(5)
+PATH5 = graph.build_network(5, [(i, i + 1) for i in range(4)])
+BA10 = graph.generate_barabasi_albert(10, 2, seed=1)
+UNEQUAL5 = cg.UrnInit(red=(F(1), F(3), F(1, 2), F(2), F(5)), black=(F(2), F(1), F(3), F(1), F(4)))
+MERGE_CASES = {
+    # name: (network, urns, reinforcement, horizon); N * horizon <= 24
+    "cycle4_h1": (CYCLE4, cg.uniform_init(4, 1.0, 1.0), cg.ConstantDelta(1.0), 1),
+    "cycle4_h3_fractions": (CYCLE4, unit_init(4), cg.ConstantDelta(F(1, 3)), 3),
+    "cycle4_h6_cap": (CYCLE4, unit_init(4), cg.ConstantDelta(F(1)), 6),
+    "star5_h4_unequal": (STAR5, UNEQUAL5, cg.ConstantDelta(0.37), 4),
+    "star5_h3_per_node": (STAR5, UNEQUAL5, cg.ConstantDelta((0.5, 2.0, F(1, 7), 1.0, 3.25)), 3),
+    "path5_h4_unequal": (PATH5, UNEQUAL5, cg.ConstantDelta(F(5, 2)), 4),
+    "ba10_h2": (BA10, cg.uniform_init(10, F(1), F(1)), cg.ConstantDelta(F(1)), 2),
+    "ba10_h2_unequal": (BA10, cg.UrnInit(red=tuple(F(k + 1) for k in range(10)),
+                                         black=(F(3),) * 10), cg.ConstantDelta(0.75), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MERGE_CASES))
+def test_merged_node_marginals_match_the_float_table(case):
+    net, init, sched, horizon = MERGE_CASES[case]
+    table = exact.enumerate_joint(net, init, sched, horizon, exact=False)
+    for i in range(net.node_count):
+        merged = exact.float_node_marginal_probs(net, init, sched, horizon, i)
+        assert merged.shape == (1 << horizon,)
+        np.testing.assert_allclose(merged, table.node_marginal_probs(i), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("case", ["star5_h4_unequal", "star5_h3_per_node", "path5_h4_unequal"])
+def test_histories_with_equal_red_counts_hold_bit_identical_planes(case):
+    # the merge keeps one row per key, so every row it drops must hold the
+    # planes of the row it keeps; checked on the unmerged expansion, where
+    # equal red counts alone (a coarser grouping than the keys) must do
+    net, init, sched, horizon = MERGE_CASES[case]
+    n = net.node_count
+    batch = cg.UrnBatch(net, init, 1)
+    probs, reds = np.ones(1), np.zeros((1, n), dtype=np.int64)
+    merges = 0
+    for t in range(1, horizon):
+        probs = exact._expand(batch, probs, t, sched, np.arange(probs.size << n))
+        reds = (exact._combo_bits(n)[:, None, :] + reds).reshape(-1, n)
+        groups = {}
+        for row, counts in enumerate(map(tuple, reds)):
+            groups.setdefault(counts, []).append(row)
+        merges += len(reds) - len(groups)
+        for rows in groups.values():
+            for plane in (batch.red, batch.total):
+                assert (plane[rows] == plane[rows[0]]).all()
+    assert merges > 0
+
+
+def test_merged_marginal_at_the_cap_stays_small():
+    import tracemalloc
+
+    # the float table of this case held 2^24 doubles (128 MiB), 318 MB RSS
+    tracemalloc.start()
+    try:
+        exact.float_node_marginal_probs(CYCLE4, unit_init(4), cg.ConstantDelta(F(1)), 6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+
+
+def test_merged_marginal_refuses_what_it_cannot_merge():
+    sched = cg.ConstantDelta(F(1))
+    with pytest.raises(CapExceeded):
+        exact.float_node_marginal_probs(CYCLE4, unit_init(4), sched, 7, 0)
+    with pytest.raises(CapExceeded):
+        exact.float_node_marginal_probs(CYCLE4, unit_init(4), sched, 4, 0, cap=15)
+    for node in (4, -1, 1.0):
+        with pytest.raises(InvalidParameter, match="node"):
+            exact.float_node_marginal_probs(CYCLE4, unit_init(4), sched, 3, node)
+    # unequal or state-dependent masses make the urns depend on more than counts
+    for unequal in (cg.ConstantDelta(F(1), F(2)), cg.CuringDelta(F(1))):
+        with pytest.raises(InvalidParameter, match="equal"):
+            exact.float_node_marginal_probs(CYCLE4, unit_init(4), unequal, 3, 0)
+
+
 def test_complete_network_one_dim_marginal_is_initial_fraction():
     init = cg.UrnInit(red=(F(3), F(1)), black=(F(1), F(2)))  # rho = 4/7
     table = exact.enumerate_joint(K2, init, cg.ConstantDelta(F(1)), 3)
@@ -792,6 +871,32 @@ def test_count_dp_refuses_a_delta_that_is_not_finite(delta):
     # inf gave all-NaN marginals with numpy RuntimeWarnings
     with pytest.raises(InvalidParameter, match="delta must be finite and >= 0"):
         exact.complete_node_marginal_probs(0.5, delta, 3, 3)
+
+
+def test_count_dp_refuses_a_horizon_past_its_cap():
+    # numpy raised "Maximum allowed dimension exceeded" building the levels
+    with pytest.raises(CapExceeded):
+        exact.complete_node_marginal_probs(0.5, 1.0, 10, 10 ** 30)
+    with pytest.raises(CapExceeded):
+        exact.complete_node_marginal_probs(0.5, 1.0, 100, 14)
+
+
+def test_classical_log_probabilities_that_overflow_are_a_domain_error():
+    # delta * (n - 1) overflows: the row was NaN and -inf, with numpy warnings
+    with pytest.raises(DomainError, match="not finite in floats"):
+        exact.classical_count_log_probs(exact.PolyaParams(0.5, 1e308), 4)
+    assert np.isfinite(exact.classical_count_log_probs(exact.PolyaParams(0.5, 1e300), 4)).all()
+
+
+@pytest.mark.parametrize("args", [(0.5, 1, math.nan), (0.5, 1, 2.5), (0.5, 1, 0),
+                                  (0.5, math.nan, 2), (0.5, math.inf, 2), (math.nan, 1, 2)])
+def test_complete_closed_forms_refuse_bad_values(args):
+    # a NaN node count or delta gave a NaN probability
+    with pytest.raises(InvalidParameter):
+        exact.complete_n1_joint(*args)
+    if args[2] == 2:
+        with pytest.raises(InvalidParameter):
+            exact.nonstationarity_witness(*args[:2])
 
 
 def test_count_dp_refuses_a_proportion_that_overflows():
