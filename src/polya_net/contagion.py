@@ -464,13 +464,15 @@ class UrnBatch:
         planes = np.repeat(first[:, None, :], rows, axis=1)
         if self._shared:  # the red rows, then the one total row
             planes = np.concatenate([planes[:1], first[None, 1:]], axis=1)
-        self._set_planes(planes)
         self.memory = memory
+        self._set_planes(planes)
         # slot (t-1) % M holds step t's gains, planes ordered as _planes'
         self._ring = None if memory is None else np.zeros((memory, *self._planes.shape))
 
     def _set_planes(self, planes: np.ndarray) -> None:
         self._planes = planes
+        # without a ring, each step's gains are written over the last one's
+        self._gains = np.empty_like(planes) if self.memory is None else None
         if self._shared:
             self.red, row = planes[0, :-1], planes[0, -1]
             self.total = np.broadcast_to(row, self.red.shape)
@@ -531,7 +533,7 @@ class UrnBatch:
         equal; ``sched`` is then the schedule the batch was built with."""
         dr, db = sched.masses(t, self._u, s)
         if self._ring is None:
-            gains = np.empty_like(self._planes)  # not kept: less peak memory
+            gains = self._gains
         else:
             gains = self._ring[(t - 1) % self.memory]
             if t > self.memory:

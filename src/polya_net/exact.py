@@ -68,11 +68,14 @@ class BetaParams:
         )
 
 
-def check_int(value, name: str, minimum: int) -> int:
+def check_int(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int; ``InvalidParameter`` unless it is an integer
-    (a Python or numpy integer, not a bool) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise InvalidParameter(f"{name} must be an integer >= {minimum}, got {value!r}")
+    (a Python or numpy integer, not a bool) of at least ``minimum``, if
+    one is given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidParameter(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
@@ -661,16 +664,32 @@ def beta_cdf(params: BetaParams, x):
 # Complete-network node marginal beyond the enumeration cap
 # ----------------------------------------------------------------------
 
+# the most nodes a count DP takes: binomial_pmf builds every C(N - 1, j)
+# exactly, in time quadratic in N (see check_count_dp_cap)
+COUNT_DP_MAX_NODES = 1 << 15
+
+
 def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP) -> None:
     """Raise ``CapExceeded`` when 2^horizon x (node_count * horizon + 1)
     float64 cells, the size of the one-node count table that
     ``complete_node_marginal`` would build if it expanded every step, exceed
     2^cap cells, the budget of a float enumeration table.  The DP meets in
     the middle and never builds that table (see its docstring), but the cap
-    keeps refusing the same inputs."""
+    keeps refusing the same inputs.
+
+    Networks of more than ``COUNT_DP_MAX_NODES`` = 2^15 nodes are refused
+    too, whatever the horizon: :func:`binomial_pmf` builds each C(N - 1, j)
+    as an exact integer, in time quadratic in N.  At 2^15 nodes one DP at
+    horizon 1 takes 0.40-0.45 s, nearly all of it those integers, and at
+    2^16 nodes 1.6-1.7 s (2-core x86 host, Python 3.11, numpy 2.4).
+    Every complete network that ``graph.generate`` writes (at most 1448
+    nodes) stays inside the bound."""
     node_count = check_int(node_count, "node_count", minimum=0)
     horizon = check_int(horizon, "horizon", minimum=0)
     _check_cap_limit(cap)
+    if node_count > COUNT_DP_MAX_NODES:
+        raise CapExceeded(
+            f"the count DP takes at most {COUNT_DP_MAX_NODES} nodes, got {node_count}")
     # 2^horizon alone passes the cap for horizon > cap; that test first
     # keeps a huge horizon from building a huge shifted integer
     if horizon > cap or (node_count * horizon + 1) << max(horizon, 0) > 1 << cap:

@@ -48,9 +48,8 @@ from .errors import (DomainError, HypothesisViolation, InvalidParameter,
                      PolyaNetError, SizeMismatch)
 from .graph import Network, classify
 
-# sets the automatic chunk size: chunk * horizon * N doubles fit in this
-# many bytes.  A chunk holds only one time block of uniforms (_time_block),
-# so this sizes the work per chunk, not its memory
+# sets the automatic chunk size (_auto_chunk): a chunk's draw record, one
+# time block of uniforms for each of its trials, fits in this many bytes
 UNIFORM_BUFFER_BYTES = 64 << 20
 # bounds the scratch that a fill group of trials' uniforms is drawn into:
 # 16 trials of fig2's block, and small enough to stay in cache
@@ -86,10 +85,16 @@ class RunConfig:
     threads: int = 1  # worker processes; the count never changes a result
 
     def __post_init__(self):
-        if self.trials < 1 or self.horizon < 1:
-            raise InvalidParameter("trials and horizon must be >= 1")
-        if (self.chunk_size is not None and self.chunk_size < 1) or self.threads < 1:
-            raise InvalidParameter("chunk_size (None for auto) and threads must be >= 1")
+        optional = ("memory", "chunk_size")  # None: infinite memory, automatic chunks
+        for name in ("horizon", "trials", "threads", "seed", *optional):
+            value = getattr(self, name)
+            if value is not None or name not in optional:
+                # kept as an int, which describe() can serialise
+                object.__setattr__(self, name, exact.check_int(
+                    value, name, minimum=None if name == "seed" else 1))
+        if self.trials >= 1 << 64:
+            raise InvalidParameter(f"trials must be below 2^64, the range of the trial "
+                                   f"word of a Philox key, got {self.trials}")
         contagion.initial_state(self.net, self.init, memory=self.memory)
         self.sched.check_size(self.net.node_count, self.horizon)
         exact.check_cell_budget(self.net.node_count, self.horizon, "per-step statistics")
@@ -192,21 +197,29 @@ class TrialStatistics:
 
 
 def _auto_chunk(cfg: RunConfig) -> int:
-    per_trial = 8 * cfg.horizon * cfg.net.node_count
-    return max(16, min(cfg.trials, UNIFORM_BUFFER_BYTES // max(per_trial, 1)))
+    """Trials per chunk when ``chunk_size`` is None: as many as fit their
+    draw record, ``8 * _time_block(h, N) * N`` bytes a trial, into
+    ``UNIFORM_BUFFER_BYTES``, but at least 16 and at most the run's trials.
+    The value is part of the config hash (see :meth:`RunConfig.describe`)."""
+    n = cfg.net.node_count
+    per_trial = 8 * _time_block(cfg.horizon, n) * n
+    return max(16, min(cfg.trials, UNIFORM_BUFFER_BYTES // per_trial))
 
 
 def _row_mean(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``u.mean(axis=1)`` into ``out``.  Below 8 columns numpy's pairwise
-    sum is a plain left-to-right loop, so column adds and one divide give
-    the same bits without an inner loop per row (a rule that is part of the
-    output bits, see README "Reproducibility")."""
+    """``u.mean(axis=1)`` into ``out``, with its bits: the row sums, then
+    one divide.  From 8 columns the sums are ``np.add.reduce``, the ufunc
+    that ``mean`` runs, called without ``mean``'s Python wrapper.  Below 8
+    columns numpy's pairwise sum is a plain left-to-right loop, so column
+    adds give the same sums without an inner loop per row (a rule that is
+    part of the output bits, see README "Reproducibility")."""
     n = u.shape[1]
     if n >= 8:
-        return u.mean(axis=1, out=out)
-    np.copyto(out, u[:, 0])
-    for c in range(1, n):
-        out += u[:, c]
+        np.add.reduce(u, axis=1, out=out)
+    else:
+        np.copyto(out, u[:, 0])
+        for c in range(1, n):
+            out += u[:, c]
     out /= n
     return out
 
@@ -345,13 +358,16 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> tuple[TrialStatistics, np.nd
     return stats, codes
 
 
-def _map_chunks(cfg: RunConfig, bounds: list) -> list:
-    """``_run_chunk`` of every chunk, in chunk order: serially, or on up to
-    ``cfg.threads`` forked worker processes when there are several chunks.
-    A worker's exception is re-raised here, and a worker that died (killed,
-    out of memory) is a ``PolyaNetError``; pending chunks are cancelled, and
-    every worker has exited when this returns or raises."""
-    workers = min(cfg.threads, len(bounds))
+def _map_chunks(cfg: RunConfig, chunk: int):
+    """``_run_chunk`` of every chunk of ``chunk`` trials, yielded in chunk
+    order: serially, or on up to ``cfg.threads`` forked worker processes
+    when there are several chunks.  The chunk bounds are made as they are
+    needed, never as a list.  A worker's exception is re-raised here, and a
+    worker that died (killed, out of memory) is a ``PolyaNetError``;
+    pending chunks are cancelled, and every worker has exited when the
+    iteration ends or raises."""
+    starts = range(0, cfg.trials, chunk)
+    workers = min(cfg.threads, -(-cfg.trials // chunk))
     if workers > 1:
         # imported here: a serial run loads no process machinery
         import multiprocessing
@@ -363,24 +379,26 @@ def _map_chunks(cfg: RunConfig, bounds: list) -> list:
             pool = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=multiprocessing.get_context("fork"))
             try:
-                return list(pool.map(partial(_run_chunk, cfg), *zip(*bounds)))
+                yield from pool.map(partial(_run_chunk, cfg), starts,
+                                    (min(lo + chunk, cfg.trials) for lo in starts))
             except BrokenProcessPool as e:
                 raise PolyaNetError(
                     f"a Monte Carlo worker process ended abruptly: {e}") from e
             finally:
                 pool.shutdown(cancel_futures=True)
-    return [_run_chunk(cfg, lo, hi) for lo, hi in bounds]
+            return
+    for lo in starts:
+        yield _run_chunk(cfg, lo, min(lo + chunk, cfg.trials))
 
 
 def run_trials(cfg: RunConfig) -> TrialStatistics:
     """Run ``cfg.trials`` independent trajectories and aggregate statistics."""
     n, h = cfg.net.node_count, cfg.horizon
     chunk = cfg.chunk_size or _auto_chunk(cfg)
-    bounds = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
 
     stats = TrialStatistics.zeros(cfg, cfg.trials)
-    results = _map_chunks(cfg, bounds)
-    for (lo, hi), (part, _) in zip(bounds, results):
+    codes = []
+    for i, (part, part_codes) in enumerate(_map_chunks(cfg, chunk)):
         # merged in chunk order: scheduling cannot change output
         stats.red_draw_counts += part.red_draw_counts
         stats.susceptibility_sum += part.susceptibility_sum
@@ -389,10 +407,11 @@ def run_trials(cfg: RunConfig) -> TrialStatistics:
         if stats.pair_counts is not None:
             stats.pair_counts += part.pair_counts
         if stats.sample_averages is not None:
-            stats.sample_averages[lo:hi] = part.sample_averages
+            stats.sample_averages[i * chunk:i * chunk + part.trials] = part.sample_averages
+        if cfg.collect_assignments:
+            codes.append(part_codes)
     if cfg.collect_assignments:
-        codes = np.concatenate([c for _, c in results])
-        stats.assignment_counts = np.bincount(codes, minlength=1 << (n * h))
+        stats.assignment_counts = np.bincount(np.concatenate(codes), minlength=1 << (n * h))
     return stats
 
 

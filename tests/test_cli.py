@@ -409,6 +409,16 @@ def test_a_memory_past_the_horizon_runs_as_infinite_memory(k2_path, tmp_path):
     assert a[1:] == b[1:]  # the header's config hash records the memory
 
 
+def test_a_trial_count_past_the_philox_key_is_refused_at_once(k2_path, capsys):
+    # 10^30 trials used to build about 10^24 chunk bounds in a list
+    start = time.perf_counter()
+    assert run("simulate", "--graph", k2_path, "--horizon", "5",
+               "--trials", "1" + "0" * 30) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: trials must be below 2^64")
+
+
 def test_an_edge_list_of_too_few_edges_for_its_node_count_is_refused_at_once(tmp_path, capsys):
     # building the neighbour lists of 10^12 nodes used to run out of memory
     path = tmp_path / "huge.edges"

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -943,6 +944,18 @@ def test_count_dp_peak_memory_is_two_half_horizon_passes():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2 ** 20
+
+
+def test_count_dp_refuses_more_nodes_than_its_bound_at_once():
+    # binomial_pmf's exact C(n, j) take time quadratic in n: 2^17 nodes ran
+    # for seconds at horizon 1, and 2^23 - 1 nodes passed the cell cap
+    exact.check_count_dp_cap(exact.COUNT_DP_MAX_NODES, 1)
+    exact.check_count_dp_cap(1448, 9)  # the largest generated complete network
+    for nodes in (exact.COUNT_DP_MAX_NODES + 1, 1 << 17, (1 << 23) - 1):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="at most 32768 nodes"):
+            exact.complete_node_marginal_probs(0.5, 1.0, nodes, 1)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_count_dp_cap_bounds_the_final_level():

@@ -492,11 +492,12 @@ def test_a_pool_imports_csr_support_before_it_forks():
 def test_a_runtime_error_in_a_worker_exits_two_with_one_line(tmp_path):
     path = tmp_path / "k2.edges"
     graph.write_edge_list(K2, path)
-    # 2 x 10000 steps leave room for 419 trials per chunk: 900 trials are 3 chunks
-    argv = ["simulate", "--graph", str(path), "--horizon", "10000", "--trials", "900",
+    # 2 nodes x 4096-step blocks leave room for 1024 trials per chunk: 2100
+    # trials are 3 chunks
+    argv = ["simulate", "--graph", str(path), "--horizon", "10000", "--trials", "2100",
             "--delta-red", "1e308", "--delta-black", "1e308", "--threads", "2"]
     assert mc._auto_chunk(mc.RunConfig(net=K2, init=float_init(2), sched=cg.ConstantDelta(1.0),
-                                       horizon=10000, trials=900, seed=0)) < 450
+                                       horizon=10000, trials=2100, seed=0)) < 1050
     src = os.path.dirname(os.path.dirname(mc.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-m", "polya_net.cli", *argv], env=env,
@@ -530,10 +531,40 @@ def test_run_config_validation():
     (dict(chunk_size=-1), InvalidParameter),  # ran no chunk and reported zero draws
     (dict(threads=0), InvalidParameter),
     (dict(horizon=13, collect_assignments=True), InvalidParameter),  # 2 * 13 > cap
+    # each of these raised a raw TypeError or ValueError, or was accepted
+    *((kw, InvalidParameter) for kw in (
+        dict(trials=2.5), dict(horizon=2.5), dict(memory=2.5), dict(chunk_size=2.5),
+        dict(horizon=True), dict(seed=float("nan")), dict(threads=2.5),
+        dict(trials=10 ** 30), dict(trials=1 << 64))),
 ])
 def test_run_config_rejects_bad_input_with_typed_errors(kw, error):
     with pytest.raises(error):
         small_cfg(**kw)
+
+
+def test_run_config_keeps_numpy_integers_as_ints():
+    cfg = small_cfg(trials=np.int64(20), seed=np.uint64(7), chunk_size=np.int32(8))
+    assert (type(cfg.trials), type(cfg.seed), type(cfg.chunk_size)) == (int, int, int)
+    assert mc.config_hash(cfg) == mc.config_hash(small_cfg(trials=20, seed=7, chunk_size=8))
+
+
+def test_auto_chunk_is_the_largest_whose_draw_record_fits(monkeypatch):
+    net = graph.generate("ba", 100, m=2, seed=3)
+    cfg = mc.RunConfig(net=net, init=float_init(100), sched=cg.ConstantDelta(1.0),
+                       horizon=1000, trials=5000, seed=0)
+    block = mc._time_block(1000, 100)
+    assert block < 1000  # a chunk fills a block, not the whole horizon
+
+    def record_bytes(k):
+        return 8 * block * k * 100
+
+    monkeypatch.setattr(mc, "UNIFORM_BUFFER_BYTES", 4 << 20)
+    chunk = mc._auto_chunk(cfg)
+    assert 16 < chunk < cfg.trials
+    assert record_bytes(chunk) <= 4 << 20 < record_bytes(chunk + 1)
+    monkeypatch.setattr(mc, "UNIFORM_BUFFER_BYTES", 1 << 20)
+    assert record_bytes(16) > 1 << 20
+    assert mc._auto_chunk(cfg) == 16
 
 
 SMALL_NETS = (graph.generate_complete(1), K2, graph.build_network(3, [(0, 1), (1, 2)]),
