@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import numbers
 
 
 class PolyaNetError(Exception):
@@ -59,3 +62,14 @@ class ParseError(PolyaNetError):
 
 class ValidationError(PolyaNetError):
     pass
+
+
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; ``InvalidParameter`` unless it is an integer
+    (a Python or numpy integer, not a bool) of at least ``minimum``, if
+    one is given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidParameter(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)

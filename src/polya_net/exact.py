@@ -15,7 +15,6 @@ import contextlib
 import csv
 import itertools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +29,7 @@ from .errors import (
     DomainError,
     InvalidParameter,
     SupportMismatch,
+    check_int,
 )
 from .graph import ENUMERATION_CAP, Network
 
@@ -66,17 +66,6 @@ class BetaParams:
             alpha=float(params.rho / params.delta),
             beta=float((1 - params.rho) / params.delta),
         )
-
-
-def check_int(value, name: str, minimum: int | None = None) -> int:
-    """``value`` as an int; ``InvalidParameter`` unless it is an integer
-    (a Python or numpy integer, not a bool) of at least ``minimum``, if
-    one is given."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or (minimum is not None and value < minimum)):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise InvalidParameter(f"{name} must be an integer{bound}, got {value!r}")
-    return int(value)
 
 
 def _check_cap_limit(cap: int) -> None:
@@ -683,7 +672,12 @@ def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP
     horizon 1 takes 0.40-0.45 s, nearly all of it those integers, and at
     2^16 nodes 1.6-1.7 s (2-core x86 host, Python 3.11, numpy 2.4).
     Every complete network that ``graph.generate`` writes (at most 1448
-    nodes) stays inside the bound."""
+    nodes) stays inside the bound.
+
+    The last step's :func:`binomial_pmf` table, N x (N(h - 1) + 1) float64
+    cells, must fit in 2^cap cells as well: 2^15 nodes at horizon 2 would
+    build a 2^30-cell (8.6 GB) table, while 1448 nodes at horizon 9 take
+    16,775,080 cells, just under 2^24."""
     node_count = check_int(node_count, "node_count", minimum=0)
     horizon = check_int(horizon, "horizon", minimum=0)
     _check_cap_limit(cap)
@@ -696,6 +690,12 @@ def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP
         raise CapExceeded(
             f"the count DP for {node_count} nodes x {horizon} steps needs "
             f"2^{horizon} x {node_count * horizon + 1} cells, more than the cap of 2^{cap}"
+        )
+    table = node_count * (node_count * (horizon - 1) + 1)
+    if table > 1 << cap:
+        raise CapExceeded(
+            f"the count DP's last step for {node_count} nodes x {horizon} steps builds "
+            f"a binomial table of {table} cells, more than the cap of 2^{cap}"
         )
 
 

@@ -21,6 +21,7 @@ from .errors import (
     NonConvergence,
     ParseError,
     SelfLoop,
+    check_int,
 )
 
 POWER_ITERATION_MAX_STEPS = 10_000
@@ -234,6 +235,7 @@ def _check_edge_budget(kind: str, edges: int) -> None:
 
 
 def generate_complete(n: int) -> Network:
+    n = check_int(n, "n")
     if n < 1:
         raise InvalidParameter(f"complete graph needs n >= 1, got {n}")
     _check_edge_budget("complete", n * (n - 1) // 2)
@@ -241,6 +243,7 @@ def generate_complete(n: int) -> Network:
 
 
 def generate_cycle(n: int) -> Network:
+    n = check_int(n, "n")
     if n < 3:
         raise InvalidParameter(f"cycle needs n >= 3, got {n}")
     _check_edge_budget("cycle", n)
@@ -248,6 +251,7 @@ def generate_cycle(n: int) -> Network:
 
 
 def generate_star(n: int) -> Network:
+    n = check_int(n, "n")
     if n < 2:
         raise InvalidParameter(f"star needs n >= 2, got {n}")
     _check_edge_budget("star", n - 1)
@@ -267,6 +271,7 @@ def generate_barabasi_albert(n: int, m: int, seed: int) -> Network:
     degrees in O(log n).  The sums are integers below 2^53, so the picks,
     and the graphs, are those of a float cumulative sum over all degrees.
     """
+    n, m, seed = check_int(n, "n"), check_int(m, "m"), check_int(seed, "seed")
     if not 1 <= m < n:
         raise InvalidParameter(f"need 1 <= m < n, got m={m}, n={n}")
     if seed < 0:  # numpy seeds are non-negative integers

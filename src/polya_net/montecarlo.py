@@ -15,11 +15,12 @@ caller (:func:`_map_chunks`), each returning only its chunk's small
 partials; the parent merges them in chunk order, so the worker count never
 changes an output bit.  Where ``fork`` is unavailable chunks run serially.
 
-A chunk of k trials works through the horizon in time blocks
-(:func:`_time_block`).  The block's uniforms live in a step-major draw
+A chunk of k trials works through the horizon in blocks of steps
+(:func:`_record_block`).  The block's uniforms live in a step-major draw
 record ``buf[block, k, N]``, so each step reads and writes one contiguous
-(k, N) slab.  They are drawn trial by trial, each trial's ``Philox`` set
-by its counter to the block's first double (:func:`_streams`), a fill
+(k, N) slab; the block is capped so that the record stays within
+``RECORD_BYTES``.  They are drawn trial by trial, each trial's ``Philox``
+set by its counter to the block's first double (:func:`_streams`), a fill
 group of trials at a time (:func:`_fill_group`) into a ``(group, block,
 N)`` scratch, and copied transposed into the record; each step then
 compares its uniforms with the super urns, pooled into one reused
@@ -48,16 +49,24 @@ from .errors import (DomainError, HypothesisViolation, InvalidParameter,
                      PolyaNetError, SizeMismatch)
 from .graph import Network, classify
 
-# sets the automatic chunk size (_auto_chunk): a chunk's draw record, one
-# time block of uniforms for each of its trials, fits in this many bytes
+# sets the automatic chunk size (_auto_chunk): a chunk takes as many trials
+# as one time block of uniforms each (_time_block) fits in this many bytes;
+# the chunk size is part of the config hash, so this rule stays apart from
+# the record cap below
 UNIFORM_BUFFER_BYTES = 64 << 20
-# bounds the scratch that a fill group of trials' uniforms is drawn into:
-# 16 trials of fig2's block, and small enough to stay in cache
+# caps the draw record a chunk allocates (_record_block): its blocks are cut
+# to as many steps as fit in this many bytes ...
+RECORD_BYTES = 4 << 20
+# ... but never below this many doubles per trial and block, so that each
+# trial's generator call and repositioning stay a small share of its fill
+MIN_CALL_DOUBLES = 2048
+# bounds the scratch that a fill group of trials' uniforms is drawn into,
+# small enough to stay in cache (_fill_group)
 _FILL_SCRATCH_BYTES = 640 << 10
 # bounds the row means of a tile of steps whose statistics are reduced at
-# once: 8 steps of fig2's 1677-trial chunks, 38 of fig5's 419, small enough
-# to stay in cache beside a step's own arrays (64 of fig2's took 0.9 MB and
-# slowed its steps)
+# once, one row of 8 bytes a trial per step and one more (_stats_tile), so
+# small enough to stay in cache beside a step's own arrays (64 steps of
+# fig2's 1677-trial chunks took 0.9 MB and slowed its steps)
 _STATS_TILE_BYTES = 128 << 10
 
 
@@ -197,10 +206,12 @@ class TrialStatistics:
 
 
 def _auto_chunk(cfg: RunConfig) -> int:
-    """Trials per chunk when ``chunk_size`` is None: as many as fit their
-    draw record, ``8 * _time_block(h, N) * N`` bytes a trial, into
-    ``UNIFORM_BUFFER_BYTES``, but at least 16 and at most the run's trials.
-    The value is part of the config hash (see :meth:`RunConfig.describe`)."""
+    """Trials per chunk when ``chunk_size`` is None: as many as fit one time
+    block of uniforms each, ``8 * _time_block(h, N) * N`` bytes a trial,
+    into ``UNIFORM_BUFFER_BYTES``, but at least 16 and at most the run's
+    trials.  The value is part of the config hash (see
+    :meth:`RunConfig.describe`); the draw record a chunk allocates is
+    capped apart from it (:func:`_record_block`)."""
     n = cfg.net.node_count
     per_trial = 8 * _time_block(cfg.horizon, n) * n
     return max(16, min(cfg.trials, UNIFORM_BUFFER_BYTES // per_trial))
@@ -225,10 +236,19 @@ def _row_mean(u: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _time_block(h: int, n: int) -> int:
-    """Steps of uniforms drawn per generator call: at most 8 calls per
-    horizon and at least 8192 doubles a call, to keep the per-call overhead
-    small, but never more steps than the horizon."""
+    """The time block that sizes automatic chunks (:func:`_auto_chunk`) and
+    bounds a record block (:func:`_record_block`): at least an eighth of the
+    horizon and 8192 doubles, but never more steps than the horizon."""
     return min(h, max(-(-h // 8), -(-8192 // n)))
+
+
+def _record_block(h: int, n: int, k: int) -> int:
+    """Steps of uniforms drawn per trial and generator call in a chunk of
+    ``k`` trials: as many as keep the draw record, ``8 * k * N`` bytes a
+    step, within ``RECORD_BYTES``, but at least ``MIN_CALL_DOUBLES`` / N
+    steps and at most the time block.  The streams restart at any step, so
+    the block changes no output bit."""
+    return min(_time_block(h, n), max(-(-MIN_CALL_DOUBLES // n), RECORD_BYTES // (8 * k * n)))
 
 
 def _fill_group(k: int, block: int, n: int) -> int:
@@ -250,14 +270,17 @@ def _streams(seed: int, lo: int, k: int, offset: int):
     at ``offset // 4``, empty buffer) and which then skips ``offset % 4``
     doubles, since a counter value yields four.  The cap keeps ``offset``
     below 2^24, so word 0 never carries.  Setting the state skips the
-    ``SeedSequence`` that ``Philox(key=...)`` builds and discards.  Each
-    yielded generator is valid until the next."""
-    key = np.array([seed % (1 << 64), lo], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
+    ``SeedSequence`` that ``Philox(key=...)`` builds and discards; the
+    state's words are Python ints in lists, which the setter reads in less
+    than half the time of uint64 arrays.  Each yielded generator is valid
+    until the next."""
+    key = [seed % (1 << 64), lo]
+    bitgen = np.random.Philox(0)  # its state is set per trial below
     gen = np.random.Generator(bitgen)
-    state = bitgen.state  # counter 0, empty buffer
-    state["state"]["key"] = key
-    state["state"]["counter"][0] = offset // 4
+    # an empty buffer: the next draw steps the counter to offset's block
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [offset // 4, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     skip = offset % 4
     for trial in range(lo, lo + k):
         key[1] = trial
@@ -273,7 +296,7 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> tuple[TrialStatistics, np.nd
     net, n = cfg.net, cfg.net.node_count
     k = hi - lo
     h = cfg.horizon
-    block = _time_block(h, n)
+    block = _record_block(h, n, k)
     # step-major draw record: buf[i] holds step i of the block for every
     # trial as one contiguous (k, N) slab; each step overwrites its uniforms
     # with its 0/1 draws, so after the block buf is the block's draw record

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contagion import UrnInit
-from .errors import ParameterOutOfRange, SizeMismatch
+from .errors import ParameterOutOfRange, SizeMismatch, check_int
 from .exact import check_cell_budget
 from .graph import Network
 
@@ -88,6 +88,7 @@ class SisTrajectory:
 
 def sis_run(net: Network, init_probs, params: SisParams, horizon: int) -> SisTrajectory:
     """Iterate the recursion, recording the per-node and mean probabilities."""
+    horizon = check_int(horizon, "horizon")
     if horizon < 0:
         raise ParameterOutOfRange(f"horizon must be >= 0, got {horizon}")
     check_cell_budget(net.node_count, horizon, "a trajectory")

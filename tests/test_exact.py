@@ -958,6 +958,20 @@ def test_count_dp_refuses_more_nodes_than_its_bound_at_once():
         assert time.perf_counter() - start < 0.1
 
 
+def test_count_dp_refuses_a_last_step_binomial_table_past_the_cap():
+    # the last step's binomial_pmf table has N(N(h - 1) + 1) cells: 2^15
+    # nodes at horizon 2 would build 2^30 of them (8.6 GB)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="binomial table of 1073774592 cells"):
+        exact.complete_node_marginal_probs(0.5, 1.0, 1 << 15, 2)
+    assert time.perf_counter() - start < 0.1
+    exact.check_count_dp_cap(1448, 9)  # 16,775,080 cells
+    with pytest.raises(CapExceeded, match="binomial table"):
+        exact.check_count_dp_cap(1448, 10)
+    with pytest.raises(CapExceeded, match="binomial table"):
+        exact.check_count_dp_cap(1448, 9, cap=23)
+
+
 def test_count_dp_cap_bounds_the_final_level():
     exact.check_count_dp_cap(100, 13)  # 2^13 x 1301 cells fit in 2^24
     with pytest.raises(CapExceeded):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polya_net import graph
+from polya_net import graph, sis
 from polya_net.errors import (
     CapExceeded,
     Disconnected,
@@ -218,6 +218,22 @@ def test_generate_dispatch_and_errors():
         graph.generate("mesh", 5)
     with pytest.raises(InvalidParameter):
         graph.generate_barabasi_albert(5, 5, seed=0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: graph.generate("ba", 5.0, m=2, seed=1), "n"),
+    (lambda: graph.generate("complete", 2.5), "n"),
+    (lambda: graph.generate("cycle", 4.5), "n"),
+    (lambda: graph.generate("star", True), "n"),
+    (lambda: graph.generate("ba", 5, m=2.0, seed=1), "m"),
+    (lambda: graph.generate("ba", 5, m=2, seed=1.5), "seed"),
+    (lambda: sis.sis_run(graph.generate_complete(2), [0.5, 0.5],
+                         sis.SisParams(beta=0.1, delta_sis=0.1), 2.5), "horizon"),
+], ids=["ba_n", "complete_n", "cycle_n", "star_bool_n", "ba_m", "ba_seed", "sis_horizon"])
+def test_non_integer_sizes_are_invalid_parameters(call, name):
+    # each used to reach range() or numpy's seeding and raise a raw TypeError
+    with pytest.raises(InvalidParameter, match=f"{name} must be an integer"):
+        call()
 
 
 @pytest.mark.parametrize("kind, n, m", [

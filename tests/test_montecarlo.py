@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polya_net import contagion as cg, exact, graph, montecarlo as mc
+from polya_net import contagion as cg, exact, experiments as ex, graph, montecarlo as mc
 from polya_net.errors import (DomainError, HypothesisViolation, InvalidParameter,
                               PolyaNetError, SizeMismatch)
 
@@ -316,14 +316,96 @@ def test_chunk_memory_is_bounded_by_a_time_block():
     cfg = mc.RunConfig(net=net, init=float_init(100), sched=cg.ConstantDelta(1.0),
                        horizon=1000, trials=83, seed=1, collect_pair_freq=True,
                        collect_sample_averages=True)
+    k, n = cfg.trials, net.node_count
+    # one chunk of all 83 trials, whose time block of uniforms (8.3 MB) is
+    # more than the record may take
+    assert 8 * mc._time_block(cfg.horizon, n) * k * n > mc.RECORD_BYTES
+    cg.import_pooling(net)  # scipy.sparse's import is not the run's memory
     tracemalloc.start()
     try:
-        mc.run_trials(cfg)
+        stats = mc.run_trials(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one chunk of all 83 trials, whose uniforms alone would take k * h * N * 8 bytes
-    assert peak <= cfg.trials * cfg.horizon * net.node_count * 8 / 4
+    # besides the record and the fill scratch, the run and its chunk each
+    # hold the statistics, and a step holds a few (k, N) arrays
+    held = sum(a.nbytes for a in (stats.red_draw_counts, stats.pair_counts,
+                                  stats.sample_averages, stats.susceptibility_sum,
+                                  stats.increment_sum, stats.increment_sumsq))
+    assert peak <= mc.RECORD_BYTES + mc._FILL_SCRATCH_BYTES + 2 * held + 16 * 8 * k * n
+
+
+def cap_record(monkeypatch, cfg, steps):
+    """Cap ``cfg``'s record at ``steps`` steps a block for its chunks of
+    ``cfg.chunk_size`` trials, the generator-call floor lifted."""
+    monkeypatch.setattr(mc, "MIN_CALL_DOUBLES", 1)
+    monkeypatch.setattr(mc, "RECORD_BYTES", 8 * steps * cfg.chunk_size * cfg.net.node_count)
+    assert mc._record_block(cfg.horizon, cfg.net.node_count, cfg.chunk_size) == steps
+
+
+@pytest.mark.parametrize("net, memory", [(BA60, None), (BA60, 4), (BA5, None), (BA5, 3)],
+                         ids=["csr", "csr_memory", "dense", "dense_memory"])
+def test_a_capped_record_changes_no_statistic(monkeypatch, net, memory):
+    n = net.node_count
+    cfg = mc.RunConfig(net=net, init=float_init(n), sched=cg.ConstantDelta(1.0, 2.0),
+                       horizon=151, trials=7, seed=13, memory=memory, chunk_size=4,
+                       collect_pair_freq=True, collect_sample_averages=True)
+    uncapped = mc.run_trials(cfg)
+    assert mc._record_block(cfg.horizon, n, 4) == mc._time_block(cfg.horizon, n)
+    # blocks of 7 steps and a partial last one of 4; with 5 nodes the
+    # blocks start at every double offset mod 4
+    cap_record(monkeypatch, cfg, 7)
+    stats = mc.run_trials(cfg)
+    for name in ("red_draw_counts", "susceptibility_sum", "increment_sum",
+                 "increment_sumsq", "pair_counts", "sample_averages"):
+        assert np.array_equal(getattr(stats, name), getattr(uncapped, name)), name
+    counts, pairs, averages = scalar_tallies(cfg)
+    assert np.array_equal(stats.red_draw_counts, counts)
+    assert np.array_equal(stats.pair_counts, pairs)
+    assert np.array_equal(stats.sample_averages, averages)
+
+
+def test_a_capped_record_changes_no_assignment_count(monkeypatch):
+    cfg = mc.RunConfig(net=CYCLE4, init=float_init(4), sched=cg.ConstantDelta(1.0),
+                       horizon=6, trials=40, seed=8, chunk_size=20, collect_assignments=True)
+    uncapped = mc.run_trials(cfg).assignment_counts
+    cap_record(monkeypatch, cfg, 4)  # a block of 4 steps and one of 2
+    assert np.array_equal(mc.run_trials(cfg).assignment_counts, uncapped)
+
+
+@pytest.mark.parametrize("n, k, steps, fits", [
+    (100, 166, 31, True), (20, 200, 131, True), (100, 671, 21, False), (5, 1677, 410, False),
+], ids=["mc_ba100", "mc_sis_memory", "fig4_ba100", "fig2"])
+def test_canned_record_blocks(n, k, steps, fits):
+    # the canned fig4 ba100 chunks and fig2's are held at the generator-call
+    # floor, above the record budget
+    assert mc._record_block(1000, n, k) == steps
+    assert (8 * steps * k * n <= mc.RECORD_BYTES) == fits
+    assert steps * n >= mc.MIN_CALL_DOUBLES
+
+
+def canned_config(figure, trials):
+    """A run config with one canned leg's network, horizon and trials,
+    which are what size its chunks, built without running it."""
+    if figure == "fig2":
+        return ex.stationarity_config(trials=trials)
+    if figure == "fig5":
+        net = ex.sis_comparison_network()
+        return mc.RunConfig(net=net, init=ex.sis_comparison_init(net),
+                            sched=cg.ConstantDelta(ex.SIS_DELTA_RED), horizon=ex.SIS_HORIZON,
+                            trials=trials, seed=ex.SIS_SEED, memory=ex.SIS_MEMORY)
+    kind, n, m, gseed = ex.HIST_CASES[figure]["net"]
+    return mc.RunConfig(net=graph.generate(kind, n, m=m, seed=gseed), init=float_init(n),
+                        sched=cg.ConstantDelta(1.0), horizon=ex.HIST_HORIZON, trials=trials,
+                        seed=ex.HIST_SEED, collect_sample_averages=True)
+
+
+@pytest.mark.parametrize("figure, chunk", [("fig2", 1677), ("ba100", 671), ("ba5", 1677),
+                                           ("fig5", 1023)])
+def test_canned_auto_chunks_are_pinned(figure, chunk):
+    # the chunk size is part of the config hash that every CSV carries
+    assert mc._auto_chunk(canned_config(figure, 50_000)) == chunk
+
 
 def test_urn_totals_that_overflow_in_a_later_block_raise_with_its_steps():
     # K2's pooled total passes the float range near step 4500, in the second
@@ -553,17 +635,17 @@ def test_auto_chunk_is_the_largest_whose_draw_record_fits(monkeypatch):
     cfg = mc.RunConfig(net=net, init=float_init(100), sched=cg.ConstantDelta(1.0),
                        horizon=1000, trials=5000, seed=0)
     block = mc._time_block(1000, 100)
-    assert block < 1000  # a chunk fills a block, not the whole horizon
+    assert block < 1000  # a chunk budgets a time block, not the whole horizon
 
-    def record_bytes(k):
+    def block_bytes(k):
         return 8 * block * k * 100
 
     monkeypatch.setattr(mc, "UNIFORM_BUFFER_BYTES", 4 << 20)
     chunk = mc._auto_chunk(cfg)
     assert 16 < chunk < cfg.trials
-    assert record_bytes(chunk) <= 4 << 20 < record_bytes(chunk + 1)
+    assert block_bytes(chunk) <= 4 << 20 < block_bytes(chunk + 1)
     monkeypatch.setattr(mc, "UNIFORM_BUFFER_BYTES", 1 << 20)
-    assert record_bytes(16) > 1 << 20
+    assert block_bytes(16) > 1 << 20
     assert mc._auto_chunk(cfg) == 16
 
 
