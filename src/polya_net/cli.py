@@ -340,10 +340,10 @@ def _cmd_reproduce(args) -> int:
         net = experiments.sis_comparison_network()
         lam = net.spectral_radius
         for name, ratio in experiments.sis_ratio_cases(net).items():
-            for memory in (None, experiments.SIS_MEMORY):
-                cfg, stats = experiments.run_sis_comparison(
-                    ratio, memory, trials=trials, threads=threads)
-                tag = "inf" if memory is None else f"m{memory}"
+            # the infinite- and finite-memory runs share a stream: one group
+            for cfg, stats in experiments.run_sis_comparison(ratio, trials=trials,
+                                                             threads=threads):
+                tag = "inf" if cfg.memory is None else f"m{cfg.memory}"
                 path = os.path.join(out_dir, f"sis_comparison_{name}_{tag}.csv")
                 mc.write_trajectory_csv(stats, cfg, path)
                 print(f"wrote {path}; ratio={ratio:.4f} "

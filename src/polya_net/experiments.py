@@ -142,13 +142,15 @@ def sis_ratio_cases(net: graph.Network) -> dict:
     return {"low": lam / 10.0, "met": 1.01 * lam, "same": 1.0}
 
 
-def run_sis_comparison(ratio: float, memory: int | None,
-                       trials: int = SIS_TRIALS, seed: int = SIS_SEED,
-                       threads: int = 1):
-    """Urn-process trajectory at reinforcement ratio delta_black/delta_red."""
+def run_sis_comparison(ratio: float, memories=(None, SIS_MEMORY), *,
+                       trials: int = SIS_TRIALS, seed: int = SIS_SEED, threads: int = 1):
+    """Urn-process trajectories at reinforcement ratio delta_black/delta_red,
+    one for each memory in ``memories`` (None: infinite), as a list of
+    (cfg, stats).  The runs share a stream, so they run as one group
+    (:func:`montecarlo.run_many`), which draws each block's uniforms once."""
     net = sis_comparison_network()
     init = sis_comparison_init(net)
-    cfg = mc.RunConfig(
+    cfgs = [mc.RunConfig(
         net=net,
         init=init,
         sched=ConstantDelta(SIS_DELTA_RED, SIS_DELTA_RED * ratio),
@@ -157,8 +159,8 @@ def run_sis_comparison(ratio: float, memory: int | None,
         seed=seed,
         memory=memory,
         threads=threads,
-    )
-    return cfg, mc.run_trials(cfg)
+    ) for memory in memories]
+    return list(zip(cfgs, mc.run_many(cfgs)))
 
 
 def run_sis_reference(ratio: float, horizon: int = SIS_HORIZON):

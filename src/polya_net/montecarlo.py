@@ -15,6 +15,16 @@ caller (:func:`_map_chunks`), each returning only its chunk's small
 partials; the parent merges them in chunk order, so the worker count never
 changes an output bit.  Where ``fork`` is unavailable chunks run serially.
 
+Runs share a stream when their configs have the same seed, trials,
+horizon, node count, resolved chunk size and worker count: they draw the
+same uniforms in the same chunks.  :func:`run_many` runs such a group and
+draws each block of uniforms once; each config then steps its own urn
+batch over the block in turn, every config but the last writing its draws
+into a second record, so that the uniforms stay for the configs after it
+(the two records share one record budget).  Each config's statistics are
+bit-identical to its run alone, :func:`run_trials` being a group of one.
+fig5 runs each ratio's infinite- and finite-memory runs as one group.
+
 A chunk of k trials works through the horizon in blocks of steps
 (:func:`_record_block`).  The block's uniforms live in a step-major draw
 record ``buf[block, k, N]``, so each step reads and writes one contiguous
@@ -72,6 +82,11 @@ _STATS_TILE_BYTES = 128 << 10
 
 def trial_generator(master_seed: int, trial: int) -> np.random.Generator:
     """The documented per-trial stream; see the module docstring."""
+    master_seed = exact.check_int(master_seed, "master_seed")
+    trial = exact.check_int(trial, "trial", minimum=0)
+    if trial >= 1 << 64:
+        raise InvalidParameter(f"trial must be below 2^64, the range of the trial "
+                               f"word of a Philox key, got {trial}")
     key = np.array([master_seed % (1 << 64), trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -290,52 +305,39 @@ def _streams(seed: int, lo: int, k: int, offset: int):
         yield gen
 
 
-def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> tuple[TrialStatistics, np.ndarray | None]:
-    """Trials ``lo .. hi - 1``: their ``TrialStatistics`` and, when
-    ``cfg`` collects assignments, one assignment code per trial."""
-    net, n = cfg.net, cfg.net.node_count
-    k = hi - lo
-    h = cfg.horizon
-    block = _record_block(h, n, k)
-    # step-major draw record: buf[i] holds step i of the block for every
-    # trial as one contiguous (k, N) slab; each step overwrites its uniforms
-    # with its 0/1 draws, so after the block buf is the block's draw record
-    buf = np.empty((block, k, n))
-    # each trial's uniforms are drawn into scratch[j, :b], then a fill group
-    # at a time is copied transposed into buf, a step's N doubles as one item
-    group = _fill_group(k, block, n)
-    scratch = np.empty((group, block, n))
-    step_item = np.dtype((np.void, 8 * n))
-    buf_steps, scratch_steps = buf.view(step_item)[..., 0], scratch.view(step_item)[..., 0]
-    # a memory of at least the horizon never expires an addition
-    memory = cfg.memory if cfg.memory is not None and cfg.memory < h else None
-    batch = UrnBatch(net, cfg.init, k, memory=memory, sched=cfg.sched)
+class _ChunkRun:
+    """One config's share of a chunk: its urn batch, its statistics, and
+    what its reductions carry from one block of steps to the next."""
 
-    stats = TrialStatistics.zeros(cfg, k)
-    red_counts, susc_sum = stats.red_draw_counts, stats.susceptibility_sum
-    inc_sum, inc_sumsq = stats.increment_sum, stats.increment_sumsq
-    pair, z_count = stats.pair_counts, stats.sample_averages
-    codes = np.zeros(k, dtype=np.int64) if cfg.collect_assignments else None
+    def __init__(self, cfg: RunConfig, k: int, tile: int):
+        h = cfg.horizon
+        self.cfg = cfg
+        # a memory of at least the horizon never expires an addition
+        memory = cfg.memory if cfg.memory is not None and cfg.memory < h else None
+        self.batch = UrnBatch(cfg.net, cfg.init, k, memory=memory, sched=cfg.sched)
+        self.stats = TrialStatistics.zeros(cfg, k)
+        self.codes = np.zeros(k, dtype=np.int64) if cfg.collect_assignments else None
+        # row j of means holds the row mean after a tile's j-th step, row 0
+        # the one before it; a tile's statistics are reduced over these
+        # contiguous rows at once, and a row's sum is the same pairwise sum
+        # as a (k,) array's
+        self.means = np.empty((tile + 1, k))
+        _row_mean(self.batch.proportions(), out=self.means[0])
+        self.stats.susceptibility_sum[0] = self.means[0].sum()
+        self.z_last = None
 
-    # row j of means holds the row mean after a tile's j-th step, row 0 the
-    # one before it; a tile's statistics are reduced over these contiguous
-    # rows at once, and a row's sum is the same pairwise sum as a (k,) array's
-    tile = _stats_tile(h, k)
-    means = np.empty((tile + 1, k))
-    _row_mean(batch.proportions(), out=means[0])
-    susc_sum[0] = means[0].sum()
-    s = np.empty((k, n))  # the super urns, C-contiguous like each draw slab
-    ones = np.ones(k)
-    z_last = None
-    faults: list[str] = []
-    for t0 in range(0, h, block):
-        b = min(block, h - t0)
-        streams = _streams(cfg.seed, lo, k, t0 * n)
-        for g0 in range(0, k, group):
-            g = min(group, k - g0)
-            for j in range(g):
-                next(streams).random(out=scratch[j, :b])
-            np.copyto(buf_steps[:b, g0:g0 + g], scratch_steps[:g, :b].T)
+    def steps(self, uniforms: np.ndarray, record: np.ndarray, t0: int, b: int,
+              s: np.ndarray) -> None:
+        """Steps ``t0 + 1 .. t0 + b``: each compares its uniforms with the
+        super urns, pooled into ``s``, and writes its 0/1 draws into
+        ``record`` (which may be ``uniforms`` itself); the float statistics
+        are reduced a tile of steps at a time."""
+        batch, sched, means = self.batch, self.cfg.sched, self.means
+        stats = self.stats
+        susc_sum, inc_sum, inc_sumsq = (stats.susceptibility_sum, stats.increment_sum,
+                                        stats.increment_sumsq)
+        tile = means.shape[0] - 1
+        faults: list[str] = []
         # numpy reports a float range fault to `faults`; a pooled sum that
         # overflowed in scipy's CSR product raises no flag and is caught below
         with contagion.record_float_faults(faults):
@@ -344,8 +346,8 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> tuple[TrialStatistics, np.nd
                 for i in range(i0, i0 + m):
                     t = t0 + i + 1
                     batch.super_urn(out=s)
-                    z = np.less(buf[i], s, out=buf[i])
-                    batch.step(t, z, s, cfg.sched)
+                    z = np.less(uniforms[i], s, out=record[i])
+                    batch.step(t, z, s, sched)
                     _row_mean(batch.proportions(), out=means[i - i0 + 1])
                 t = t0 + i0 + 1
                 susc_sum[t:t + m] = means[1:m + 1].sum(axis=1)
@@ -360,37 +362,85 @@ def _run_chunk(cfg: RunConfig, lo: int, hi: int) -> tuple[TrialStatistics, np.nd
                     f"urn masses left the float range during steps {t0 + 1}-{t0 + b}; "
                     "use smaller urn masses or reinforcements")
 
-        # every reduction below adds 0/1 values (the codes: distinct powers
-        # of two below 2^24), so it is exact in any order
-        draws = buf[:b]
-        red_counts[t0 + 1:t0 + b + 1] = ones @ draws
+    def tally(self, draws: np.ndarray, t0: int, ones: np.ndarray) -> None:
+        """Reduce a block's draw record, ``draws[i]`` the (k, N) draws of
+        step ``t0 + i + 1``.  Every reduction adds 0/1 values (the codes:
+        distinct powers of two below 2^24), so it is exact in any order."""
+        stats, n = self.stats, self.stats.node_count
+        b = draws.shape[0]
+        stats.red_draw_counts[t0 + 1:t0 + b + 1] = ones @ draws
+        pair = stats.pair_counts
         if pair is not None:
             # einsum reduces without a block-sized temporary
-            if z_last is not None:
-                pair[t0 + 1] = np.einsum("kn,kn->n", draws[0], z_last)
+            if self.z_last is not None:
+                pair[t0 + 1] = np.einsum("kn,kn->n", draws[0], self.z_last)
             pair[t0 + 2:t0 + b + 1] = np.einsum("bkn,bkn->bn", draws[1:], draws[:-1])
-            z_last = draws[-1].copy()
-        if z_count is not None:
-            z_count += draws.sum(axis=0)
-        if codes is not None:
+            self.z_last = draws[-1].copy()
+        if stats.sample_averages is not None:
+            stats.sample_averages += draws.sum(axis=0)
+        if self.codes is not None:
             weights = 2.0 ** (np.arange(b * n) + n * t0).reshape(b, n)
-            codes += np.einsum("bkn,bn->k", draws, weights).astype(np.int64)
+            self.codes += np.einsum("bkn,bn->k", draws, weights).astype(np.int64)
 
-    if z_count is not None:
-        z_count /= h  # the draw counts become the sample averages
-    return stats, codes
+    def result(self) -> tuple[TrialStatistics, np.ndarray | None]:
+        if self.stats.sample_averages is not None:
+            self.stats.sample_averages /= self.cfg.horizon  # draw counts become averages
+        return self.stats, self.codes
 
 
-def _map_chunks(cfg: RunConfig, chunk: int):
-    """``_run_chunk`` of every chunk of ``chunk`` trials, yielded in chunk
-    order: serially, or on up to ``cfg.threads`` forked worker processes
-    when there are several chunks.  The chunk bounds are made as they are
-    needed, never as a list.  A worker's exception is re-raised here, and a
-    worker that died (killed, out of memory) is a ``PolyaNetError``;
-    pending chunks are cancelled, and every worker has exited when the
-    iteration ends or raises."""
-    starts = range(0, cfg.trials, chunk)
-    workers = min(cfg.threads, -(-cfg.trials // chunk))
+def _run_chunk(cfgs: Sequence[RunConfig], lo: int,
+               hi: int) -> list[tuple[TrialStatistics, np.ndarray | None]]:
+    """Trials ``lo .. hi - 1`` of each config of a group that shares a
+    stream (:func:`run_many`): per config, its ``TrialStatistics`` and,
+    when it collects assignments, one assignment code per trial.  Each
+    block's uniforms are drawn once, then each config steps its own batch
+    over them in turn."""
+    first = cfgs[0]
+    n, h, k = first.net.node_count, first.horizon, hi - lo
+    # a group of several configs holds two records in the budget of one
+    block = _record_block(h, n, k * min(2, len(cfgs)))
+    # step-major draw record: buf[i] holds step i of the block for every
+    # trial as one contiguous (k, N) slab; the last config's steps overwrite
+    # their uniforms with their 0/1 draws, so after the block buf is its
+    # draw record, and every other config writes its draws into a second
+    # record, keeping the uniforms for the configs after it
+    buf = np.empty((block, k, n))
+    spare = np.empty_like(buf) if len(cfgs) > 1 else None
+    records = [spare] * (len(cfgs) - 1) + [buf]
+    # each trial's uniforms are drawn into scratch[j, :b], then a fill group
+    # at a time is copied transposed into buf, a step's N doubles as one item
+    group = _fill_group(k, block, n)
+    scratch = np.empty((group, block, n))
+    step_item = np.dtype((np.void, 8 * n))
+    buf_steps, scratch_steps = buf.view(step_item)[..., 0], scratch.view(step_item)[..., 0]
+    runs = [_ChunkRun(cfg, k, _stats_tile(h, k)) for cfg in cfgs]
+    s = np.empty((k, n))  # the super urns, C-contiguous like each draw slab
+    ones = np.ones(k)
+    for t0 in range(0, h, block):
+        b = min(block, h - t0)
+        streams = _streams(first.seed, lo, k, t0 * n)
+        for g0 in range(0, k, group):
+            g = min(group, k - g0)
+            for j in range(g):
+                next(streams).random(out=scratch[j, :b])
+            np.copyto(buf_steps[:b, g0:g0 + g], scratch_steps[:g, :b].T)
+        for run, record in zip(runs, records):
+            run.steps(buf, record, t0, b, s)
+            run.tally(record[:b], t0, ones)
+    return [run.result() for run in runs]
+
+
+def _map_chunks(cfgs: tuple[RunConfig, ...], chunk: int):
+    """``_run_chunk`` of the group ``cfgs`` on every chunk of ``chunk``
+    trials, yielded in chunk order: serially, or on up to ``threads``
+    forked worker processes when there are several chunks.  The chunk
+    bounds are made as they are needed, never as a list.  A worker's
+    exception is re-raised here, and a worker that died (killed, out of
+    memory) is a ``PolyaNetError``; pending chunks are cancelled, and every
+    worker has exited when the iteration ends or raises."""
+    first = cfgs[0]
+    starts = range(0, first.trials, chunk)
+    workers = min(first.threads, -(-first.trials // chunk))
     if workers > 1:
         # imported here: a serial run loads no process machinery
         import multiprocessing
@@ -398,12 +448,12 @@ def _map_chunks(cfg: RunConfig, chunk: int):
         from concurrent.futures.process import BrokenProcessPool
 
         if "fork" in multiprocessing.get_all_start_methods():
-            contagion.import_pooling(cfg.net)  # once here, not once per worker
+            contagion.import_pooling(first.net)  # once here, not once per worker
             pool = ProcessPoolExecutor(max_workers=workers,
                                        mp_context=multiprocessing.get_context("fork"))
             try:
-                yield from pool.map(partial(_run_chunk, cfg), starts,
-                                    (min(lo + chunk, cfg.trials) for lo in starts))
+                yield from pool.map(partial(_run_chunk, cfgs), starts,
+                                    (min(lo + chunk, first.trials) for lo in starts))
             except BrokenProcessPool as e:
                 raise PolyaNetError(
                     f"a Monte Carlo worker process ended abruptly: {e}") from e
@@ -411,31 +461,58 @@ def _map_chunks(cfg: RunConfig, chunk: int):
                 pool.shutdown(cancel_futures=True)
             return
     for lo in starts:
-        yield _run_chunk(cfg, lo, min(lo + chunk, cfg.trials))
+        yield _run_chunk(cfgs, lo, min(lo + chunk, first.trials))
+
+
+def _stream_key(cfg: RunConfig) -> tuple:
+    """What configs of one :func:`run_many` group share: the same key means
+    the same uniforms in the same chunks on the same workers."""
+    return (cfg.seed, cfg.trials, cfg.horizon, cfg.net.node_count,
+            cfg.chunk_size or _auto_chunk(cfg), cfg.threads)
+
+
+def run_many(cfgs: Sequence[RunConfig]) -> list[TrialStatistics]:
+    """``[run_trials(cfg) for cfg in cfgs]``, bit for bit, for configs that
+    share a stream: the same seed, trials, horizon, node count, resolved
+    chunk size and threads.  Each block of the shared uniforms is drawn
+    once for the whole group; any other set of configs, or none, is an
+    ``InvalidParameter``."""
+    cfgs = tuple(cfgs)
+    if not cfgs:
+        raise InvalidParameter("run_many needs at least one config")
+    key = _stream_key(cfgs[0])
+    for cfg in cfgs[1:]:
+        if _stream_key(cfg) != key:
+            raise InvalidParameter(
+                "configs run together must share seed, trials, horizon, node count, "
+                f"chunk size and threads; got {_stream_key(cfg)} after {key}")
+    chunk = key[4]
+    merged = [TrialStatistics.zeros(cfg, cfg.trials) for cfg in cfgs]
+    codes = [[] for _ in cfgs]
+    for i, parts in enumerate(_map_chunks(cfgs, chunk)):
+        # merged in chunk order: scheduling cannot change output
+        for stats, (part, part_codes), cfg_codes in zip(merged, parts, codes):
+            stats.red_draw_counts += part.red_draw_counts
+            stats.susceptibility_sum += part.susceptibility_sum
+            stats.increment_sum += part.increment_sum
+            stats.increment_sumsq += part.increment_sumsq
+            if stats.pair_counts is not None:
+                stats.pair_counts += part.pair_counts
+            if stats.sample_averages is not None:
+                stats.sample_averages[i * chunk:i * chunk + part.trials] = part.sample_averages
+            if part_codes is not None:
+                cfg_codes.append(part_codes)
+    for stats, cfg_codes in zip(merged, codes):
+        if cfg_codes:
+            n, h = stats.node_count, stats.horizon
+            stats.assignment_counts = np.bincount(np.concatenate(cfg_codes),
+                                                  minlength=1 << (n * h))
+    return merged
 
 
 def run_trials(cfg: RunConfig) -> TrialStatistics:
     """Run ``cfg.trials`` independent trajectories and aggregate statistics."""
-    n, h = cfg.net.node_count, cfg.horizon
-    chunk = cfg.chunk_size or _auto_chunk(cfg)
-
-    stats = TrialStatistics.zeros(cfg, cfg.trials)
-    codes = []
-    for i, (part, part_codes) in enumerate(_map_chunks(cfg, chunk)):
-        # merged in chunk order: scheduling cannot change output
-        stats.red_draw_counts += part.red_draw_counts
-        stats.susceptibility_sum += part.susceptibility_sum
-        stats.increment_sum += part.increment_sum
-        stats.increment_sumsq += part.increment_sumsq
-        if stats.pair_counts is not None:
-            stats.pair_counts += part.pair_counts
-        if stats.sample_averages is not None:
-            stats.sample_averages[i * chunk:i * chunk + part.trials] = part.sample_averages
-        if cfg.collect_assignments:
-            codes.append(part_codes)
-    if cfg.collect_assignments:
-        stats.assignment_counts = np.bincount(np.concatenate(codes), minlength=1 << (n * h))
-    return stats
+    return run_many([cfg])[0]
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +558,16 @@ class StationarityReport:
     settled_value: float
 
 
+def _check_node(stats: TrialStatistics, node, name: str) -> int:
+    """``node`` as an int; ``InvalidParameter`` unless it indexes one of
+    ``stats``' nodes."""
+    node = exact.check_int(node, name, minimum=0)
+    if node >= stats.node_count:
+        raise InvalidParameter(f"{name} must be below the {stats.node_count} nodes, "
+                               f"got {node}")
+    return node
+
+
 def stationarity_diagnostic(stats: TrialStatistics, node: int = 0,
                             window: int | None = None) -> StationarityReport:
     """Trailing-window report on consecutive-draw pair frequencies.
@@ -489,9 +576,11 @@ def stationarity_diagnostic(stats: TrialStatistics, node: int = 0,
     step-to-step change of P(Z_t=1, Z_{t-1}=1) over the window and the
     trailing mean as the settled value.
     """
+    node = _check_node(stats, node, "node")
     freq = stats.pair_freq[:, node]
     if window is None:
         window = max(2, stats.horizon // 5)
+    window = exact.check_int(window, "window")
     if window < 2 or window > stats.horizon - 1:
         raise InvalidParameter(f"window {window} not usable for horizon {stats.horizon}")
     tail = freq[stats.horizon - window + 1:]
@@ -539,12 +628,18 @@ def least_squares_trend(y: Sequence[float], t: Sequence[float] | None = None):
         raise InvalidParameter("a trend needs at least two distinct times")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("a trend needs finite times and values")
-    x_c = x - x.mean()
-    denom = float(np.dot(x_c, x_c))
-    slope = float(np.dot(x_c, y)) / denom
-    resid = y - y.mean() - slope * x_c
-    dof = max(len(y) - 2, 1)
-    stderr = math.sqrt(float(np.dot(resid, resid)) / dof / denom)
+    # finite inputs can still leave the float range in a sum of squares
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        x_c = x - x.mean()
+        denom = float(np.dot(x_c, x_c))
+        if not 0.0 < denom < math.inf:
+            raise DomainError("the times' sum of squares leaves the float range")
+        slope = float(np.dot(x_c, y)) / denom
+        resid = y - y.mean() - slope * x_c
+        dof = max(len(y) - 2, 1)
+        stderr = math.sqrt(float(np.dot(resid, resid)) / dof / denom)
+    if not (math.isfinite(slope) and math.isfinite(stderr)):
+        raise DomainError("the trend's sums of squares leave the float range")
     return slope, stderr
 
 
@@ -586,7 +681,7 @@ def write_trajectory_csv(stats: TrialStatistics, cfg: RunConfig, path,
     columns = ["t", "I_tilde", "U_tilde"]
     rows = [(t, infection[t], susc[t]) for t in range(1, stats.horizon + 1)]
     if pair_node is not None:
-        pair = stats.pair_freq[:, pair_node]
+        pair = stats.pair_freq[:, _check_node(stats, pair_node, "pair_node")]
         columns.append("pair_freq")
         rows = [(*row, pair[t] if t >= 2 else None) for t, row in enumerate(rows, 1)]
     write_csv(path, _header(cfg), columns, rows)

@@ -341,18 +341,18 @@ def test_reinforcement_ratio_trends():
         net = xp.sis_comparison_network()
         ratios = xp.sis_ratio_cases(net)
 
-        _, low = xp.run_sis_comparison(ratios["low"], None)
+        [(_, low)] = xp.run_sis_comparison(ratios["low"], (None,))
         slope, se = mc.least_squares_trend(low.infection_rate[100:1001])
         assert slope > 3 * se
 
-        _, met = xp.run_sis_comparison(ratios["met"], None)
+        [(_, met)] = xp.run_sis_comparison(ratios["met"], (None,))
         met_rate = met.infection_rate
         assert met_rate[1000] < met_rate[10]
         slope_met, se_met = mc.least_squares_trend(met_rate[100:1001])
         assert slope_met < -3 * se_met
 
-        _, inf_mode = xp.run_sis_comparison(ratios["same"], None)
-        _, fin_mode = xp.run_sis_comparison(ratios["same"], xp.SIS_MEMORY)
+        (_, inf_mode), (_, fin_mode) = xp.run_sis_comparison(ratios["same"],
+                                                             (None, xp.SIS_MEMORY))
         gap = np.abs(inf_mode.infection_rate[200:1001] - fin_mode.infection_rate[200:1001])
         assert float(gap.max()) <= 0.02
     _report("reinforcement-ratio trends", clock,

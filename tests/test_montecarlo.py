@@ -285,7 +285,7 @@ def test_chunks_position_streams_without_trial_generators(monkeypatch):
 def test_a_chunk_returns_the_statistics_of_its_trials():
     cfg = small_cfg(trials=7, collect_pair_freq=True, collect_sample_averages=True,
                     collect_assignments=True)
-    part, codes = mc._run_chunk(cfg, 3, 7)
+    [(part, codes)] = mc._run_chunk([cfg], 3, 7)
     assert isinstance(part, mc.TrialStatistics) and part.trials == 4
     assert codes.shape == (4,) and part.assignment_counts is None
     # trials 3..6 are the first seven trials less the first three
@@ -371,6 +371,102 @@ def test_a_capped_record_changes_no_assignment_count(monkeypatch):
     uncapped = mc.run_trials(cfg).assignment_counts
     cap_record(monkeypatch, cfg, 4)  # a block of 4 steps and one of 2
     assert np.array_equal(mc.run_trials(cfg).assignment_counts, uncapped)
+
+
+STAT_FIELDS = ("red_draw_counts", "susceptibility_sum", "increment_sum", "increment_sumsq",
+               "pair_counts", "sample_averages", "assignment_counts")
+
+
+def assert_runs_one_by_one(cfgs):
+    """``run_many(cfgs)`` equals each config run alone, field by field."""
+    group = mc.run_many(cfgs)
+    assert len(group) == len(cfgs)
+    for cfg, stats in zip(cfgs, group):
+        alone = mc.run_trials(cfg)
+        assert stats.trials == alone.trials
+        for name in STAT_FIELDS:
+            got, expected = getattr(stats, name), getattr(alone, name)
+            assert (got is None) == (expected is None), name
+            assert expected is None or np.array_equal(got, expected), name
+
+
+def stream_group(net, horizon, **common):
+    """Configs of one stream on ``net``: infinite and finite memory under
+    constant, tabulated and curing masses, each collecting something else."""
+    n = net.node_count
+    rng = np.random.default_rng(9)
+    init = cg.UrnInit(red=tuple(rng.integers(1, 4, n) * 1.0),
+                      black=tuple(rng.integers(1, 4, n) * 1.0))
+    tabulated = cg.TabulatedDelta((rng.random((horizon, n)) * 2).tolist(),
+                                  (rng.random((horizon, n)) * 2).tolist())
+    common.update(net=net, init=init, horizon=horizon, seed=19)
+    return [
+        mc.RunConfig(sched=cg.ConstantDelta(1.0, 2.0), collect_pair_freq=True, **common),
+        mc.RunConfig(sched=tabulated, memory=4, collect_sample_averages=True, **common),
+        mc.RunConfig(sched=cg.CuringDelta(2.0, multiplier=1.5), memory=9,
+                     collect_pair_freq=True, collect_sample_averages=True, **common),
+        mc.RunConfig(sched=cg.ConstantDelta(1.0), **common),
+    ]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("net, horizon", [(BA20, 449), (BA60, 300)], ids=["dense", "csr"])
+def test_a_group_equals_its_runs_one_by_one(net, horizon, threads):
+    cfgs = stream_group(net, horizon, trials=7, chunk_size=3, threads=threads)
+    # three chunks (3, 3 and 1 trials), each over several blocks of steps
+    n = net.node_count
+    assert horizon > mc._record_block(horizon, n, 2 * 3) == mc._time_block(horizon, n)
+    assert_runs_one_by_one(cfgs)
+
+
+def test_a_group_with_a_capped_record_equals_its_runs_one_by_one(monkeypatch):
+    cfgs = stream_group(BA5, 151, trials=7, chunk_size=4)
+    # the two records of a group share one budget: blocks of 7 steps for
+    # the group, of 14 for a config alone, with a partial last block
+    monkeypatch.setattr(mc, "MIN_CALL_DOUBLES", 1)
+    monkeypatch.setattr(mc, "RECORD_BYTES", 8 * 14 * 4 * 5)
+    assert mc._record_block(151, 5, 2 * 4) == 7 and mc._record_block(151, 5, 4) == 14
+    assert_runs_one_by_one(cfgs)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_group_collecting_assignments_equals_its_runs_one_by_one(threads):
+    common = dict(net=CYCLE4, init=float_init(4), horizon=6, trials=40, seed=8,
+                  chunk_size=15, threads=threads, collect_assignments=True)
+    assert_runs_one_by_one([
+        mc.RunConfig(sched=cg.ConstantDelta(1.0), **common),
+        mc.RunConfig(sched=cg.ConstantDelta(1.0, 3.0), memory=2, collect_pair_freq=True,
+                     **common),
+    ])
+
+
+def test_a_group_resolves_its_chunk_sizes():
+    # an automatic chunk of all 50 trials is the same stream as a given one
+    assert_runs_one_by_one([small_cfg(), small_cfg(chunk_size=50, memory=3)])
+
+
+def test_an_empty_group_is_refused():
+    with pytest.raises(InvalidParameter, match="at least one config"):
+        mc.run_many([])
+
+
+@pytest.mark.parametrize("change", [
+    dict(seed=12), dict(trials=51), dict(horizon=9), dict(net=CYCLE4, init=float_init(4)),
+    dict(chunk_size=7), dict(threads=2),
+], ids=["seed", "trials", "horizon", "nodes", "chunk_size", "threads"])
+def test_configs_that_share_no_stream_are_refused(change):
+    with pytest.raises(InvalidParameter, match="must share"):
+        mc.run_many([small_cfg(), small_cfg(**change)])
+
+
+def test_a_float_fault_in_the_first_config_of_a_group_raises():
+    # the first config draws into the group's second record, the last in place
+    common = dict(horizon=10_000, trials=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="during steps 4097-8192"):
+            mc.run_many([small_cfg(sched=cg.ConstantDelta(2e304), **common),
+                         small_cfg(**common)])
 
 
 @pytest.mark.parametrize("n, k, steps, fits", [
@@ -773,6 +869,38 @@ def test_stationarity_zero_schedule_noise_level():
         mc.stationarity_diagnostic(stats, node=0, window=1000)
 
 
+@pytest.fixture(scope="module")
+def k2_pair_stats():
+    return mc.run_trials(small_cfg(trials=20, horizon=20, collect_pair_freq=True))
+
+
+@pytest.mark.parametrize("node", [2.5, 10**30, -1, 2])
+def test_stationarity_diagnostic_refuses_a_node_outside_the_network(k2_pair_stats, node):
+    with pytest.raises(InvalidParameter, match="node"):
+        mc.stationarity_diagnostic(k2_pair_stats, node=node)
+
+
+def test_stationarity_diagnostic_refuses_a_window_that_is_not_an_integer(k2_pair_stats):
+    with pytest.raises(InvalidParameter, match="window must be an integer"):
+        mc.stationarity_diagnostic(k2_pair_stats, node=0, window=2.5)
+
+
+@pytest.mark.parametrize("pair_node", [2.5, -1])
+def test_trajectory_csv_refuses_a_pair_node_outside_the_network(k2_pair_stats, tmp_path,
+                                                                pair_node):
+    with pytest.raises(InvalidParameter, match="pair_node"):
+        mc.write_trajectory_csv(k2_pair_stats, small_cfg(trials=20, horizon=20,
+                                                         collect_pair_freq=True),
+                                tmp_path / "t.csv", pair_node=pair_node)
+
+
+@pytest.mark.parametrize("seed, trial", [(float("nan"), 0), (1.5, 0), (1, -1), (1, 1 << 64)],
+                         ids=["nan_seed", "float_seed", "negative_trial", "trial_2_64"])
+def test_trial_generator_refuses_a_key_that_is_not_a_philox_key(seed, trial):
+    with pytest.raises(InvalidParameter):
+        mc.trial_generator(seed, trial)
+
+
 def test_martingale_residual_regular_network():
     cfg = mc.RunConfig(net=CYCLE4, init=float_init(4, 1.0, 2.0),
                        sched=cg.ConstantDelta(1.0), horizon=12, trials=30_000, seed=23)
@@ -867,6 +995,15 @@ def test_least_squares_trend_needs_two_distinct_times():
                          ids=["nan_value", "inf_value", "nan_time"])
 def test_least_squares_trend_rejects_values_that_are_not_finite(y, t):
     with pytest.raises(DomainError, match="finite"):
+        mc.least_squares_trend(y, t)
+
+
+@pytest.mark.parametrize("y, t", [([1.0, 2.0, 1e308], None), ([1.0, 2.0], [0.0, 1e308]),
+                                  ([1.0, 2.0], [0.0, 1e-200])],
+                         ids=["residuals_overflow", "times_overflow", "times_underflow"])
+def test_least_squares_trend_refuses_sums_that_leave_the_float_range(y, t):
+    # every time and value is finite, but a sum of squares is not
+    with pytest.raises(DomainError, match="float range"):
         mc.least_squares_trend(y, t)
 
 
