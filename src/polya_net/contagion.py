@@ -23,6 +23,7 @@ speed on narrow rows.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch
+from .errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch, check_int
 from .graph import Network
 
 
@@ -73,6 +74,9 @@ class UrnInit:
 
 
 def uniform_init(n: int, red=1, black=1) -> UrnInit:
+    n = check_int(n, "n", minimum=1)
+    if n > sys.maxsize:
+        raise InvalidParameter(f"n must be at most sys.maxsize, a tuple's limit, got {n}")
     return UrnInit(red=(red,) * n, black=(black,) * n)
 
 
@@ -306,6 +310,8 @@ def initial_state(net: Network, init: UrnInit, memory: int | None = None) -> Net
 
 def super_urn_proportion(state: NetworkState, net: Network, i: int):
     """Red fraction of node i's super urn (pooled closed neighborhood)."""
+    if check_int(i, "node", minimum=0) >= net.node_count:
+        raise InvalidParameter(f"node must be below the {net.node_count} nodes, got {i}")
     nbrs = net.closed_neighbors[i]
     red = sum(state.red_mass[j] for j in nbrs)
     total = sum(state.total_mass[j] for j in nbrs)
@@ -449,6 +455,9 @@ class UrnBatch:
                  sched: DeltaSchedule | None = None):
         start = initial_state(net, init, memory=memory)
         n = net.node_count
+        rows = check_int(rows, "rows", minimum=1)
+        if 16 * rows * n > sys.maxsize:  # the red and total planes' bytes
+            raise InvalidParameter(f"{rows} rows of {n} nodes are more than an array holds")
         # dense neighborhood sums beat CSR on small networks
         if n <= DENSE_POOLING_MAX_NODES:
             self._dense, self._csr = net.closed_adjacency, None

@@ -516,12 +516,18 @@ def nonstationarity_witness(rho, delta):
     """
     PolyaParams(rho, delta)  # the rho and delta checks
     p21 = rho * (rho + (1 + rho) * delta / 2) / (1 + delta)
-    p32 = rho * (
-        4 * rho
-        + delta * (2 + 14 * rho)
-        + delta ** 2 * (6 + 14 * rho)
-        + delta ** 3 * (5 + 3 * rho)
-    ) / (4 * (1 + delta) ** 2 * (1 + 2 * delta))
+    try:  # past the float range, a float power raises and a sum or product is inf
+        den = 4 * (1 + delta) ** 2 * (1 + 2 * delta)  # above every term of p21
+        p32 = rho * (
+            4 * rho
+            + delta * (2 + 14 * rho)
+            + delta ** 2 * (6 + 14 * rho)
+            + delta ** 3 * (5 + 3 * rho)
+        ) / den
+    except OverflowError:
+        den = p32 = math.inf
+    if den == math.inf or p32 == math.inf:
+        raise DomainError(f"pair probabilities at delta {delta} leave the float range")
     return p21, p32
 
 
@@ -568,6 +574,8 @@ def classical_polya_joint_gamma(params: PolyaParams, draws: Sequence[int]) -> fl
 
 def classical_polya_table(params: PolyaParams, n: int) -> dict:
     """Full joint over {0,1}^n as a dict keyed by draw tuples."""
+    n = check_int(n, "n", minimum=0)
+    _check_cap(1, n, ENUMERATION_CAP)
     out = {}
     for code in range(1 << n):
         draws = tuple((code >> (t - 1)) & 1 for t in range(1, n + 1))
@@ -579,6 +587,7 @@ def classical_count_log_probs(params: PolyaParams, n: int) -> np.ndarray:
     """log Q(a^n) for each red count 0..n (the joint depends only on the count);
     ``DomainError`` if a value is not finite in floats."""
     n = check_int(n, "n", minimum=0)
+    check_cell_budget(1, n, "classical count log-probabilities")
     return _count_log_prob_rows(float(params.rho), np.array([float(params.delta)]), n)[0]
 
 
@@ -844,6 +853,11 @@ def binomial_pmf(n: int, s) -> np.ndarray:
     exponents, and the scaled values are the same either way."""
     n = check_int(n, "the binomial n", minimum=0)
     s = np.asarray(s, dtype=np.float64)
+    if s.ndim != 1:
+        raise InvalidParameter(f"s must be a 1-D array of probabilities, got {s.ndim}-D")
+    if max(s.size, 1) * (n + 1) > 1 << ENUMERATION_CAP:
+        raise CapExceeded(f"a binomial table of {s.size} x {n + 1} cells is more than the "
+                          f"cap of 2^{ENUMERATION_CAP}")
     inside = (s >= 0) & (s <= 1)
     if not inside.all():
         raise DomainError(f"binomial probabilities must lie in [0, 1], got {s[~inside][0]}")

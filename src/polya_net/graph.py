@@ -121,8 +121,7 @@ def build_network(n: int, edge_list: Iterable[tuple[int, int]] | np.ndarray) -> 
     ``IndexOutOfRange`` or ``Disconnected``; the first invalid edge is the
     one reported.
     """
-    if n < 1:
-        raise InvalidParameter(f"node count must be >= 1, got {n}")
+    n = check_int(n, "node count", minimum=1)
     edges = edge_list if isinstance(edge_list, (list, tuple, np.ndarray)) else list(edge_list)
     if len(edges) < n - 1:  # too few to connect: no per-node structure is built
         _check_edges(edges, n)
@@ -235,25 +234,19 @@ def _check_edge_budget(kind: str, edges: int) -> None:
 
 
 def generate_complete(n: int) -> Network:
-    n = check_int(n, "n")
-    if n < 1:
-        raise InvalidParameter(f"complete graph needs n >= 1, got {n}")
+    n = check_int(n, "n", minimum=1)
     _check_edge_budget("complete", n * (n - 1) // 2)
     return build_network(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def generate_cycle(n: int) -> Network:
-    n = check_int(n, "n")
-    if n < 3:
-        raise InvalidParameter(f"cycle needs n >= 3, got {n}")
+    n = check_int(n, "n", minimum=3)
     _check_edge_budget("cycle", n)
     return build_network(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def generate_star(n: int) -> Network:
-    n = check_int(n, "n")
-    if n < 2:
-        raise InvalidParameter(f"star needs n >= 2, got {n}")
+    n = check_int(n, "n", minimum=2)
     _check_edge_budget("star", n - 1)
     return build_network(n, [(0, i) for i in range(1, n)])
 

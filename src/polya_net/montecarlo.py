@@ -18,28 +18,27 @@ changes an output bit.  Where ``fork`` is unavailable chunks run serially.
 Runs share a stream when their configs have the same seed, trials,
 horizon, node count, resolved chunk size and worker count: they draw the
 same uniforms in the same chunks.  :func:`run_many` runs such a group and
-draws each block of uniforms once; each config then steps its own urn
-batch over the block in turn, every config but the last writing its draws
-into a second record, so that the uniforms stay for the configs after it
-(the two records share one record budget).  Each config's statistics are
-bit-identical to its run alone, :func:`run_trials` being a group of one.
-fig5 runs each ratio's infinite- and finite-memory runs as one group.
+draws each block of uniforms once into one record, which no step
+overwrites; each config then steps its own urn batch over the block in
+turn.  Each config's statistics are bit-identical to its run alone,
+:func:`run_trials` being a group of one.  fig5 runs each ratio's infinite-
+and finite-memory runs as one group.
 
 A chunk of k trials works through the horizon in blocks of steps
-(:func:`_record_block`).  The block's uniforms live in a step-major draw
-record ``buf[block, k, N]``, so each step reads and writes one contiguous
-(k, N) slab; the block is capped so that the record stays within
-``RECORD_BYTES``.  They are drawn trial by trial, each trial's ``Philox``
-set by its counter to the block's first double (:func:`_streams`), a fill
-group of trials at a time (:func:`_fill_group`) into a ``(group, block,
-N)`` scratch, and copied transposed into the record; each step then
-compares its uniforms with the super urns, pooled into one reused
-C-contiguous (k, N) buffer, overwrites them with its 0/1 draws, and the
-block's counts are reduced from the record.  The float statistics are
-reduced a tile of steps at a time (:func:`_stats_tile`): each step writes
-its per-trial mean urn proportions as one contiguous row, and one
-``sum(axis=1)`` per statistic reduces the tile's rows, each by the same
-pairwise sum as the row alone, so the bits are those of per-step sums.
+(:func:`_record_block`).  The block's uniforms live in a step-major record
+``buf[block, k, N]``, so each step reads one contiguous (k, N) slab; the
+block is capped so that the record stays within ``RECORD_BYTES``.  They are
+drawn trial by trial, each trial's ``Philox`` set by its counter to the
+block's first double (:func:`_streams`), a fill group of trials at a time
+(:func:`_fill_group`) into a ``(group, block, N)`` scratch, and copied
+transposed into the record.  Each step compares its uniforms with the super
+urns, pooled into one reused C-contiguous (k, N) buffer, into one of its
+config's two (k, N) draw slabs, and tallies the slab's counts at once, so
+no block of draws is kept.  The float statistics are reduced a tile of
+steps at a time (:func:`_stats_tile`): each step writes its per-trial mean
+urn proportions as one contiguous row, and one ``sum(axis=1)`` per
+statistic reduces the tile's rows, each by the same pairwise sum as the
+row alone, so the bits are those of per-step sums.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from .graph import Network, classify
 # the chunk size is part of the config hash, so this rule stays apart from
 # the record cap below
 UNIFORM_BUFFER_BYTES = 64 << 20
-# caps the draw record a chunk allocates (_record_block): its blocks are cut
+# caps the uniform record a chunk allocates (_record_block): its blocks are cut
 # to as many steps as fit in this many bytes ...
 RECORD_BYTES = 4 << 20
 # ... but never below this many doubles per trial and block, so that each
@@ -225,7 +224,7 @@ def _auto_chunk(cfg: RunConfig) -> int:
     block of uniforms each, ``8 * _time_block(h, N) * N`` bytes a trial,
     into ``UNIFORM_BUFFER_BYTES``, but at least 16 and at most the run's
     trials.  The value is part of the config hash (see
-    :meth:`RunConfig.describe`); the draw record a chunk allocates is
+    :meth:`RunConfig.describe`); the uniform record a chunk allocates is
     capped apart from it (:func:`_record_block`)."""
     n = cfg.net.node_count
     per_trial = 8 * _time_block(cfg.horizon, n) * n
@@ -259,7 +258,7 @@ def _time_block(h: int, n: int) -> int:
 
 def _record_block(h: int, n: int, k: int) -> int:
     """Steps of uniforms drawn per trial and generator call in a chunk of
-    ``k`` trials: as many as keep the draw record, ``8 * k * N`` bytes a
+    ``k`` trials: as many as keep the uniform record, ``8 * k * N`` bytes a
     step, within ``RECORD_BYTES``, but at least ``MIN_CALL_DOUBLES`` / N
     steps and at most the time block.  The streams restart at any step, so
     the block changes no output bit."""
@@ -307,16 +306,19 @@ def _streams(seed: int, lo: int, k: int, offset: int):
 
 class _ChunkRun:
     """One config's share of a chunk: its urn batch, its statistics, and
-    what its reductions carry from one block of steps to the next."""
+    what its reductions carry from one step to the next."""
 
     def __init__(self, cfg: RunConfig, k: int, tile: int):
-        h = cfg.horizon
+        n, h = cfg.net.node_count, cfg.horizon
         self.cfg = cfg
         # a memory of at least the horizon never expires an addition
         memory = cfg.memory if cfg.memory is not None and cfg.memory < h else None
         self.batch = UrnBatch(cfg.net, cfg.init, k, memory=memory, sched=cfg.sched)
         self.stats = TrialStatistics.zeros(cfg, k)
-        self.codes = np.zeros(k, dtype=np.int64) if cfg.collect_assignments else None
+        # step t's (k, N) draws go to slab t % 2, so the slab of step t - 1
+        # is still there for the pair counts
+        self.draws = np.empty((2, k, n))
+        self.codes = np.zeros(k) if cfg.collect_assignments else None
         # row j of means holds the row mean after a tile's j-th step, row 0
         # the one before it; a tile's statistics are reduced over these
         # contiguous rows at once, and a row's sum is the same pairwise sum
@@ -324,16 +326,18 @@ class _ChunkRun:
         self.means = np.empty((tile + 1, k))
         _row_mean(self.batch.proportions(), out=self.means[0])
         self.stats.susceptibility_sum[0] = self.means[0].sum()
-        self.z_last = None
 
-    def steps(self, uniforms: np.ndarray, record: np.ndarray, t0: int, b: int,
-              s: np.ndarray) -> None:
+    def steps(self, uniforms: np.ndarray, t0: int, b: int, s: np.ndarray,
+              ones: np.ndarray) -> None:
         """Steps ``t0 + 1 .. t0 + b``: each compares its uniforms with the
-        super urns, pooled into ``s``, and writes its 0/1 draws into
-        ``record`` (which may be ``uniforms`` itself); the float statistics
-        are reduced a tile of steps at a time."""
-        batch, sched, means = self.batch, self.cfg.sched, self.means
-        stats = self.stats
+        super urns, pooled into ``s``, into its draw slab, steps the batch
+        and tallies the slab at once (``s``, which the step has read, then
+        holds the pair products); the float statistics are reduced a tile
+        of steps at a time.  Every tally adds 0/1 values (the codes:
+        distinct powers of two), so it is exact in any order."""
+        batch, sched, means, draws = self.batch, self.cfg.sched, self.means, self.draws
+        stats, codes, n = self.stats, self.codes, self.stats.node_count
+        red, pair, averages = stats.red_draw_counts, stats.pair_counts, stats.sample_averages
         susc_sum, inc_sum, inc_sumsq = (stats.susceptibility_sum, stats.increment_sum,
                                         stats.increment_sumsq)
         tile = means.shape[0] - 1
@@ -346,9 +350,16 @@ class _ChunkRun:
                 for i in range(i0, i0 + m):
                     t = t0 + i + 1
                     batch.super_urn(out=s)
-                    z = np.less(uniforms[i], s, out=record[i])
+                    z = np.less(uniforms[i], s, out=draws[t % 2])
                     batch.step(t, z, s, sched)
                     _row_mean(batch.proportions(), out=means[i - i0 + 1])
+                    red[t] = ones @ z
+                    if pair is not None and t > 1:
+                        pair[t] = ones @ np.multiply(z, draws[(t - 1) % 2], out=s)
+                    if averages is not None:
+                        averages += z
+                    if codes is not None:  # bit (t-1) * N + i: node i's draw at t
+                        codes += z @ 2.0 ** np.arange(n * (t - 1), n * t)
                 t = t0 + i0 + 1
                 susc_sum[t:t + m] = means[1:m + 1].sum(axis=1)
                 # each increment overwrites the row before it, in place
@@ -362,30 +373,10 @@ class _ChunkRun:
                     f"urn masses left the float range during steps {t0 + 1}-{t0 + b}; "
                     "use smaller urn masses or reinforcements")
 
-    def tally(self, draws: np.ndarray, t0: int, ones: np.ndarray) -> None:
-        """Reduce a block's draw record, ``draws[i]`` the (k, N) draws of
-        step ``t0 + i + 1``.  Every reduction adds 0/1 values (the codes:
-        distinct powers of two below 2^24), so it is exact in any order."""
-        stats, n = self.stats, self.stats.node_count
-        b = draws.shape[0]
-        stats.red_draw_counts[t0 + 1:t0 + b + 1] = ones @ draws
-        pair = stats.pair_counts
-        if pair is not None:
-            # einsum reduces without a block-sized temporary
-            if self.z_last is not None:
-                pair[t0 + 1] = np.einsum("kn,kn->n", draws[0], self.z_last)
-            pair[t0 + 2:t0 + b + 1] = np.einsum("bkn,bkn->bn", draws[1:], draws[:-1])
-            self.z_last = draws[-1].copy()
-        if stats.sample_averages is not None:
-            stats.sample_averages += draws.sum(axis=0)
-        if self.codes is not None:
-            weights = 2.0 ** (np.arange(b * n) + n * t0).reshape(b, n)
-            self.codes += np.einsum("bkn,bn->k", draws, weights).astype(np.int64)
-
     def result(self) -> tuple[TrialStatistics, np.ndarray | None]:
         if self.stats.sample_averages is not None:
             self.stats.sample_averages /= self.cfg.horizon  # draw counts become averages
-        return self.stats, self.codes
+        return self.stats, None if self.codes is None else self.codes.astype(np.int64)
 
 
 def _run_chunk(cfgs: Sequence[RunConfig], lo: int,
@@ -394,19 +385,13 @@ def _run_chunk(cfgs: Sequence[RunConfig], lo: int,
     stream (:func:`run_many`): per config, its ``TrialStatistics`` and,
     when it collects assignments, one assignment code per trial.  Each
     block's uniforms are drawn once, then each config steps its own batch
-    over them in turn."""
+    over them in turn (:meth:`_ChunkRun.steps`)."""
     first = cfgs[0]
     n, h, k = first.net.node_count, first.horizon, hi - lo
-    # a group of several configs holds two records in the budget of one
-    block = _record_block(h, n, k * min(2, len(cfgs)))
-    # step-major draw record: buf[i] holds step i of the block for every
-    # trial as one contiguous (k, N) slab; the last config's steps overwrite
-    # their uniforms with their 0/1 draws, so after the block buf is its
-    # draw record, and every other config writes its draws into a second
-    # record, keeping the uniforms for the configs after it
+    block = _record_block(h, n, k)
+    # step-major uniform record: buf[i] holds step i of the block for every
+    # trial as one contiguous (k, N) slab
     buf = np.empty((block, k, n))
-    spare = np.empty_like(buf) if len(cfgs) > 1 else None
-    records = [spare] * (len(cfgs) - 1) + [buf]
     # each trial's uniforms are drawn into scratch[j, :b], then a fill group
     # at a time is copied transposed into buf, a step's N doubles as one item
     group = _fill_group(k, block, n)
@@ -424,9 +409,8 @@ def _run_chunk(cfgs: Sequence[RunConfig], lo: int,
             for j in range(g):
                 next(streams).random(out=scratch[j, :b])
             np.copyto(buf_steps[:b, g0:g0 + g], scratch_steps[:g, :b].T)
-        for run, record in zip(runs, records):
-            run.steps(buf, record, t0, b, s)
-            run.tally(record[:b], t0, ones)
+        for run in runs:
+            run.steps(buf, t0, b, s, ones)
     return [run.result() for run in runs]
 
 
@@ -528,8 +512,7 @@ class HistogramResult:
 def histogram(samples: Sequence[float], bins: int) -> HistogramResult:
     """Density-normalized histogram on [0, 1] (total area 1)."""
     data = np.asarray(samples, dtype=np.float64)
-    if not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise InvalidParameter(f"bins must be an integer >= 1, got {bins!r}")
+    bins = exact.check_int(bins, "bins", minimum=1)
     if len(data) < bins:
         raise InvalidParameter("need at least as many samples as bins")
     if not np.all((data >= 0.0) & (data <= 1.0)):

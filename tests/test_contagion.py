@@ -53,6 +53,26 @@ def test_schedules_reject_masses_without_a_finite_float(build, value):
         build(value)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: cg.UrnBatch(K2, cg.uniform_init(2), 2.5),
+    lambda: cg.UrnBatch(K2, cg.uniform_init(2), 0),
+    lambda: cg.UrnBatch(K2, cg.uniform_init(2), -1),
+    lambda: cg.UrnBatch(K2, cg.uniform_init(2), 10 ** 30),
+    lambda: cg.uniform_init(2.5),
+    lambda: cg.uniform_init(0),
+    lambda: cg.uniform_init(10 ** 30),
+    lambda: cg.super_urn_proportion(cg.initial_state(PATH3, cg.uniform_init(3)), PATH3, 7),
+    lambda: cg.super_urn_proportion(cg.initial_state(PATH3, cg.uniform_init(3)), PATH3, -1),
+    lambda: cg.super_urn_proportion(cg.initial_state(PATH3, cg.uniform_init(3)), PATH3, 1.5),
+], ids=["rows_2.5", "rows_0", "rows_-1", "rows_10^30", "init_2.5", "init_0", "init_10^30",
+        "node_7", "node_-1", "node_1.5"])
+def test_sizes_and_nodes_are_checked_with_typed_errors(call):
+    # 2.5 rows were accepted and node -1 read the last node's super urn; the
+    # others raised a raw ValueError, OverflowError, TypeError or IndexError
+    with pytest.raises(InvalidParameter):
+        call()
+
+
 def test_initial_state_symmetric():
     state = cg.initial_state(K2, exact_init((1, 1), (1, 1)))
     assert cg.conditional_draw_probabilities(state, K2) == [F(1, 2), F(1, 2)]

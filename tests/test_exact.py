@@ -867,6 +867,26 @@ def test_integer_arguments_are_checked_with_a_typed_error():
     assert table.node_marginal_probs(np.int64(1), (np.int32(2), 3)).sum() == 1
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: exact.classical_polya_table(exact.PolyaParams(0.5, 1.0), 2.5), InvalidParameter),
+    (lambda: exact.classical_polya_table(exact.PolyaParams(0.5, 1.0), -1), InvalidParameter),
+    (lambda: exact.classical_polya_table(exact.PolyaParams(0.5, 1.0), 10 ** 30), CapExceeded),
+    (lambda: exact.binomial_pmf(10 ** 30, [0.5]), CapExceeded),
+    (lambda: exact.binomial_pmf(3, 0.5), InvalidParameter),
+    (lambda: exact.classical_count_log_probs(exact.PolyaParams(0.5, 1.0), 10 ** 30),
+     CapExceeded),
+    (lambda: exact.nonstationarity_witness(0.5, 1e308), DomainError),
+    (lambda: exact.nonstationarity_witness(0.5, 3e102), DomainError),
+], ids=["table_2.5", "table_-1", "table_10^30", "pmf_10^30", "pmf_scalar", "counts_10^30",
+        "witness_1e308", "witness_3e102"])
+def test_sizes_and_float_ranges_are_checked_with_typed_errors(call, error):
+    # each raised a raw TypeError, ValueError, IndexError or OverflowError,
+    # except the witness at 3e102, whose denominator overflowed to inf
+    # without a raise and gave a pair probability of 0
+    with pytest.raises(error):
+        call()
+
+
 @pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0])
 def test_count_dp_refuses_a_delta_that_is_not_finite(delta):
     # inf gave all-NaN marginals with numpy RuntimeWarnings

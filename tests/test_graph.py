@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -229,9 +231,12 @@ def test_generate_dispatch_and_errors():
     (lambda: graph.generate("ba", 5, m=2, seed=1.5), "seed"),
     (lambda: sis.sis_run(graph.generate_complete(2), [0.5, 0.5],
                          sis.SisParams(beta=0.1, delta_sis=0.1), 2.5), "horizon"),
-], ids=["ba_n", "complete_n", "cycle_n", "star_bool_n", "ba_m", "ba_seed", "sis_horizon"])
+    (lambda: graph.build_network(math.nan, []), "node count"),
+], ids=["ba_n", "complete_n", "cycle_n", "star_bool_n", "ba_m", "ba_seed", "sis_horizon",
+        "build_nan_n"])
 def test_non_integer_sizes_are_invalid_parameters(call, name):
-    # each used to reach range() or numpy's seeding and raise a raw TypeError
+    # each used to reach range() or numpy's seeding and raise a raw TypeError,
+    # or for a NaN node count numpy's ValueError
     with pytest.raises(InvalidParameter, match=f"{name} must be an integer"):
         call()
 

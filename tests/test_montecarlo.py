@@ -421,12 +421,40 @@ def test_a_group_equals_its_runs_one_by_one(net, horizon, threads):
 
 def test_a_group_with_a_capped_record_equals_its_runs_one_by_one(monkeypatch):
     cfgs = stream_group(BA5, 151, trials=7, chunk_size=4)
-    # the two records of a group share one budget: blocks of 7 steps for
-    # the group, of 14 for a config alone, with a partial last block
+    # blocks of 14 steps, for the group as for a config alone, with a
+    # partial last block; a budget shared by two records would give 7
     monkeypatch.setattr(mc, "MIN_CALL_DOUBLES", 1)
     monkeypatch.setattr(mc, "RECORD_BYTES", 8 * 14 * 4 * 5)
     assert mc._record_block(151, 5, 2 * 4) == 7 and mc._record_block(151, 5, 4) == 14
     assert_runs_one_by_one(cfgs)
+
+
+def test_a_group_holds_one_record():
+    # 254 trials of 20 nodes: a 103-step block, the generator-call floor,
+    # fills the record budget, so a second record could not be cut to fit
+    cfgs = stream_group(BA20, 449, trials=254, chunk_size=254)
+    k, n = 254, 20
+    record = 8 * mc._record_block(449, n, k) * k * n
+    assert mc._record_block(449, n, 2 * k) == 103 == -(-mc.MIN_CALL_DOUBLES // n)
+    assert mc.RECORD_BYTES - 8 * k * n < record <= mc.RECORD_BYTES
+    tracemalloc.start()
+    try:
+        group = mc.run_many(cfgs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # besides the record and the fill scratch, the run and its chunk each
+    # hold every config's statistics; a config holds its ring, a tile of
+    # row means and seven (k, N) slabs (masses, gains, proportions and two
+    # draw slabs), and a step a few (k, N) temporaries
+    held = sum(a.nbytes for stats in group
+               for a in (stats.red_draw_counts, stats.pair_counts, stats.sample_averages,
+                         stats.susceptibility_sum, stats.increment_sum, stats.increment_sumsq)
+               if a is not None)
+    rings = sum(16 * cfg.memory * k * n for cfg in cfgs if cfg.memory)
+    tiles = 8 * (mc._stats_tile(449, k) + 1) * k * len(cfgs)
+    slabs = 8 * k * n * (7 * len(cfgs) + 8)
+    assert peak <= record + mc._FILL_SCRATCH_BYTES + 2 * held + rings + tiles + slabs
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -460,7 +488,8 @@ def test_configs_that_share_no_stream_are_refused(change):
 
 
 def test_a_float_fault_in_the_first_config_of_a_group_raises():
-    # the first config draws into the group's second record, the last in place
+    # the first config faults while the last, stepping after it over the
+    # same uniforms, does not
     common = dict(horizon=10_000, trials=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
