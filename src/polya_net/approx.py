@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from . import exact
-from .contagion import ConstantDelta, UrnInit
+from .contagion import ConstantDelta, UrnInit, check_node
 from .errors import DegenerateMarginal, DomainError, InvalidParameter
 from .graph import Network
 
@@ -53,8 +53,7 @@ class Model1Fit:
 def _node_params(net: Network, init: UrnInit, i: int, delta):
     """(rho, N * delta / super-urn total) of node i, from one sum of each
     color over its closed neighbourhood."""
-    if exact.check_int(i, "node", minimum=0) >= net.node_count:
-        raise InvalidParameter(f"node {i} outside the network's {net.node_count} nodes")
+    i = check_node(i, net.node_count)
     if not 0 <= delta < math.inf:  # NaN fails both
         raise InvalidParameter(f"delta must be finite and >= 0, got {delta}")
     nbrs = net.closed_neighbors[i]

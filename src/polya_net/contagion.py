@@ -6,18 +6,19 @@ and the drawn color's reinforcement mass is added to the node's own urn.
 All mass arithmetic is type-agnostic: exact ``Fraction`` inputs stay exact,
 floats stay floats.  States are values (copy, never mutate in place).
 
-:class:`UrnBatch` is the float64 counterpart for many copies of the process
-at once (Monte Carlo trials, enumerated histories).  Both take a step's
-masses from ``DeltaSchedule.masses``, record gains as (red, total), like
-the urns, and with finite memory M expire step t-M's gains before adding
-step t's, so the same draws give the same float bits wherever the
-super-urn proportions agree: always under CSR pooling, while dense BLAS
-pooling may round them otherwise.  Under equal, time-constant red and
-black masses every copy's urn totals are the same, so a batch pooled by
-CSR sums (more than 32 nodes) keeps them as one shared row after its red
-rows, pooled by the same CSR product and added and expired with them;
-dense pooling keeps a total plane, for its BLAS products' bits and its
-speed on narrow rows.
+:class:`UrnBatch` holds many copies of the process at once (Monte Carlo
+trials, enumerated histories), in float64 or, for exact tables, in
+``Fraction`` objects pooled by closed-neighbourhood sums.  Both engines
+take a step's masses from ``DeltaSchedule.masses``, record gains as (red,
+total), like the urns, and with finite memory M expire step t-M's gains
+before adding step t's, so the same draws give equal ``Fraction``s, and
+the same float bits wherever the super-urn proportions agree: always
+under CSR pooling, while dense BLAS pooling may round them otherwise.
+Under equal, time-constant red and black masses every copy's urn totals
+are the same, so a batch pooled by CSR sums (more than 32 nodes) keeps
+them as one shared row after its red rows, pooled by the same CSR product
+and added and expired with them; dense pooling keeps a total plane, for
+its BLAS products' bits and its speed on narrow rows.
 """
 
 from __future__ import annotations
@@ -276,6 +277,7 @@ class NetworkState:
                        total_mass=list(self.total_mass), window=deque(self.window))
 
     def urn_proportion(self, i: int):
+        i = check_node(i, self.node_count)
         return self.red_mass[i] / self.total_mass[i]
 
     def urn_proportions(self) -> list:
@@ -296,8 +298,8 @@ def initial_state(net: Network, init: UrnInit, memory: int | None = None) -> Net
         raise SizeMismatch(
             f"urn init has {init.node_count} nodes, network has {net.node_count}"
         )
-    if memory is not None and memory < 1:
-        raise InvalidParameter(f"finite memory must be >= 1, got {memory}")
+    if memory is not None:
+        memory = check_int(memory, "memory", minimum=1)
     return NetworkState(
         time=0,
         red_mass=list(init.red),
@@ -308,11 +310,17 @@ def initial_state(net: Network, init: UrnInit, memory: int | None = None) -> Net
     )
 
 
+def check_node(i, node_count: int, name: str = "node") -> int:
+    """``i`` as an int; ``InvalidParameter`` unless it is an integer node
+    index below ``node_count``."""
+    if check_int(i, name, minimum=0) >= node_count:
+        raise InvalidParameter(f"{name} must be below the {node_count} nodes, got {i}")
+    return int(i)
+
+
 def super_urn_proportion(state: NetworkState, net: Network, i: int):
     """Red fraction of node i's super urn (pooled closed neighborhood)."""
-    if check_int(i, "node", minimum=0) >= net.node_count:
-        raise InvalidParameter(f"node must be below the {net.node_count} nodes, got {i}")
-    nbrs = net.closed_neighbors[i]
+    nbrs = net.closed_neighbors[check_node(i, net.node_count)]
     red = sum(state.red_mass[j] for j in nbrs)
     total = sum(state.total_mass[j] for j in nbrs)
     return red / total
@@ -396,6 +404,10 @@ class DrawRecord:
 def simulate_path(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: int,
                   rng, memory: int | None = None):
     """Reference scalar sampler: returns (DrawRecord, final NetworkState)."""
+    from .exact import check_cell_budget  # exact imports this module
+
+    horizon = check_int(horizon, "horizon", minimum=0)
+    check_cell_budget(net.node_count, horizon, "a path")
     state = initial_state(net, init, memory=memory)
     sched.check_size(net.node_count, horizon)
     steps = []
@@ -427,17 +439,20 @@ def import_pooling(net: Network) -> None:
 
 
 class UrnBatch:
-    """Float64 urn masses of many copies of the process (rows x N ``red``
-    and ``total``).  The mass planes, (P, rows, N), hold ``red`` and, unless
-    the total is a shared row (below), ``total``; each step's gains have the
-    same planes.  With finite memory M a ring keeps the last M steps' gains
-    so they can be expired, as in :func:`apply_draws`.
+    """Urn masses of many copies of the process (rows x N ``red`` and
+    ``total``): float64, or ``Fraction`` objects in an ``exact`` batch.
+    The mass planes, (P, rows, N), hold ``red`` and, unless the total is a
+    shared row (below), ``total``; each step's gains have the same planes.
+    With finite memory M a ring keeps the last M steps' gains so they can
+    be expired, as in :func:`apply_draws`; a memory of at least
+    ``horizon``, the steps the batch will take, never expires a gain.
 
-    Networks of at most ``DENSE_POOLING_MAX_NODES`` (32) nodes pool
-    neighbourhoods by dense BLAS products, larger ones by CSR sums.  The
-    split is part of the output bits: the two sum a neighbourhood in
-    different orders, and their results differ in the last bit for some
-    networks of 20 nodes and more.
+    An exact batch adds up each closed neighbourhood, as
+    :func:`super_urn_proportion` does; float batches on at most
+    ``DENSE_POOLING_MAX_NODES`` (32) nodes pool neighbourhoods by dense
+    BLAS products, larger ones by CSR sums.  The split is part of the
+    output bits: the two sum a neighbourhood in different orders, and their
+    results differ in the last bit for some networks of 20 nodes and more.
 
     Given ``sched`` with ``equal_masses`` (red and black masses equal and
     constant), a step's total gain is those masses whatever was drawn, so
@@ -452,22 +467,28 @@ class UrnBatch:
     """
 
     def __init__(self, net: Network, init: UrnInit, rows: int, memory: int | None = None,
-                 sched: DeltaSchedule | None = None):
+                 sched: DeltaSchedule | None = None, exact: bool = False,
+                 horizon: int | None = None):
         start = initial_state(net, init, memory=memory)
+        memory = start.memory
+        if horizon is not None and memory is not None and memory >= horizon:
+            memory = None  # a run of ``horizon`` steps never expires a gain
         n = net.node_count
         rows = check_int(rows, "rows", minimum=1)
         if 16 * rows * n > sys.maxsize:  # the red and total planes' bytes
             raise InvalidParameter(f"{rows} rows of {n} nodes are more than an array holds")
-        # dense neighborhood sums beat CSR on small networks
-        if n <= DENSE_POOLING_MAX_NODES:
-            self._dense, self._csr = net.closed_adjacency, None
+        self._segments = self._dense = self._csr = None
+        if exact:  # each closed neighbourhood is a CSR segment, summed
+            self._segments = (net.indices, net.indptr[:-1])
+        elif n <= DENSE_POOLING_MAX_NODES:  # dense products beat CSR on small networks
+            self._dense = net.closed_adjacency
         else:
             from scipy.sparse import csr_matrix
 
             # the network's own neighbourhood arrays, never N x N dense ones
-            self._dense, self._csr = None, csr_matrix(
+            self._csr = csr_matrix(
                 (np.ones(len(net.indices)), net.indices, net.indptr), shape=(n, n))
-        first = np.array([start.red_mass, start.total_mass], dtype=float)
+        first = np.array([start.red_mass, start.total_mass], dtype=object if exact else float)
         self._shared = (self._csr is not None and sched is not None
                         and sched.equal_masses is not None)
         planes = np.repeat(first[:, None, :], rows, axis=1)
@@ -476,7 +497,8 @@ class UrnBatch:
         self.memory = memory
         self._set_planes(planes)
         # slot (t-1) % M holds step t's gains, planes ordered as _planes'
-        self._ring = None if memory is None else np.zeros((memory, *self._planes.shape))
+        self._ring = (None if memory is None
+                      else np.zeros_like(planes, shape=(memory, *planes.shape)))
 
     def _set_planes(self, planes: np.ndarray) -> None:
         self._planes = planes
@@ -496,6 +518,10 @@ class UrnBatch:
     def super_urn(self, out: np.ndarray | None = None) -> np.ndarray:
         """Red fraction of every node's super urn, per row: into ``out``, a
         C-contiguous (rows, N) array, if given, else a new array."""
+        if self._segments is not None:
+            indices, starts = self._segments
+            red, total = np.add.reduceat(self._planes[..., indices], starts, axis=-1)
+            return np.divide(red, total, out=out)
         if self._csr is None:
             # one product per plane: a stacked product moves rows across the
             # BLAS kernels' row tails, which changes last bits
@@ -512,7 +538,7 @@ class UrnBatch:
     def pooled_totals_finite(self) -> bool:
         """Whether every super urn's total mass, a closed-neighbourhood sum
         of ``total``, is a finite float; a node's own urn is in its sum, so
-        an infinite or NaN urn fails too."""
+        an infinite or NaN urn fails too.  Float batches only."""
         if self._csr is None:
             pooled = self.total @ self._dense
         else:
@@ -533,11 +559,12 @@ class UrnBatch:
             self._ring = pick(self._ring)
 
     def step(self, t: int, z: np.ndarray, s: np.ndarray, sched: DeltaSchedule) -> None:
-        """Apply step t's draws ``z`` (0/1 floats, rows x N) drawn at
-        super-urn proportions ``s``: expire step t-M's gains, then add the
-        gains ``z*dr`` (red) and ``(1-z)*db + z*dr`` (total).  The draw mask
-        selects finite masses exactly; the curing mass is infinite only
-        where s == 1 or the urn proportion is 0.  A shared total row gains
+        """Apply step t's draws ``z`` (0/1, rows x N; ints in an exact batch)
+        drawn at super-urn proportions ``s``: expire step t-M's gains, then
+        add the gains ``z*dr`` (red) and ``(1-z)*db + z*dr`` (total), no
+        float entering an exact batch.  The draw mask selects finite
+        masses exactly; the curing mass is infinite only where s == 1 or
+        the urn proportion is 0.  A shared total row gains
         ``db``, which is that total gain for a 0/1 ``z`` when the masses are
         equal; ``sched`` is then the schedule the batch was built with."""
         dr, db = sched.masses(t, self._u, s)
@@ -551,7 +578,7 @@ class UrnBatch:
         if self._shared:
             gains[0, -1] = db
         else:
-            np.multiply(1.0 - z, db, out=gains[1])
+            np.multiply(1 - z, db, out=gains[1])
             gains[1] += gains[0]
         self._planes += gains
         np.divide(self.red, self.total, out=self._u)
@@ -567,7 +594,7 @@ def finite_memory_conditional(state: NetworkState, net: Network, i: int):
     """
     if state.memory is None:
         raise InvalidParameter("state has infinite memory; use super_urn_proportion")
-    nbrs = net.closed_neighbors[i]
+    nbrs = net.closed_neighbors[check_node(i, net.node_count)]
     red = sum(state.base_red[j] for j in nbrs)
     total = sum(state.base_total[j] for j in nbrs)
     for red_gain, total_gain in state.window:
@@ -594,6 +621,7 @@ def expected_urn_increment(state: NetworkState, net: Network, i: int, delta):
         )
     if delta < 0:
         raise InvalidParameter("delta must be >= 0")
+    i = check_node(i, net.node_count)
     u = state.urn_proportions()
     diff_sum = sum(u[j] - u[i] for j in net.neighbors[i])
     denom = (totals[i] + delta) * (net.degrees[i] + 1)

@@ -1,12 +1,15 @@
 """Exact finite-horizon distributions of the contagion draw process.
 
-The reference path enumerates every draw assignment with ``Fraction``
-arithmetic, so distribution identities can be asserted with ``==`` instead
-of tolerances.  A float path covers assignment spaces too large for exact
-mode, an expansion that merges histories reaching the same urn state gives
-node marginals without the float table, and a dynamic program provides
-node marginals on complete networks far beyond the enumeration cap.  Classical single-urn joints, divergence
-rates, and the limiting Beta density/CDF live here as well.
+Joint tables enumerate every draw assignment by one level-by-level
+expansion on a :class:`contagion.UrnBatch`: in ``Fraction`` arithmetic, so
+distribution identities can be asserted with ``==`` instead of
+tolerances, or in float64 for larger spaces.  Its peak holds the table and
+one level's urn states, a few float64 or ``Fraction`` objects a cell.  An
+expansion that merges histories reaching the same urn state gives node
+marginals without the float table, and a dynamic program provides node
+marginals on complete networks far beyond the enumeration cap.  Classical
+single-urn joints, divergence rates, and the limiting Beta density/CDF
+live here as well.
 """
 
 from __future__ import annotations
@@ -111,9 +114,9 @@ class JointTable:
     """Probability of every draw assignment up to a fixed horizon.
 
     Assignments are encoded as integers with bit (t-1)*N + i holding node
-    i's draw at time t.  ``probs`` is a list of Fractions in exact mode or a
-    float ndarray otherwise, indexed by that code.  Marginals and event
-    probabilities are axis sums over one view of it, an array with a
+    i's draw at time t.  ``probs`` is an ndarray indexed by that code, of
+    ``Fraction`` objects in exact mode and float64 otherwise.  Marginals
+    and event probabilities are axis sums over one view of it, an array with a
     length-2 axis per bit (axis (t-1)*N + i for node i at time t), in
     ``Fraction`` or float64 arithmetic as the table is.
     """
@@ -142,8 +145,7 @@ class JointTable:
     def _cube(self) -> np.ndarray:
         """The table viewed with one length-2 axis per assignment bit, so
         that axis (t-1)*N + i is node i's draw at time t."""
-        probs = np.asarray(self.probs, dtype=object if self.exact else np.float64)
-        return probs.reshape((2,) * self._bits).T
+        return self.probs.reshape((2,) * self._bits).T
 
     def _sum_out(self, view, axes=None):
         """``np.sum(view, axis=axes)`` (all axes by default), one axis at a
@@ -169,8 +171,7 @@ class JointTable:
                             window: tuple[int, int] | None = None) -> np.ndarray:
         """``node_marginal`` as an array in code order: entry c is the
         probability of the draws whose bit t-lo is node i's draw at time t."""
-        if check_int(i, "node", minimum=0) >= self.node_count:
-            raise InvalidParameter(f"node {i} outside the table's {self.node_count} nodes")
+        i = contagion.check_node(i, self.node_count)
         lo, hi = window if window is not None else (1, self.horizon)
         lo, hi = check_int(lo, "window start", minimum=1), check_int(hi, "window end", minimum=1)
         if not (1 <= lo <= hi <= self.horizon):
@@ -184,8 +185,9 @@ class JointTable:
         """Probability that each (node, time) in ``fixed`` drew the given bit."""
         index = [slice(None)] * self._bits
         for (i, t), bit in fixed.items():
-            if not (0 <= i < self.node_count and 1 <= t <= self.horizon):
-                raise InvalidParameter(f"(node={i}, time={t}) outside the table")
+            i = contagion.check_node(i, self.node_count)
+            if check_int(t, "time", minimum=1) > self.horizon:
+                raise InvalidParameter(f"time {t} is past the table's horizon {self.horizon}")
             if bit not in (0, 1):
                 raise InvalidParameter(f"draw at (node={i}, time={t}) must be 0 or 1, got {bit}")
             index[(t - 1) * self.node_count + i] = int(bit)
@@ -273,30 +275,26 @@ def enumerate_joint(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: 
                     memory: int | None = None) -> JointTable:
     """Full assignment table at the given horizon.
 
-    Exact mode requires rational inputs and produces a table with total mass
-    exactly 1.  Float mode expands all histories level by level with numpy;
-    its peak memory is a small multiple of the 2^(N * horizon) float64 table
-    (128 MiB at the default cap), since the urn state of every history is
-    kept for all but the last level.
+    Exact mode requires rational inputs and gives ``Fraction``s with total
+    mass exactly 1.  Both modes expand all histories level by level
+    (:func:`_expand`) on one ``UrnBatch``, keeping the table and the urn
+    states of the level before the last draw: a small multiple of the
+    float64 table (128 MiB at the default cap), or a few ``Fraction``
+    objects a cell (cycle4 at horizon 4, 2^16 cells, peaks near 12 MB).
     """
     horizon = check_int(horizon, "horizon", minimum=1)
-    bits = _check_cap(net.node_count, horizon, cap)
-    sched.check_size(net.node_count, horizon - 1)  # masses added after the last draw never count
-    if not exact:
-        return _float_table(net, init, sched, horizon, memory)
-    if not _is_exact(init, sched):
+    n = net.node_count
+    _check_cap(n, horizon, cap)
+    sched.check_size(n, horizon - 1)  # masses added after the last draw never count
+    if exact and not _is_exact(init, sched):
         raise InvalidParameter("exact enumeration needs integer or Fraction urn masses "
                                "and reinforcements; pass exact=False for floats")
-    n = net.node_count
-    stride = 1 << (n * (horizon - 1))  # code step between last-level draw combos
-    probs: list = [None] * (1 << bits)
-    for prefix, prob, state in iter_histories(net, init, sched, horizon - 1,
-                                              memory=memory, cap=cap):
-        code = sum(d << (t * n + i) for t, draws in enumerate(prefix)
-                   for i, d in enumerate(draws))
-        s = contagion.conditional_draw_probabilities(state, net)
-        probs[code::stride] = _combo_products(prob, s)
-    return JointTable(n, horizon, probs, exact=True)
+    batch = contagion.UrnBatch(net, init, 1, memory=memory, exact=exact, horizon=horizon)
+    probs = np.array([Fraction(1) if exact else 1.0], dtype=batch.red.dtype)
+    for t in range(1, horizon + 1):
+        keep = np.arange(probs.size << n) if t < horizon else None
+        probs = _expand(batch, probs, t, sched, keep)
+    return JointTable(n, horizon, probs, exact=exact)
 
 
 def _combo_products(prob, s):
@@ -308,45 +306,35 @@ def _combo_products(prob, s):
     return products
 
 
-def _float_table(net, init, sched, horizon, memory):
-    """Float64 level-by-level expansion; row c * width + r of level t extends
-    history r of level t-1 by draw combo c, which is its assignment code."""
-    batch = contagion.UrnBatch(net, init, 1, memory=memory)
-    probs = np.ones(1)
-    for t in range(1, horizon + 1):
-        keep = np.arange(probs.size << net.node_count) if t < horizon else None
-        probs = _expand(batch, probs, t, sched, keep)
-    return JointTable(net.node_count, horizon, probs, exact=False)
-
-
 def _combo_bits(n: int) -> np.ndarray:
     """(2^n, n) int array: row c holds draw combo c, node i's draw in bit i."""
     return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
 
 
 def _expand(batch, probs, t, sched, keep=None):
-    """Level t of a float expansion.  Row r of ``batch`` is a history of
-    t - 1 steps with probability ``probs[r]``; entry c * width + r of the
-    result is the probability of history r extended by draw combo c.  Given
-    ``keep``, indices of such entries, ``batch`` steps to those histories,
-    in that order: each kept row is its history's row, taken, then stepped
-    by its combo (a step acts row by row, so no other row is stepped)."""
+    """Level t of an expansion, in the arithmetic of ``probs``' dtype and
+    ``batch``.  Row r of ``batch`` is a history of t - 1 steps with
+    probability ``probs[r]``; entry c * width + r of the result is the
+    probability of history r extended by draw combo c.  Given ``keep``,
+    indices of such entries, ``batch`` steps to those histories, in that
+    order: each kept row is its history's row, taken, then stepped by its
+    combo (a step acts row by row, so no other row is stepped)."""
     n = batch.red.shape[1]
     with _float_range(t):
         s = batch.super_urn()
         width = probs.shape[0]
         # the array form of _combo_products: row c holds combo c's products
-        level = np.empty((1 << n, width))
+        level = np.empty((1 << n, width), dtype=probs.dtype)
         level[0] = probs
         for i in range(n):
             half = level[:1 << i]
             np.multiply(half, s[:, i], out=level[1 << i:2 << i])
-            half *= 1.0 - s[:, i]
+            half *= 1 - s[:, i]
         if keep is not None:
             combo, history = np.divmod(keep, width)
             batch.take(history)
             # np.take gathers rows faster than fancy indexing
-            batch.step(t, np.take(_combo_bits(n).astype(float), combo, axis=0),
+            batch.step(t, np.take(_combo_bits(n).astype(probs.dtype), combo, axis=0),
                        np.take(s, history, axis=0), sched)
     return level.reshape(-1)
 
@@ -389,8 +377,7 @@ def float_node_marginal_probs(net: Network, init: UrnInit, sched: DeltaSchedule,
     horizon = check_int(horizon, "horizon", minimum=1)
     n = net.node_count
     _check_cap(n, horizon, cap)
-    if check_int(node, "node", minimum=0) >= n:
-        raise InvalidParameter(f"node {node} outside the network's {n} nodes")
+    node = contagion.check_node(node, n)
     sched.check_size(n, horizon - 1)
     if sched.equal_masses is None:
         raise InvalidParameter("merging histories by red counts needs equal, "
@@ -744,6 +731,12 @@ def complete_node_marginal_probs(rho: float, delta: float, node_count: int,
     from :func:`binomial_pmf`, once per step.
     """
     PolyaParams(rho, delta)  # the rho and delta checks
+    try:  # exact inputs are welcome, but the DP runs in floats
+        rho, delta = float(rho), float(delta)
+    except OverflowError:
+        raise DomainError(f"delta {delta} is past the float range") from None
+    if not 0 < rho < 1:
+        raise DomainError("rho rounds to 0 or 1 in floats")
     n_nodes = check_int(node_count, "node_count", minimum=1)
     n = check_int(horizon, "horizon", minimum=1)
     check_count_dp_cap(n_nodes, n)

@@ -311,9 +311,8 @@ class _ChunkRun:
     def __init__(self, cfg: RunConfig, k: int, tile: int):
         n, h = cfg.net.node_count, cfg.horizon
         self.cfg = cfg
-        # a memory of at least the horizon never expires an addition
-        memory = cfg.memory if cfg.memory is not None and cfg.memory < h else None
-        self.batch = UrnBatch(cfg.net, cfg.init, k, memory=memory, sched=cfg.sched)
+        self.batch = UrnBatch(cfg.net, cfg.init, k, memory=cfg.memory, sched=cfg.sched,
+                              horizon=h)
         self.stats = TrialStatistics.zeros(cfg, k)
         # step t's (k, N) draws go to slab t % 2, so the slab of step t - 1
         # is still there for the pair counts
@@ -541,16 +540,6 @@ class StationarityReport:
     settled_value: float
 
 
-def _check_node(stats: TrialStatistics, node, name: str) -> int:
-    """``node`` as an int; ``InvalidParameter`` unless it indexes one of
-    ``stats``' nodes."""
-    node = exact.check_int(node, name, minimum=0)
-    if node >= stats.node_count:
-        raise InvalidParameter(f"{name} must be below the {stats.node_count} nodes, "
-                               f"got {node}")
-    return node
-
-
 def stationarity_diagnostic(stats: TrialStatistics, node: int = 0,
                             window: int | None = None) -> StationarityReport:
     """Trailing-window report on consecutive-draw pair frequencies.
@@ -559,7 +548,7 @@ def stationarity_diagnostic(stats: TrialStatistics, node: int = 0,
     step-to-step change of P(Z_t=1, Z_{t-1}=1) over the window and the
     trailing mean as the settled value.
     """
-    node = _check_node(stats, node, "node")
+    node = contagion.check_node(node, stats.node_count)
     freq = stats.pair_freq[:, node]
     if window is None:
         window = max(2, stats.horizon // 5)
@@ -664,7 +653,7 @@ def write_trajectory_csv(stats: TrialStatistics, cfg: RunConfig, path,
     columns = ["t", "I_tilde", "U_tilde"]
     rows = [(t, infection[t], susc[t]) for t in range(1, stats.horizon + 1)]
     if pair_node is not None:
-        pair = stats.pair_freq[:, _check_node(stats, pair_node, "pair_node")]
+        pair = stats.pair_freq[:, contagion.check_node(pair_node, stats.node_count, "pair_node")]
         columns.append("pair_freq")
         rows = [(*row, pair[t] if t >= 2 else None) for t, row in enumerate(rows, 1)]
     write_csv(path, _header(cfg), columns, rows)

@@ -1,4 +1,6 @@
 import argparse
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polya_net import cli, graph, montecarlo as mc
+from polya_net import cli, contagion as cg, exact, graph, montecarlo as mc
 
 
 @pytest.fixture
@@ -57,6 +59,41 @@ def test_enumerate_csv_ends_lines_with_newline_only(k2_path, tmp_path, capsys):
     assert b"\r" not in out.read_bytes()
     assert run("enumerate", "--graph", k2_path, "--horizon", "1") == 0
     assert "\r" not in capsys.readouterr().out
+
+
+def _enumerated_csv(tmp_path, kind, nodes, *flags):
+    edges = tmp_path / "g.edges"
+    graph.write_edge_list(graph.generate(kind, nodes), edges)
+    out = tmp_path / "table.csv"
+    assert run("enumerate", "--graph", str(edges), *flags, "--out", str(out)) == 0
+    return out.read_bytes()
+
+
+def _written_csv(sched, horizon, memory=None):
+    # enumerate has no memory or curing option, so these cases write the
+    # library's table, with the command's header
+    init = cg.UrnInit(red=(F(1), F(2)), black=(F(2), F(1)))
+    buf = io.StringIO()
+    exact.enumerate_joint(graph.generate_complete(2), init, sched, horizon,
+                          memory=memory).write_csv(buf, [f"nodes=2 horizon={horizon} exact=True"])
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("table, digest", [
+    (lambda p: _enumerated_csv(p, "cycle", 4, "--horizon", "3"),
+     "9d4f7dddcb323690705f66ed46a47f59e4945f21a214a2e40f0c8b20d15b9a2e"),
+    (lambda p: _enumerated_csv(p, "complete", 2, "--horizon", "3", "--red", "1,2",
+                               "--black", "2,1", "--delta-red", "1,1/2", "--delta-black", "2,3"),
+     "29f83afb9a0dd7f1ff3c6c83bf24522174e81af2f4348bc5448b5ff1390e83c5"),
+    (lambda p: _written_csv(cg.ConstantDelta(F(1), F(2)), 4, memory=2),
+     "813a361c7fc7fac9097718f2c09f29725551aa0b0b597c22910578a21f93e95c"),
+    (lambda p: _written_csv(cg.CuringDelta(F(1), F(3, 2)), 4),
+     "a5663c423c95023ce69f2a7f2e6c7f5a9d4363a42da6e5a3d221f4f58e43f6e4"),
+], ids=["cycle4_h3", "K2_per_node_h3", "K2_memory2_h4", "K2_curing_h4"])
+def test_exact_enumeration_writes_pinned_bytes(table, digest, tmp_path):
+    # exact tables use no BLAS product, so these bytes are the same on any
+    # CPU; a change to how tables are built must leave them as they are
+    assert hashlib.sha256(table(tmp_path)).hexdigest() == digest
 
 
 def test_enumerate_table_sums_to_one(k2_path, tmp_path):

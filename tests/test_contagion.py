@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polya_net import contagion as cg, graph
+from polya_net import contagion as cg, exact, graph
 from polya_net.errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch
 
 K2 = graph.generate_complete(2)
@@ -64,13 +64,42 @@ def test_schedules_reject_masses_without_a_finite_float(build, value):
     lambda: cg.super_urn_proportion(cg.initial_state(PATH3, cg.uniform_init(3)), PATH3, 7),
     lambda: cg.super_urn_proportion(cg.initial_state(PATH3, cg.uniform_init(3)), PATH3, -1),
     lambda: cg.super_urn_proportion(cg.initial_state(PATH3, cg.uniform_init(3)), PATH3, 1.5),
+    lambda: cg.simulate_path(K2, cg.uniform_init(2), cg.ConstantDelta(1), 2.5,
+                             np.random.default_rng(0)),
+    lambda: cg.simulate_path(K2, cg.uniform_init(2), cg.ConstantDelta(1), -1,
+                             np.random.default_rng(0)),
 ], ids=["rows_2.5", "rows_0", "rows_-1", "rows_10^30", "init_2.5", "init_0", "init_10^30",
-        "node_7", "node_-1", "node_1.5"])
+        "node_7", "node_-1", "node_1.5", "path_horizon_2.5", "path_horizon_-1"])
 def test_sizes_and_nodes_are_checked_with_typed_errors(call):
-    # 2.5 rows were accepted and node -1 read the last node's super urn; the
-    # others raised a raw ValueError, OverflowError, TypeError or IndexError
+    # 2.5 rows were accepted, node -1 read the last node's super urn and a
+    # path of horizon -1 was an empty record; the others raised a raw
+    # ValueError, OverflowError, TypeError or IndexError
     with pytest.raises(InvalidParameter):
         call()
+
+
+def _memory_state():
+    state = cg.initial_state(K2, cg.uniform_init(2), memory=2)
+    return cg.apply_draws(state, K2, (1, 0), cg.ConstantDelta(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda i: cg.finite_memory_conditional(_memory_state(), K2, i),
+    lambda i: cg.expected_urn_increment(cg.initial_state(K2, cg.uniform_init(2)), K2, i, 1),
+    lambda i: cg.curing_delta_bound(cg.initial_state(K2, cg.uniform_init(2)), K2, i, 1),
+    lambda i: cg.initial_state(K2, cg.uniform_init(2)).urn_proportion(i),
+    lambda i: exact.enumerate_joint(K2, cg.uniform_init(2), cg.ConstantDelta(1), 3)
+    .event_probability({(i, 1): 1}),
+    lambda i: exact.enumerate_joint(K2, cg.uniform_init(2), cg.ConstantDelta(1), 3)
+    .event_probability({(0, i / 2): 1}),
+], ids=["finite_memory_conditional", "expected_urn_increment", "curing_delta_bound",
+        "urn_proportion", "event_node", "event_time"])
+@pytest.mark.parametrize("i", [5, -1, 1.5])
+def test_node_indices_are_checked_with_typed_errors(call, i):
+    # each raised a raw IndexError or TypeError, or read node -1 as the last
+    # node (event time i / 2: 2.5, -0.5 and 0.75)
+    with pytest.raises(InvalidParameter):
+        call(i)
 
 
 def test_initial_state_symmetric():

@@ -82,13 +82,35 @@ def test_enumerate_joint_unit_mass(net, n):
     assert all(p > 0 for p in table.probs)
 
 
-def test_enumerate_matches_chain_rule_everywhere():
-    init = cg.UrnInit(red=(F(1), F(2)), black=(F(2), F(1)))
-    sched = cg.ConstantDelta(F(1), F(2))
-    table = exact.enumerate_joint(K2, init, sched, 2)
-    for code in range(16):
-        a = tuple(tuple((code >> (t * 2 + i)) & 1 for t in range(2)) for i in range(2))
-        assert table.probs[code] == exact.joint_probability(K2, init, sched, a)
+@pytest.mark.parametrize("net, sched, horizon, memory", [
+    (K2, cg.ConstantDelta(F(1), F(2)), 2, None),
+    (K2, cg.ConstantDelta((F(1), F(1, 2)), (F(3), F(2))), 3, None),
+    (PATH3, cg.ConstantDelta((F(1), F(2), F(1, 3)), (F(2), F(1), F(1))), 2, None),
+    (CYCLE4, cg.ConstantDelta((F(1), F(2), F(1), F(1, 2)), (F(1), F(1), F(3), F(1))), 2, None),
+    (K2, cg.TabulatedDelta([(F(1), F(2)), (F(1, 2), F(3)), (F(1), F(1))],
+                           [(F(2), F(1)), (F(1), F(1, 3)), (F(1), F(1))]), 3, None),
+    (PATH3, cg.TabulatedDelta([(F(1), F(2), F(1)), (F(1),) * 3],
+                              [(F(2), F(1), F(1, 2)), (F(1),) * 3]), 2, None),
+    (K2, cg.CuringDelta(F(1), F(3, 2)), 4, None),
+    (PATH3, cg.CuringDelta(F(2), F(1, 2)), 3, None),
+    (CYCLE4, cg.CuringDelta(F(1), F(2)), 2, None),
+    (K2, cg.ConstantDelta(F(1), F(2)), 4, 1),
+    (PATH3, cg.ConstantDelta((F(2), F(1), F(1)), F(1)), 3, 1),
+    (CYCLE4, cg.ConstantDelta(F(1), F(2)), 3, 1),
+], ids=["K2_constant", "K2_per_node", "PATH3_per_node", "CYCLE4_per_node", "K2_tabulated",
+        "PATH3_tabulated", "K2_curing", "PATH3_curing", "CYCLE4_curing", "K2_memory",
+        "PATH3_memory", "CYCLE4_memory"])
+def test_enumerate_matches_chain_rule_everywhere(net, sched, horizon, memory):
+    # the table's level-by-level expansion against the one-state chain rule
+    n = net.node_count
+    init = cg.UrnInit(red=tuple(F(1 + i % 2) for i in range(n)),
+                      black=tuple(F(2 - i % 2) for i in range(n)))
+    table = exact.enumerate_joint(net, init, sched, horizon, memory=memory)
+    assert table.probs.shape == (1 << (n * horizon),)
+    for code, p in enumerate(table.probs):
+        a = tuple(tuple((code >> (t * n + i)) & 1 for t in range(horizon)) for i in range(n))
+        assert type(p) is F
+        assert p == exact.joint_probability(net, init, sched, a, memory=memory)
 
 
 def test_enumerate_first_step_uniform():
@@ -877,14 +899,57 @@ def test_integer_arguments_are_checked_with_a_typed_error():
      CapExceeded),
     (lambda: exact.nonstationarity_witness(0.5, 1e308), DomainError),
     (lambda: exact.nonstationarity_witness(0.5, 3e102), DomainError),
+    (lambda: exact.complete_node_marginal_probs(0.5, F(10) ** 400, 3, 3), DomainError),
+    (lambda: exact.complete_node_marginal_probs(F(1, 10 ** 400), 1.0, 3, 3), DomainError),
 ], ids=["table_2.5", "table_-1", "table_10^30", "pmf_10^30", "pmf_scalar", "counts_10^30",
-        "witness_1e308", "witness_3e102"])
+        "witness_1e308", "witness_3e102", "count_dp_10^400", "count_dp_rho_10^-400"])
 def test_sizes_and_float_ranges_are_checked_with_typed_errors(call, error):
     # each raised a raw TypeError, ValueError, IndexError or OverflowError,
     # except the witness at 3e102, whose denominator overflowed to inf
     # without a raise and gave a pair probability of 0
     with pytest.raises(error):
         call()
+
+
+def test_count_dp_takes_exact_rho_and_delta():
+    # a Fraction rho or delta raised a raw TypeError from np.isfinite
+    expected = exact.complete_node_marginal_probs(0.5, 1 / 3, 3, 3)
+    for rho, delta in ((0.5, F(1, 3)), (F(1, 2), 1 / 3), (F(1, 2), F(1, 3))):
+        got = exact.complete_node_marginal_probs(rho, delta, 3, 3)
+        assert got.dtype == np.float64 and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(1)), 3, memory=m),
+    lambda m: exact.enumerate_joint(K2, cg.uniform_init(2, 1.0, 1.0), cg.ConstantDelta(1.0), 3,
+                                    exact=False, memory=m),
+    lambda m: exact.joint_probability(K2, unit_init(2), cg.ConstantDelta(F(1)),
+                                      ((1, 0), (0, 1)), memory=m),
+    lambda m: exact.iter_histories(K2, unit_init(2), cg.ConstantDelta(F(1)), 2, memory=m),
+    lambda m: exact.average_infection_rate(K2, unit_init(2), cg.ConstantDelta(F(1)), 3,
+                                           memory=m),
+], ids=["exact_table", "float_table", "joint_probability", "iter_histories", "infection_rate"])
+@pytest.mark.parametrize("memory", [2.5, True, 0, "2"])
+def test_memory_is_checked_with_a_typed_error(call, memory):
+    # 2.5 and True gave an infinite-memory exact table, a float table
+    # raised a raw TypeError, the one-state paths took 2.5 silently, and
+    # "2" raised a raw TypeError everywhere
+    with pytest.raises(InvalidParameter, match="memory"):
+        call(memory)
+
+
+@pytest.mark.parametrize("exact_mode", [True, False])
+def test_a_memory_of_at_least_the_horizon_is_infinite(exact_mode):
+    # a memory of 10^30 raised numpy's "Maximum allowed dimension exceeded"
+    init = unit_init(2) if exact_mode else cg.uniform_init(2, 1.0, 1.0)
+    sched = cg.ConstantDelta(F(1) if exact_mode else 1.0, F(2) if exact_mode else 2.0)
+    infinite = exact.enumerate_joint(K2, init, sched, 3, exact=exact_mode)
+    for memory in (3, 10 ** 30):
+        table = exact.enumerate_joint(K2, init, sched, 3, exact=exact_mode, memory=memory)
+        assert np.array_equal(table.probs, infinite.probs)
+    # a memory of 1 forgets step 1's draws before step 3's
+    forgetful = exact.enumerate_joint(K2, init, sched, 3, exact=exact_mode, memory=1)
+    assert not np.array_equal(forgetful.probs, infinite.probs)
 
 
 @pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0])
