@@ -10,7 +10,6 @@ match by construction.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import Mapping
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import exact
 from .contagion import ConstantDelta, UrnInit, check_node
-from .errors import DegenerateMarginal, DomainError, InvalidParameter
+from .errors import DegenerateMarginal, DomainError, InvalidParameter, check_int, check_real
 from .graph import Network
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -34,12 +33,10 @@ class SearchConfig:
     refine_tol: float = 1e-6
 
     def __post_init__(self):
-        exact.check_int(self.coarse_points, "coarse_points", minimum=1)
+        check_int(self.coarse_points, "coarse_points", minimum=1)
         # a zero tolerance would never end the refinement
-        if not (isinstance(self.refine_tol, numbers.Real) and 0 < self.refine_tol < math.inf):
-            raise InvalidParameter(f"refine_tol must be finite and > 0, got {self.refine_tol!r}")
-        if not (isinstance(self.delta_max, numbers.Real) and 0 <= self.delta_max < math.inf):
-            raise InvalidParameter(f"delta_max must be finite and >= 0, got {self.delta_max!r}")
+        check_real(self.refine_tol, "refine_tol", 0, brackets="()")
+        check_real(self.delta_max, "delta_max", 0)
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,7 @@ def _node_params(net: Network, init: UrnInit, i: int, delta):
     """(rho, N * delta / super-urn total) of node i, from one sum of each
     color over its closed neighbourhood."""
     i = check_node(i, net.node_count)
-    if not 0 <= delta < math.inf:  # NaN fails both
-        raise InvalidParameter(f"delta must be finite and >= 0, got {delta}")
+    check_real(delta, "delta", 0)
     nbrs = net.closed_neighbors[i]
     total = sum(init.totals[j] for j in nbrs)
     d = net.node_count * delta / total
@@ -152,8 +148,7 @@ def _kl_rows(counts, entropy_term, rho, n, deltas) -> np.ndarray:
     that delta alone.  A row that is not finite in floats, from a delta
     too large, is a ``DomainError``."""
     exact.PolyaParams(rho, float(np.min(deltas)))  # the rho and delta checks
-    if n < 1:
-        raise InvalidParameter(f"the horizon n must be >= 1, got {n}")
+    check_int(n, "the horizon n", minimum=1)
     logq = exact._count_log_prob_rows(float(rho), deltas, n)
     cross = np.array([np.dot(counts, row) for row in logq])
     return (entropy_term - cross) / n
@@ -235,7 +230,7 @@ def fit_node(net: Network, init: UrnInit, delta, i: int, n: int,
         raise DomainError("the fit's search range, 10 x the node correlation parameter, "
                           "is outside the float range; use a smaller reinforcement")
     if marginal is None:
-        probs = _fit_marginal_probs(net, init, delta, i, n, exact.ENUMERATION_CAP, rho, d)
+        probs = _fit_marginal_probs(net, init, delta, i, n, rho, d)
         counts, entropy = _count_masses(probs, _red_counts(n), n)
     else:
         counts, entropy = _mapping_counts(marginal, n)
@@ -258,8 +253,7 @@ def fit_node(net: Network, init: UrnInit, delta, i: int, n: int,
     }
 
 
-def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
-                          cap: int = exact.ENUMERATION_CAP) -> dict:
+def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int) -> dict:
     """Marginal of node i's first n draws under constant reinforcement,
     keyed by draw tuples in code order.
 
@@ -267,27 +261,26 @@ def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int,
     :func:`exact.float_node_marginal_probs`, a float expansion that merges
     the histories with equal red counts per node, whatever the input
     arithmetic (fits are float-valued downstream either way).  Both are held
-    to ``cap``: the DP to 2^n x (N * n + 1) <= 2^cap float64 cells, the size
-    its last level would have if it expanded every step (it meets in the
-    middle and keeps about 2^(n/2) x (N * n/2 + 1) cells per pass), the
-    expansion to N * n <= cap, the bits of an enumeration table (it keeps
-    at most 2^t (t+1)^(N-1) rows at step t).  The values are those of the
-    (2^n,) array that ``fit_node`` collapses when it is given no marginal,
-    so fitting this dict gives the same record.
+    to the enumeration cap: the DP to 2^n x (N * n + 1) <= 2^24 float64
+    cells, the size its last level would have if it expanded every step (it
+    meets in the middle and keeps about 2^(n/2) x (N * n/2 + 1) cells per
+    pass), the expansion to N * n <= 24, the bits of an enumeration table
+    (it keeps at most 2^t (t+1)^(N-1) rows at step t).  The values are
+    those of the (2^n,) array that ``fit_node`` collapses when it is given
+    no marginal, so fitting this dict gives the same record.
     """
     rho, d = _node_params(net, init, i, delta)
-    return exact._draw_dict(_fit_marginal_probs(net, init, delta, i, n, cap, rho, d))
+    return exact._draw_dict(_fit_marginal_probs(net, init, delta, i, n, rho, d))
 
 
-def _fit_marginal_probs(net, init, delta, i, n, cap, rho, d) -> np.ndarray:
+def _fit_marginal_probs(net, init, delta, i, n, rho, d) -> np.ndarray:
     """``node_marginal_for_fit`` as a (2^n,) float array in code order;
     ``rho`` and ``d`` are node i's from :func:`_node_params`."""
     from .graph import classify
 
     if classify(net) == "complete":
-        exact.check_count_dp_cap(net.node_count, n, cap)
         return exact.complete_node_marginal_probs(float(rho), float(d), net.node_count, n)
-    return exact.float_node_marginal_probs(net, init, ConstantDelta(delta), n, i, cap)
+    return exact.float_node_marginal_probs(net, init, ConstantDelta(delta), n, i)
 
 
 @dataclass(frozen=True)
@@ -304,15 +297,14 @@ class ExactRepresentationReport:
     max_deviation: object
 
 
-def exact_representation_gap(net: Network, init: UrnInit, delta, n: int, node: int = 0,
-                             cap: int = exact.ENUMERATION_CAP) -> ExactRepresentationReport:
+def exact_representation_gap(net: Network, init: UrnInit, delta, n: int,
+                             node: int = 0) -> ExactRepresentationReport:
     from .graph import classify
 
     if classify(net) != "complete":
         raise InvalidParameter("the exact-representation check applies to complete networks")
     sched = ConstantDelta(delta)
-    table = exact.enumerate_joint(net, init, sched, n, exact=exact._is_exact(init, sched),
-                                  cap=cap)
+    table = exact.enumerate_joint(net, init, sched, n, exact=exact._is_exact(init, sched))
     marginal = table.node_marginal(node)
     rho = rho_for_node(net, init, node)
     d_prime = model2a_delta(net, init, node, delta)

@@ -23,6 +23,7 @@ its BLAS products' bits and its speed on narrow rows.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from collections import deque
@@ -33,7 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolation, InvalidParameter, SizeMismatch, check_int
+from .errors import (DomainError, HypothesisViolation, InvalidParameter, SizeMismatch,
+                     check_int, check_real)
 from .graph import Network
 
 
@@ -53,11 +55,8 @@ class UrnInit:
         if len(self.red) != len(self.black):
             raise SizeMismatch("red and black initial masses differ in length")
         for i, (r, b) in enumerate(zip(self.red, self.black)):
-            if r <= 0 or b <= 0:
-                raise InvalidParameter(
-                    f"initial masses must be positive on both colors (node {i}: "
-                    f"red={r}, black={b})"
-                )
+            check_real(r, f"node {i}'s initial red mass", 0, brackets="()")
+            check_real(b, f"node {i}'s initial black mass", 0, brackets="()")
             total = r + b
             if isinstance(total, float) and not math.isfinite(total):
                 raise InvalidParameter(
@@ -75,9 +74,7 @@ class UrnInit:
 
 
 def uniform_init(n: int, red=1, black=1) -> UrnInit:
-    n = check_int(n, "n", minimum=1)
-    if n > sys.maxsize:
-        raise InvalidParameter(f"n must be at most sys.maxsize, a tuple's limit, got {n}")
+    n = check_real(check_int(n, "n"), "n", 1, sys.maxsize)  # a tuple's limit
     return UrnInit(red=(red,) * n, black=(black,) * n)
 
 
@@ -139,8 +136,8 @@ class ConstantDelta(DeltaSchedule):
     def __init__(self, red, black=None):
         self.red = red
         self.black = red if black is None else black
-        if any(x < 0 for x in self.parameter_values()):
-            raise InvalidParameter("reinforcement masses must be >= 0")
+        for x in self.parameter_values():
+            check_real(x, "a reinforcement mass", 0)
         self._given = (self.red, self.black)
         self._floats = tuple(
             np.array([_finite_float(x) for x in v]) if isinstance(v, (tuple, list))
@@ -181,8 +178,8 @@ class TabulatedDelta(DeltaSchedule):
             raise SizeMismatch("red and black tables differ in step count")
         self.red_rows = [tuple(r) for r in red_rows]
         self.black_rows = [tuple(r) for r in black_rows]
-        if any(x < 0 for x in self.parameter_values()):
-            raise InvalidParameter("reinforcement masses must be >= 0")
+        for x in self.parameter_values():
+            check_real(x, "a reinforcement mass", 0)
         self._given = list(zip(self.red_rows, self.black_rows))
         self._floats = [
             (np.array([_finite_float(x) for x in r]), np.array([_finite_float(x) for x in b]))
@@ -222,10 +219,8 @@ class CuringDelta(DeltaSchedule):
     """
 
     def __init__(self, delta_red, multiplier=1):
-        if delta_red < 0 or multiplier < 0:
-            raise InvalidParameter("delta_red and multiplier must be >= 0")
-        self.delta_red = delta_red
-        self.multiplier = multiplier
+        self.delta_red = check_real(delta_red, "delta_red", 0)
+        self.multiplier = check_real(multiplier, "multiplier", 0)
         self._given = (delta_red, multiplier)
         self._floats = (_finite_float(delta_red), _finite_float(multiplier))
 
@@ -246,8 +241,14 @@ class CuringDelta(DeltaSchedule):
 
 def _curing_mass(delta_red, u, s, multiplier=1):
     """``multiplier`` times the curing bound of urn proportions ``u`` and
-    super-urn proportions ``s``: scalars or arrays, exact or float."""
-    return multiplier * delta_red * (1 - u) * s / (u * (1 - s))
+    super-urn proportions ``s``: scalars or arrays, exact or float.  It is
+    infinite where s == 1 or u == 0: numpy flags that, scalar arithmetic
+    raises ``DomainError``."""
+    try:
+        return multiplier * delta_red * (1 - u) * s / (u * (1 - s))
+    except ZeroDivisionError:
+        raise DomainError("the curing mass is infinite where a super-urn proportion "
+                          "is 1 or an urn proportion 0") from None
 
 
 @dataclass
@@ -313,9 +314,7 @@ def initial_state(net: Network, init: UrnInit, memory: int | None = None) -> Net
 def check_node(i, node_count: int, name: str = "node") -> int:
     """``i`` as an int; ``InvalidParameter`` unless it is an integer node
     index below ``node_count``."""
-    if check_int(i, name, minimum=0) >= node_count:
-        raise InvalidParameter(f"{name} must be below the {node_count} nodes, got {i}")
-    return int(i)
+    return check_real(check_int(i, name), name, 0, node_count, "[)")
 
 
 def super_urn_proportion(state: NetworkState, net: Network, i: int):
@@ -335,15 +334,16 @@ def step_masses(state: NetworkState, net: Network, sched: DeltaSchedule,
                 s: Sequence | None = None) -> tuple:
     """(red, black): per-node lists of the masses that the step after
     ``state`` adds on a red and on a black draw, from ``sched.masses`` of its
-    urn and super-urn proportions (``s``, if pooled already); masses outside
-    the float range (a curing mass where s rounds to 1) raise ``DomainError``."""
+    urn and super-urn proportions (``s``, if pooled already); a proportion
+    outside [0, 1] (NaN, once float masses overflowed) or masses outside the
+    float range (a curing mass where s rounds to 1) raise ``DomainError``."""
     u = np.array(state.urn_proportions())
-    s = np.array(conditional_draw_probabilities(state, net) if s is None else s)
-    faults: list[str] = []
-    with record_float_faults(faults):
-        masses = sched.masses(state.time + 1, u, s)
-    if faults:
-        raise DomainError(f"reinforcement masses left the float range at step {state.time + 1}")
+    s = np.array(conditional_draw_probabilities(state, net) if s is None
+                 else [check_real(x, "a super-urn proportion", 0, 1, error=DomainError)
+                       for x in s])
+    t = state.time + 1
+    with float_range(f"reinforcement masses left the float range at step {t}"):
+        masses = sched.masses(t, u, s)
     return tuple(np.broadcast_to(np.asarray(m, dtype=u.dtype), u.shape).tolist()
                  for m in masses)
 
@@ -417,13 +417,18 @@ def simulate_path(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: in
     return DrawRecord(steps=tuple(steps)), state
 
 
-def record_float_faults(faults: list) -> np.errstate:
-    """An ``np.errstate`` under which every float range fault (an overflow,
-    a NaN, a division by zero) appends its kind to ``faults`` instead of
-    warning: a batch whose masses left the float range is meaningless from
+@contextlib.contextmanager
+def float_range(message: str):
+    """``DomainError(message)`` after the block if numpy flagged a float
+    range fault (an overflow, a NaN, a division by zero) in it, which then
+    does not warn: masses that left the float range are meaningless from
     that step on."""
-    return np.errstate(over="call", invalid="call", divide="call",
-                       call=lambda kind, flag: faults.append(kind))
+    faults = []
+    with np.errstate(over="call", invalid="call", divide="call",
+                     call=lambda *fault: faults.append(fault)):
+        yield
+    if faults:
+        raise DomainError(message)
 
 
 # UrnBatch pools the neighbourhoods of larger networks by CSR sums
@@ -475,8 +480,10 @@ class UrnBatch:
             memory = None  # a run of ``horizon`` steps never expires a gain
         n = net.node_count
         rows = check_int(rows, "rows", minimum=1)
-        if 16 * rows * n > sys.maxsize:  # the red and total planes' bytes
-            raise InvalidParameter(f"{rows} rows of {n} nodes are more than an array holds")
+        # the red and total planes' bytes, and a ring of memory x those
+        if 16 * rows * n * (1 + (memory or 0)) > sys.maxsize:
+            raise InvalidParameter(f"{rows} rows of {n} nodes and a ring of {memory or 0} "
+                                   "steps of them are more than an array holds")
         self._segments = self._dense = self._csr = None
         if exact:  # each closed neighbourhood is a CSR segment, summed
             self._segments = (net.indices, net.indptr[:-1])
@@ -619,8 +626,7 @@ def expected_urn_increment(state: NetworkState, net: Network, i: int, delta):
         raise HypothesisViolation(
             "equal urn totals across nodes are required for the drift formula"
         )
-    if delta < 0:
-        raise InvalidParameter("delta must be >= 0")
+    check_real(delta, "delta", 0)
     i = check_node(i, net.node_count)
     u = state.urn_proportions()
     diff_sum = sum(u[j] - u[i] for j in net.neighbors[i])
@@ -639,6 +645,7 @@ def curing_delta_bound(state: NetworkState, net: Network, i: int, delta_red):
     decreasing in the black mass, and zero black mass always gives a
     nonnegative drift.
     """
+    check_real(delta_red, "delta_red", 0)
     return _curing_mass(delta_red, state.urn_proportion(i),
                         super_urn_proportion(state, net, i))
 

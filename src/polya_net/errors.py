@@ -1,7 +1,16 @@
-"""Exception types shared across the package, and the integer check that
-raises one."""
+"""Exception types shared across the package, and the integer and real
+checks that raise one.
 
+Input contract: a library entry point given a bad argument raises a
+subclass of :class:`PolyaNetError`, never a raw ``TypeError`` or
+``ValueError``, and never returns NaN or an infinity for it.  Integers go
+through :func:`check_int` and real numbers through :func:`check_real`;
+exact values (ints, ``Fraction``) are compared exactly and stay exact.
+"""
+
+import math
 import numbers
+from fractions import Fraction
 
 
 class PolyaNetError(Exception):
@@ -73,3 +82,32 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise InvalidParameter(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def check_real(value, name: str, lower=None, upper=None, brackets: str = "[]",
+               error: type = InvalidParameter):
+    """``value`` itself if it is a real number (a Python or numpy number or
+    a ``Fraction``, not a bool), finite if it is not exact, and within the
+    bounds given: ``brackets[0]`` is "(" for an open lower bound, "[" for a
+    closed one, and ``brackets[1]`` ")" or "]" for the upper.  Else
+    ``error``.  Exact values are compared exactly, never as floats."""
+    kind = type(value)
+    if kind is float:  # before the ABC checks, which cost several comparisons each
+        real = math.isfinite(value)
+    elif kind is int or kind is Fraction:
+        real = True
+    else:  # numpy scalars and other registered reals, never a bool
+        real = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and (isinstance(value, numbers.Rational) or math.isfinite(value)))
+    if (real and (lower is None or (lower < value if brackets[0] == "(" else lower <= value))
+            and (upper is None or (value < upper if brackets[1] == ")" else value <= upper))):
+        return value
+    if lower is not None and upper is not None:
+        rule = f"lie in {brackets[0]}{lower}, {upper}{brackets[1]}"
+    elif lower is not None:
+        rule = f"be finite and {'>' if brackets[0] == '(' else '>='} {lower}"
+    elif upper is not None:
+        rule = f"be finite and {'<' if brackets[1] == ')' else '<='} {upper}"
+    else:
+        rule = "be a finite real number"
+    raise error(f"{name} must {rule}, got {value}")

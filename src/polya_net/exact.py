@@ -14,7 +14,6 @@ live here as well.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import math
@@ -33,6 +32,7 @@ from .errors import (
     InvalidParameter,
     SupportMismatch,
     check_int,
+    check_real,
 )
 from .graph import ENUMERATION_CAP, Network
 
@@ -46,10 +46,8 @@ class PolyaParams:
     delta: object
 
     def __post_init__(self):
-        if not 0 < self.rho < 1:
-            raise InvalidParameter(f"rho must lie in (0, 1), got {self.rho}")
-        if not 0 <= self.delta < math.inf:
-            raise InvalidParameter(f"delta must be finite and >= 0, got {self.delta}")
+        check_real(self.rho, "rho", 0, 1, "()")
+        check_real(self.delta, "delta", 0)
 
 
 @dataclass(frozen=True)
@@ -58,13 +56,12 @@ class BetaParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InvalidParameter("Beta parameters must be positive")
+        check_real(self.alpha, "alpha", 0, brackets="()")
+        check_real(self.beta, "beta", 0, brackets="()")
 
     @classmethod
     def from_polya(cls, params: PolyaParams) -> "BetaParams":
-        if params.delta <= 0:
-            raise InvalidParameter("the limit distribution needs delta > 0")
+        check_real(params.delta, "the limit distribution's delta", 0, brackets="()")
         return cls(
             alpha=float(params.rho / params.delta),
             beta=float((1 - params.rho) / params.delta),
@@ -73,11 +70,11 @@ class BetaParams:
 
 def _check_cap_limit(cap: int) -> None:
     # the cap bounds what is allocated, so it may be lowered but never raised
-    if cap > ENUMERATION_CAP:
+    if check_int(cap, "cap", minimum=0) > ENUMERATION_CAP:
         raise InvalidParameter(f"cap 2^{cap} is above the largest allowed, 2^{ENUMERATION_CAP}")
 
 
-def _check_cap(node_count: int, horizon: int, cap: int) -> int:
+def _check_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP) -> int:
     _check_cap_limit(cap)
     bits = node_count * horizon
     if bits > cap:
@@ -173,9 +170,8 @@ class JointTable:
         probability of the draws whose bit t-lo is node i's draw at time t."""
         i = contagion.check_node(i, self.node_count)
         lo, hi = window if window is not None else (1, self.horizon)
-        lo, hi = check_int(lo, "window start", minimum=1), check_int(hi, "window end", minimum=1)
-        if not (1 <= lo <= hi <= self.horizon):
-            raise InvalidParameter(f"window {window} not within horizon {self.horizon}")
+        lo = check_int(lo, "window start", minimum=1)
+        hi = check_real(check_int(hi, "window end"), "window end", lo, self.horizon)
         keep = {(t - 1) * self.node_count + i for t in range(lo, hi + 1)}
         m = self._sum_out(self._cube(),
                           tuple(a for a in range(self._bits) if a not in keep))
@@ -186,8 +182,7 @@ class JointTable:
         index = [slice(None)] * self._bits
         for (i, t), bit in fixed.items():
             i = contagion.check_node(i, self.node_count)
-            if check_int(t, "time", minimum=1) > self.horizon:
-                raise InvalidParameter(f"time {t} is past the table's horizon {self.horizon}")
+            check_real(check_int(t, "time"), "time", 1, self.horizon)
             if bit not in (0, 1):
                 raise InvalidParameter(f"draw at (node={i}, time={t}) must be 0 or 1, got {bit}")
             index[(t - 1) * self.node_count + i] = int(bit)
@@ -320,7 +315,10 @@ def _expand(batch, probs, t, sched, keep=None):
     order: each kept row is its history's row, taken, then stepped by its
     combo (a step acts row by row, so no other row is stepped)."""
     n = batch.red.shape[1]
-    with _float_range(t):
+    # networks under the enumeration cap pool by dense products, which raise
+    # a float flag on overflow
+    with contagion.float_range(f"urn masses left the float range by step {t}; use "
+                               "smaller urn masses or reinforcements, or exact mode"):
         s = batch.super_urn()
         width = probs.shape[0]
         # the array form of _combo_products: row c holds combo c's products
@@ -339,22 +337,8 @@ def _expand(batch, probs, t, sched, keep=None):
     return level.reshape(-1)
 
 
-@contextlib.contextmanager
-def _float_range(t: int):
-    """``DomainError`` after the block if a float range fault was flagged
-    in it: networks under the enumeration cap pool by dense products, which
-    raise a float flag on overflow."""
-    faults: list[str] = []
-    with contagion.record_float_faults(faults):
-        yield
-    if faults:
-        raise DomainError(f"urn masses left the float range by step {t}; "
-                          "use smaller urn masses or reinforcements, or exact mode")
-
-
 def float_node_marginal_probs(net: Network, init: UrnInit, sched: DeltaSchedule,
-                              horizon: int, node: int,
-                              cap: int = ENUMERATION_CAP) -> np.ndarray:
+                              horizon: int, node: int) -> np.ndarray:
     """Node ``node``'s draw distribution as a (2^horizon,) float array in
     code order: ``enumerate_joint(..., exact=False).node_marginal_probs(node)``
     up to rounding, without the 2^(N * horizon) table, for a schedule with
@@ -376,7 +360,7 @@ def float_node_marginal_probs(net: Network, init: UrnInit, sched: DeltaSchedule,
     """
     horizon = check_int(horizon, "horizon", minimum=1)
     n = net.node_count
-    _check_cap(n, horizon, cap)
+    _check_cap(n, horizon)
     node = contagion.check_node(node, n)
     sched.check_size(n, horizon - 1)
     if sched.equal_masses is None:
@@ -397,7 +381,8 @@ def float_node_marginal_probs(net: Network, init: UrnInit, sched: DeltaSchedule,
         _, first, merged = np.unique(key, return_index=True, return_inverse=True)
         probs = np.bincount(merged, weights=_expand(batch, probs, t, sched, first))
         drawn, reds = drawn[first], reds[first]
-    with _float_range(horizon):
+    with contagion.float_range(f"urn masses left the float range by step {horizon}; use "
+                               "smaller urn masses or reinforcements, or exact mode"):
         s = batch.super_urn()[:, node]
     # the last draw is the top code bit: black codes, then red ones
     size = 1 << (horizon - 1)
@@ -406,11 +391,11 @@ def float_node_marginal_probs(net: Network, init: UrnInit, sched: DeltaSchedule,
 
 
 def iter_histories(net: Network, init: UrnInit, sched: DeltaSchedule, steps: int,
-                   memory: int | None = None, cap: int = ENUMERATION_CAP):
+                   memory: int | None = None):
     """Iterate (draw steps, probability, state) over every history of the
     given length; the arguments are checked before the first history."""
     steps = check_int(steps, "steps", minimum=0)
-    _check_cap(net.node_count, steps, cap)
+    _check_cap(net.node_count, steps)
     start = contagion.initial_state(net, init, memory=memory)
     sched.check_size(net.node_count, steps)
     one = Fraction(1) if _is_exact(init, sched) else 1.0
@@ -438,8 +423,7 @@ class InfectionRate:
 
 
 def average_infection_rate(net: Network, init: UrnInit, sched: DeltaSchedule, n: int,
-                           mode: str = "exact", cap: int = ENUMERATION_CAP,
-                           trials: int = 100_000, seed: int = 0,
+                           mode: str = "exact", trials: int = 100_000, seed: int = 0,
                            memory: int | None = None) -> InfectionRate:
     """Average over nodes of P(draw at time n is red).
 
@@ -450,7 +434,7 @@ def average_infection_rate(net: Network, init: UrnInit, sched: DeltaSchedule, n:
     if mode not in ("exact", "auto"):
         raise InvalidParameter(f"mode must be 'exact' or 'auto', got {mode!r}")
     try:
-        _check_cap(net.node_count, n - 1, cap)
+        _check_cap(net.node_count, n - 1)
     except CapExceeded:
         if mode == "exact":
             raise
@@ -464,7 +448,7 @@ def average_infection_rate(net: Network, init: UrnInit, sched: DeltaSchedule, n:
     # P(Z_{i,n}=1) = E[S_{i,n-1}]: average the conditional over all histories
     # of length n-1.
     acc = [None] * net.node_count
-    for _, prob, state in iter_histories(net, init, sched, n - 1, memory=memory, cap=cap):
+    for _, prob, state in iter_histories(net, init, sched, n - 1, memory=memory):
         s = contagion.conditional_draw_probabilities(state, net)
         for i in range(net.node_count):
             term = prob * s[i]
@@ -479,9 +463,7 @@ def average_infection_rate(net: Network, init: UrnInit, sched: DeltaSchedule, n:
 
 def complete_marginal(rho):
     """P(any node's draw at any time is red) on a complete network."""
-    if not 0 < rho < 1:
-        raise InvalidParameter(f"rho must lie in (0, 1), got {rho}")
-    return rho
+    return check_real(rho, "rho", 0, 1, "()")
 
 
 def complete_n1_joint(rho, delta, node_count: int):
@@ -543,9 +525,8 @@ def classical_polya_joint(params: PolyaParams, draws: Sequence[int]):
 def classical_polya_joint_gamma(params: PolyaParams, draws: Sequence[int]) -> float:
     """Gamma-ratio form of the classical joint, via log-gamma (needs delta > 0)."""
     rho, delta = float(params.rho), float(params.delta)
-    if delta <= 0:
-        raise DomainError("the Gamma-ratio form requires delta > 0")
-    n = len(draws)
+    check_real(delta, "the Gamma-ratio form's delta", 0, brackets="()", error=DomainError)
+    n = _check_assignment([draws], 1)
     k = sum(draws)
     lg = math.lgamma
     log_q = (
@@ -562,7 +543,7 @@ def classical_polya_joint_gamma(params: PolyaParams, draws: Sequence[int]) -> fl
 def classical_polya_table(params: PolyaParams, n: int) -> dict:
     """Full joint over {0,1}^n as a dict keyed by draw tuples."""
     n = check_int(n, "n", minimum=0)
-    _check_cap(1, n, ENUMERATION_CAP)
+    _check_cap(1, n)
     out = {}
     for code in range(1 << n):
         draws = tuple((code >> (t - 1)) & 1 for t in range(1, n + 1))
@@ -602,8 +583,7 @@ def _count_log_prob_rows(rho: float, deltas: np.ndarray, n: int) -> np.ndarray:
 
 def kl_rate(p: Mapping, q: Mapping, n: int) -> float:
     """Per-step Kullback-Leibler divergence (1/n) sum p log(p/q), natural log."""
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
+    n = check_int(n, "n", minimum=1)
     total = 0.0
     for key, pv in p.items():
         pf = float(pv)
@@ -621,8 +601,7 @@ def kl_rate(p: Mapping, q: Mapping, n: int) -> float:
 # ----------------------------------------------------------------------
 
 def beta_pdf(params: BetaParams, x: float) -> float:
-    if not 0 < x < 1:
-        raise DomainError(f"pdf is defined on (0, 1), got {x}")
+    check_real(x, "the pdf's x", 0, 1, "()", error=DomainError)
     a, b = params.alpha, params.beta
     log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     return math.exp(log_norm + (a - 1) * math.log(x) + (b - 1) * math.log(1 - x))
@@ -654,13 +633,13 @@ def beta_cdf(params: BetaParams, x):
 COUNT_DP_MAX_NODES = 1 << 15
 
 
-def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP) -> None:
+def check_count_dp_cap(node_count: int, horizon: int) -> None:
     """Raise ``CapExceeded`` when 2^horizon x (node_count * horizon + 1)
     float64 cells, the size of the one-node count table that
     ``complete_node_marginal`` would build if it expanded every step, exceed
-    2^cap cells, the budget of a float enumeration table.  The DP meets in
-    the middle and never builds that table (see its docstring), but the cap
-    keeps refusing the same inputs.
+    2^ENUMERATION_CAP cells, the budget of a float enumeration table.  The
+    DP meets in the middle and never builds that table (see its docstring),
+    but the cap keeps refusing the same inputs.
 
     Networks of more than ``COUNT_DP_MAX_NODES`` = 2^15 nodes are refused
     too, whatever the horizon: :func:`binomial_pmf` builds each C(N - 1, j)
@@ -671,12 +650,12 @@ def check_count_dp_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP
     nodes) stays inside the bound.
 
     The last step's :func:`binomial_pmf` table, N x (N(h - 1) + 1) float64
-    cells, must fit in 2^cap cells as well: 2^15 nodes at horizon 2 would
-    build a 2^30-cell (8.6 GB) table, while 1448 nodes at horizon 9 take
-    16,775,080 cells, just under 2^24."""
+    cells, must fit in 2^ENUMERATION_CAP cells as well: 2^15 nodes at
+    horizon 2 would build a 2^30-cell (8.6 GB) table, while 1448 nodes at
+    horizon 9 take 16,775,080 cells, just under 2^24."""
     node_count = check_int(node_count, "node_count", minimum=0)
     horizon = check_int(horizon, "horizon", minimum=0)
-    _check_cap_limit(cap)
+    cap = ENUMERATION_CAP
     if node_count > COUNT_DP_MAX_NODES:
         raise CapExceeded(
             f"the count DP takes at most {COUNT_DP_MAX_NODES} nodes, got {node_count}")
@@ -735,8 +714,7 @@ def complete_node_marginal_probs(rho: float, delta: float, node_count: int,
         rho, delta = float(rho), float(delta)
     except OverflowError:
         raise DomainError(f"delta {delta} is past the float range") from None
-    if not 0 < rho < 1:
-        raise DomainError("rho rounds to 0 or 1 in floats")
+    check_real(rho, "rho in floats", 0, 1, "()", error=DomainError)
     n_nodes = check_int(node_count, "node_count", minimum=1)
     n = check_int(horizon, "horizon", minimum=1)
     check_count_dp_cap(n_nodes, n)

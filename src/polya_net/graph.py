@@ -7,6 +7,7 @@ construction, so forked worker processes can use the parent's copy.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -22,6 +23,7 @@ from .errors import (
     ParseError,
     SelfLoop,
     check_int,
+    check_real,
 )
 
 POWER_ITERATION_MAX_STEPS = 10_000
@@ -210,8 +212,8 @@ def largest_eigenvalue(
     and plain power iteration stalls) still converge to the Perron root; the
     shift is subtracted from the converged Rayleigh quotient.
     """
-    if tol <= 0:
-        raise InvalidParameter("tol must be positive")
+    check_real(tol, "tol", 0, brackets="()")
+    max_steps = check_int(max_steps, "max_steps", minimum=0)
     shifted = net.closed_adjacency
     v = np.ones(net.node_count) / np.sqrt(net.node_count)
     w = shifted @ v
@@ -265,8 +267,7 @@ def generate_barabasi_albert(n: int, m: int, seed: int) -> Network:
     and the graphs, are those of a float cumulative sum over all degrees.
     """
     n, m, seed = check_int(n, "n"), check_int(m, "m"), check_int(seed, "seed")
-    if not 1 <= m < n:
-        raise InvalidParameter(f"need 1 <= m < n, got m={m}, n={n}")
+    check_real(m, "m", 1, n, "[)")
     if seed < 0:  # numpy seeds are non-negative integers
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
     _check_edge_budget("barabasi_albert", m * (m - 1) // 2 + (n - m) * m)
@@ -377,6 +378,8 @@ def read_edge_list(path) -> Network:
 
 def degree_sequence(edges: Sequence[tuple[int, int]], n: int) -> list[int]:
     """Degrees recomputed straight from an edge list (independent of Network)."""
+    n = check_real(check_int(n, "n"), "n", 1, sys.maxsize)  # a list's limit
+    _check_edges(edges, n)
     deg = [0] * n
     for i, j in edges:
         deg[i] += 1

@@ -55,7 +55,7 @@ import numpy as np
 from . import contagion, exact
 from .contagion import DeltaSchedule, UrnBatch, UrnInit
 from .errors import (DomainError, HypothesisViolation, InvalidParameter,
-                     PolyaNetError, SizeMismatch)
+                     PolyaNetError, SizeMismatch, check_int, check_real)
 from .graph import Network, classify
 
 # sets the automatic chunk size (_auto_chunk): a chunk takes as many trials
@@ -81,8 +81,8 @@ _STATS_TILE_BYTES = 128 << 10
 
 def trial_generator(master_seed: int, trial: int) -> np.random.Generator:
     """The documented per-trial stream; see the module docstring."""
-    master_seed = exact.check_int(master_seed, "master_seed")
-    trial = exact.check_int(trial, "trial", minimum=0)
+    master_seed = check_int(master_seed, "master_seed")
+    trial = check_int(trial, "trial", minimum=0)
     if trial >= 1 << 64:
         raise InvalidParameter(f"trial must be below 2^64, the range of the trial "
                                f"word of a Philox key, got {trial}")
@@ -113,7 +113,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None or name not in optional:
                 # kept as an int, which describe() can serialise
-                object.__setattr__(self, name, exact.check_int(
+                object.__setattr__(self, name, check_int(
                     value, name, minimum=None if name == "seed" else 1))
         if self.trials >= 1 << 64:
             raise InvalidParameter(f"trials must be below 2^64, the range of the trial "
@@ -340,10 +340,11 @@ class _ChunkRun:
         susc_sum, inc_sum, inc_sumsq = (stats.susceptibility_sum, stats.increment_sum,
                                         stats.increment_sumsq)
         tile = means.shape[0] - 1
-        faults: list[str] = []
-        # numpy reports a float range fault to `faults`; a pooled sum that
+        fault = (f"urn masses left the float range during steps {t0 + 1}-{t0 + b}; "
+                 "use smaller urn masses or reinforcements")
+        # numpy flags a float range fault to the guard; a pooled sum that
         # overflowed in scipy's CSR product raises no flag and is caught below
-        with contagion.record_float_faults(faults):
+        with contagion.float_range(fault):
             for i0 in range(0, b, tile):
                 m = min(tile, b - i0)
                 for i in range(i0, i0 + m):
@@ -367,10 +368,8 @@ class _ChunkRun:
                 inc_sum[t:t + m] = inc.sum(axis=1)
                 inc_sumsq[t:t + m] = np.square(inc, out=inc).sum(axis=1)
                 means[0] = means[m]
-            if faults or not batch.pooled_totals_finite():
-                raise DomainError(
-                    f"urn masses left the float range during steps {t0 + 1}-{t0 + b}; "
-                    "use smaller urn masses or reinforcements")
+            if not batch.pooled_totals_finite():
+                raise DomainError(fault)
 
     def result(self) -> tuple[TrialStatistics, np.ndarray | None]:
         if self.stats.sample_averages is not None:
@@ -511,7 +510,7 @@ class HistogramResult:
 def histogram(samples: Sequence[float], bins: int) -> HistogramResult:
     """Density-normalized histogram on [0, 1] (total area 1)."""
     data = np.asarray(samples, dtype=np.float64)
-    bins = exact.check_int(bins, "bins", minimum=1)
+    bins = check_int(bins, "bins", minimum=1)
     if len(data) < bins:
         raise InvalidParameter("need at least as many samples as bins")
     if not np.all((data >= 0.0) & (data <= 1.0)):
@@ -552,9 +551,7 @@ def stationarity_diagnostic(stats: TrialStatistics, node: int = 0,
     freq = stats.pair_freq[:, node]
     if window is None:
         window = max(2, stats.horizon // 5)
-    window = exact.check_int(window, "window")
-    if window < 2 or window > stats.horizon - 1:
-        raise InvalidParameter(f"window {window} not usable for horizon {stats.horizon}")
+    window = check_real(check_int(window, "window"), "window", 2, stats.horizon - 1)
     tail = freq[stats.horizon - window + 1:]
     deviations = np.abs(np.diff(tail))
     return StationarityReport(

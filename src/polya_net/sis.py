@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contagion import UrnInit
-from .errors import ParameterOutOfRange, SizeMismatch, check_int
+from .errors import ParameterOutOfRange, SizeMismatch, check_int, check_real
 from .exact import check_cell_budget
 from .graph import Network
 
@@ -28,11 +28,8 @@ class SisParams:
     delta_sis: float
 
     def __post_init__(self):
-        if not 0 <= self.beta <= 1 or not 0 <= self.delta_sis <= 1:
-            raise ParameterOutOfRange(
-                f"beta and delta_sis must lie in [0, 1], got "
-                f"({self.beta}, {self.delta_sis})"
-            )
+        check_real(self.beta, "beta", 0, 1, error=ParameterOutOfRange)
+        check_real(self.delta_sis, "delta_sis", 0, 1, error=ParameterOutOfRange)
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,8 @@ def default_initial_probs(init: UrnInit) -> np.ndarray:
 def _recursion(net: Network, params: SisParams):
     """The update P(t) -> P(t+1) as ``advance(p, out)``."""
     indptr, indices = net.open_csr
-    starts, beta, keep = indptr[:-1], params.beta, 1.0 - params.delta_sis
+    # exact rates are welcome, but the recursion runs in floats
+    starts, beta, keep = indptr[:-1], float(params.beta), 1.0 - params.delta_sis
 
     def advance(p: np.ndarray, out: np.ndarray) -> None:
         factors = (1.0 - beta * p)[indices]
@@ -88,9 +86,7 @@ class SisTrajectory:
 
 def sis_run(net: Network, init_probs, params: SisParams, horizon: int) -> SisTrajectory:
     """Iterate the recursion, recording the per-node and mean probabilities."""
-    horizon = check_int(horizon, "horizon")
-    if horizon < 0:
-        raise ParameterOutOfRange(f"horizon must be >= 0, got {horizon}")
+    horizon = check_real(check_int(horizon, "horizon"), "horizon", 0, error=ParameterOutOfRange)
     check_cell_budget(net.node_count, horizon, "a trajectory")
     p0 = np.asarray(init_probs, dtype=np.float64)
     if p0.shape != (net.node_count,):
@@ -108,6 +104,7 @@ def sis_run(net: Network, init_probs, params: SisParams, horizon: int) -> SisTra
 def threshold_classify(net: Network, params: SisParams, tol: float = 1e-9) -> str:
     """'dies_out' when delta_sis > beta * lambda_max, 'endemic' when smaller,
     'critical' within tol of equality."""
+    check_real(tol, "tol", 0)
     gap = params.delta_sis - params.beta * net.spectral_radius
     if abs(gap) <= tol:
         return "critical"

@@ -241,7 +241,7 @@ def test_fit_past_the_cap_raises_the_table_cap_error():
         approx.fit_node(graph.generate_cycle(4), init, F(1), 0, 7)
     assert str(fit.value) == str(table.value)
     with pytest.raises(CapExceeded):
-        approx.node_marginal_for_fit(graph.generate_cycle(4), init, F(1), 0, 4, cap=15)
+        approx.node_marginal_for_fit(graph.generate_cycle(4), init, F(1), 0, 7)
 
 
 @pytest.mark.parametrize("node", [2.5, -1, 3, True, "0"])

@@ -96,6 +96,19 @@ def test_exact_enumeration_writes_pinned_bytes(table, digest, tmp_path):
     assert hashlib.sha256(table(tmp_path)).hexdigest() == digest
 
 
+def test_sis_writes_pinned_bytes(tmp_path):
+    # the recursion takes each neighbourhood's product by reduceat and the
+    # rest elementwise, with no BLAS product, so these bytes are the same on
+    # any CPU; the header's classification is far from the threshold
+    edges = tmp_path / "ba10.edges"
+    graph.write_edge_list(graph.generate("ba", 10, m=2, seed=1), edges)
+    out = tmp_path / "sis.csv"
+    assert run("sis", "--graph", str(edges), "--beta", "0.3", "--delta-sis", "0.2",
+               "--horizon", "100", "--out", str(out)) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "61d57b647117bf650b0dd02454f92bad7b055a55ff12f30490a742079e743b14")
+
+
 def test_enumerate_table_sums_to_one(k2_path, tmp_path):
     out = tmp_path / "table.csv"
     assert run("enumerate", "--graph", k2_path, "--red", "1,1", "--black", "1,1",

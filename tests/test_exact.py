@@ -261,7 +261,7 @@ def test_merged_marginal_refuses_what_it_cannot_merge():
     with pytest.raises(CapExceeded):
         exact.float_node_marginal_probs(CYCLE4, unit_init(4), sched, 7, 0)
     with pytest.raises(CapExceeded):
-        exact.float_node_marginal_probs(CYCLE4, unit_init(4), sched, 4, 0, cap=15)
+        exact.float_node_marginal_probs(STAR5, unit_init(5), sched, 5, 0)  # 25 bits
     for node in (4, -1, 1.0):
         with pytest.raises(InvalidParameter, match="node"):
             exact.float_node_marginal_probs(CYCLE4, unit_init(4), sched, 3, node)
@@ -428,9 +428,9 @@ def test_average_infection_rate_path_first_step():
 def test_average_infection_rate_cap_and_fallback():
     init = cg.UrnInit(red=(1.0,) * 4, black=(1.0,) * 4)
     with pytest.raises(CapExceeded):
-        exact.average_infection_rate(CYCLE4, init, cg.ConstantDelta(1.0), 9, cap=24)
+        exact.average_infection_rate(CYCLE4, init, cg.ConstantDelta(1.0), 9)
     est = exact.average_infection_rate(CYCLE4, init, cg.ConstantDelta(1.0), 9,
-                                       mode="auto", cap=24, trials=4000, seed=1)
+                                       mode="auto", trials=4000, seed=1)
     assert not est.exact
     assert est.trials == 4000
     assert 0.3 < est.value < 0.7
@@ -443,7 +443,7 @@ def test_average_infection_rate_rejects_an_unknown_mode():
     for n in (2, 9):
         with pytest.raises(InvalidParameter, match="mode"):
             exact.average_infection_rate(CYCLE4, init, cg.ConstantDelta(1.0), n,
-                                         mode="exakt", cap=24)
+                                         mode="exakt")
 
 
 @pytest.mark.parametrize("call", [
@@ -1054,7 +1054,7 @@ def test_count_dp_refuses_a_last_step_binomial_table_past_the_cap():
     with pytest.raises(CapExceeded, match="binomial table"):
         exact.check_count_dp_cap(1448, 10)
     with pytest.raises(CapExceeded, match="binomial table"):
-        exact.check_count_dp_cap(1448, 9, cap=23)
+        exact.check_count_dp_cap(1449, 9)  # 1449 x 11593 cells
 
 
 def test_count_dp_cap_bounds_the_final_level():
@@ -1069,9 +1069,6 @@ def test_a_cap_above_the_enumeration_cap_is_refused():
     above = exact.ENUMERATION_CAP + 1
     with pytest.raises(InvalidParameter, match="above the largest allowed"):
         exact.enumerate_joint(K2, unit_init(2), cg.ConstantDelta(F(1)), 20, cap=above)
-    with pytest.raises(InvalidParameter, match="above the largest allowed"):
-        exact.check_count_dp_cap(2, 2, cap=above)
-    exact.check_count_dp_cap(2, 2, cap=exact.ENUMERATION_CAP)
 
 
 def test_iter_histories_probabilities_sum_to_one():
