@@ -22,6 +22,10 @@ from .errors import DegenerateMarginal, DomainError, InvalidParameter, check_int
 from .graph import Network
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the largest coarse grid: each point is a row of n + 1 log-probabilities
+# and one dot product, so 2^16 of them stay within the 2^24-cell budget of
+# a table up to horizon n = 255
+MAX_COARSE_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -33,7 +37,8 @@ class SearchConfig:
     refine_tol: float = 1e-6
 
     def __post_init__(self):
-        check_int(self.coarse_points, "coarse_points", minimum=1)
+        check_real(check_int(self.coarse_points, "coarse_points"), "coarse_points", 1,
+                   MAX_COARSE_POINTS)
         # a zero tolerance would never end the refinement
         check_real(self.refine_tol, "refine_tol", 0, brackets="()")
         check_real(self.delta_max, "delta_max", 0)

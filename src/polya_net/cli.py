@@ -134,6 +134,12 @@ def _int_field(settings, field, default=None, minimum=None):
     return value
 
 
+def _memory(settings) -> int | None:
+    """The finite memory M, or None (infinite) if unset, empty or "inf"."""
+    raw = settings.get("memory")
+    return None if raw in (None, "", "inf") else _int_field(settings, "memory", minimum=1)
+
+
 def _urns(settings, n: int) -> UrnInit:
     red = _mass_list(settings.get("red"), "red", n, positive=True)
     black = _mass_list(settings.get("black"), "black", n, positive=True)
@@ -188,7 +194,7 @@ _SIM_KEYS = ["graph", "red", "black", "delta", "delta_red", "delta_black",
              "curing_multiplier", "memory", "horizon", "trials", "seed",
              "pair_node", "out", "threads"]
 _ENUM_KEYS = ["graph", "red", "black", "delta", "delta_red", "delta_black",
-              "horizon", "cap", "float", "out"]
+              "curing_multiplier", "memory", "horizon", "cap", "float", "out"]
 _FIT_KEYS = ["graph", "red", "black", "delta", "horizon", "node", "out"]
 _SIS_KEYS = ["graph", "red", "black", "beta", "delta_sis", "horizon", "out"]
 
@@ -217,8 +223,7 @@ def _cmd_simulate(args) -> int:
     horizon = _int_field(s, "horizon", minimum=1)
     trials = _int_field(s, "trials", default=1000, minimum=1)
     seed = _int_field(s, "seed", default=0)
-    memory = s.get("memory")
-    memory = None if memory in (None, "", "inf") else _int_field(s, "memory", minimum=1)
+    memory = _memory(s)
     pair_node = s.get("pair_node")
     pair_node = None if pair_node is None else _int_field(s, "pair_node", minimum=0)
     if pair_node is not None:
@@ -250,7 +255,8 @@ def _cmd_enumerate(args) -> int:
     sched = _schedule(s, net.node_count, exact_mode=not use_float)
     if use_float:
         init = _to_float_init(init)
-    table = exact.enumerate_joint(net, init, sched, horizon, exact=not use_float, cap=cap)
+    table = exact.enumerate_joint(net, init, sched, horizon, exact=not use_float, cap=cap,
+                                  memory=_memory(s))
     header = [f"nodes={net.node_count} horizon={horizon} exact={table.exact}"]
     if s["out"]:
         table.write_csv(s["out"], header_lines=header)

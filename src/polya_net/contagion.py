@@ -15,10 +15,10 @@ before adding step t's, so the same draws give equal ``Fraction``s, and
 the same float bits wherever the super-urn proportions agree: always
 under CSR pooling, while dense BLAS pooling may round them otherwise.
 Under equal, time-constant red and black masses every copy's urn totals
-are the same, so a batch pooled by CSR sums (more than 32 nodes) keeps
-them as one shared row after its red rows, pooled by the same CSR product
-and added and expired with them; dense pooling keeps a total plane, for
-its BLAS products' bits and its speed on narrow rows.
+are the same, so a float batch of more than 32 nodes keeps them as one
+shared row after its red rows, pooled beside them and added and expired
+with them; a batch of at most 32 nodes keeps a total plane, for its
+BLAS products' bits and its speed on narrow rows.
 """
 
 from __future__ import annotations
@@ -431,14 +431,21 @@ def float_range(message: str):
         raise DomainError(message)
 
 
-# UrnBatch pools the neighbourhoods of larger networks by CSR sums
-DENSE_POOLING_MAX_NODES = 32
+# UrnBatch pools the neighbourhoods of float batches of up to this many
+# nodes by dense BLAS products, of larger ones by CSR sums, which need
+# scipy.sparse: the two step loops cross between 88 and 128 nodes on BA
+# networks, and the cap takes in 100-node runs, which then import no scipy
+# (the table is in CHANGES.md)
+DENSE_POOLING_MAX_NODES = 100
+# float batches of more nodes keep equal-mass urn totals as one shared row
+TOTAL_PLANE_MAX_NODES = 32
 
 
 def import_pooling(net: Network) -> None:
     """Import what :class:`UrnBatch` needs to pool ``net``: ``scipy.sparse``
-    above ``DENSE_POOLING_MAX_NODES`` nodes, nothing otherwise.  A process
-    pool calls this before it forks, so that no worker imports it again."""
+    above ``DENSE_POOLING_MAX_NODES`` nodes, nothing otherwise (dense
+    pooling is numpy's).  A process pool calls this before it forks, so
+    that no worker imports it again."""
     if net.node_count > DENSE_POOLING_MAX_NODES:
         import scipy.sparse  # noqa: F401
 
@@ -454,21 +461,23 @@ class UrnBatch:
 
     An exact batch adds up each closed neighbourhood, as
     :func:`super_urn_proportion` does; float batches on at most
-    ``DENSE_POOLING_MAX_NODES`` (32) nodes pool neighbourhoods by dense
+    ``DENSE_POOLING_MAX_NODES`` (100) nodes pool neighbourhoods by dense
     BLAS products, larger ones by CSR sums.  The split is part of the
     output bits: the two sum a neighbourhood in different orders, and their
     results differ in the last bit for some networks of 20 nodes and more.
 
     Given ``sched`` with ``equal_masses`` (red and black masses equal and
     constant), a step's total gain is those masses whatever was drawn, so
-    every row's total is the same.  CSR pooling then keeps ``total`` as one
-    shared (N,) row, the last row of the red plane (``total`` is a
-    read-only broadcast view of it): a step adds, and the ring expires, its
-    gain with the red rows' gains, and one CSR product pools the red rows
-    and the row together.  A CSR sum adds a neighbourhood in the same order
-    for one row as for many, so no bit changes.  Dense pooling keeps the
-    total plane: a BLAS product's rows can differ in the last bit by row
-    position, and the row's broadcast divide is slower on narrow rows.
+    every row's total is the same.  A float batch of more than
+    ``TOTAL_PLANE_MAX_NODES`` (32) nodes then keeps ``total`` as one shared
+    (N,) row, the last row of the red plane (``total`` is a read-only
+    broadcast view of it): a step adds, and the ring expires, its gain with
+    the red rows' gains.  CSR pooling pools the red rows and the row in one
+    product, and a CSR sum adds a neighbourhood in the same order for one
+    row as for many; dense pooling pools the row by an (N,) @ (N, N)
+    product beside the red rows' (rows, N) one.  Batches of at most 32
+    nodes keep the total plane: the row's broadcast divide is slower on
+    narrow rows, and their bits stay those of a product per plane.
     """
 
     def __init__(self, net: Network, init: UrnInit, rows: int, memory: int | None = None,
@@ -487,7 +496,7 @@ class UrnBatch:
         self._segments = self._dense = self._csr = None
         if exact:  # each closed neighbourhood is a CSR segment, summed
             self._segments = (net.indices, net.indptr[:-1])
-        elif n <= DENSE_POOLING_MAX_NODES:  # dense products beat CSR on small networks
+        elif n <= DENSE_POOLING_MAX_NODES:  # BLAS products, no scipy
             self._dense = net.closed_adjacency
         else:
             from scipy.sparse import csr_matrix
@@ -496,7 +505,7 @@ class UrnBatch:
             self._csr = csr_matrix(
                 (np.ones(len(net.indices)), net.indices, net.indptr), shape=(n, n))
         first = np.array([start.red_mass, start.total_mass], dtype=object if exact else float)
-        self._shared = (self._csr is not None and sched is not None
+        self._shared = (not exact and n > TOTAL_PLANE_MAX_NODES and sched is not None
                         and sched.equal_masses is not None)
         planes = np.repeat(first[:, None, :], rows, axis=1)
         if self._shared:  # the red rows, then the one total row
@@ -530,9 +539,9 @@ class UrnBatch:
             red, total = np.add.reduceat(self._planes[..., indices], starts, axis=-1)
             return np.divide(red, total, out=out)
         if self._csr is None:
-            # one product per plane: a stacked product moves rows across the
-            # BLAS kernels' row tails, which changes last bits
-            return np.divide(self.red @ self._dense, self.total @ self._dense, out=out)
+            # one product per plane (or shared row): a stacked product moves
+            # rows across the BLAS kernels' row tails, which changes last bits
+            return np.divide(self.red @ self._dense, self._totals() @ self._dense, out=out)
         # the closed adjacency is symmetric, so csr @ m.T sums every
         # neighbourhood in the same ascending order as m @ csr, without the
         # transposed copy of csr that scipy builds for m @ csr
@@ -542,14 +551,16 @@ class UrnBatch:
         return np.divide(pooled[:rows], pooled[rows] if self._shared else pooled[rows:],
                          out=out)
 
+    def _totals(self) -> np.ndarray:
+        """The urn totals as stored: the shared (N,) row, or the total plane."""
+        return self._planes[0, -1] if self._shared else self.total
+
     def pooled_totals_finite(self) -> bool:
         """Whether every super urn's total mass, a closed-neighbourhood sum
         of ``total``, is a finite float; a node's own urn is in its sum, so
         an infinite or NaN urn fails too.  Float batches only."""
-        if self._csr is None:
-            pooled = self.total @ self._dense
-        else:
-            pooled = self._csr @ (self._planes[0, -1] if self._shared else self.total.T)
+        totals = self._totals()
+        pooled = totals @ self._dense if self._csr is None else self._csr @ totals.T
         return bool(np.isfinite(pooled).all())
 
     def take(self, rows: np.ndarray) -> None:

@@ -73,6 +73,18 @@ class ValidationError(PolyaNetError):
     pass
 
 
+def to_float(value, name: str) -> float:
+    """``float(value)`` of a real number; ``DomainError`` where an exact
+    value is past the float range, for which ``float`` raises
+    ``OverflowError``."""
+    try:
+        return float(value)
+    except OverflowError:  # only an exact (rational) value overflows
+        exponent = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        raise DomainError(f"{name} of about 1e{exponent:+.0f} is past the float "
+                          "range") from None
+
+
 def check_int(value, name: str, minimum: int | None = None) -> int:
     """``value`` as an int; ``InvalidParameter`` unless it is an integer
     (a Python or numpy integer, not a bool) of at least ``minimum``, if

@@ -33,6 +33,7 @@ from .errors import (
     SupportMismatch,
     check_int,
     check_real,
+    to_float,
 )
 from .graph import ENUMERATION_CAP, Network
 
@@ -63,8 +64,8 @@ class BetaParams:
     def from_polya(cls, params: PolyaParams) -> "BetaParams":
         check_real(params.delta, "the limit distribution's delta", 0, brackets="()")
         return cls(
-            alpha=float(params.rho / params.delta),
-            beta=float((1 - params.rho) / params.delta),
+            alpha=to_float(params.rho / params.delta, "alpha"),
+            beta=to_float((1 - params.rho) / params.delta, "beta"),
         )
 
 
@@ -524,19 +525,23 @@ def classical_polya_joint(params: PolyaParams, draws: Sequence[int]):
 
 def classical_polya_joint_gamma(params: PolyaParams, draws: Sequence[int]) -> float:
     """Gamma-ratio form of the classical joint, via log-gamma (needs delta > 0)."""
-    rho, delta = float(params.rho), float(params.delta)
+    rho, delta = float(params.rho), to_float(params.delta, "delta")
     check_real(delta, "the Gamma-ratio form's delta", 0, brackets="()", error=DomainError)
     n = _check_assignment([draws], 1)
     k = sum(draws)
     lg = math.lgamma
-    log_q = (
-        lg(1 / delta)
-        + lg(rho / delta + k)
-        + lg((1 - rho) / delta + n - k)
-        - lg(1 / delta + n)
-        - lg(rho / delta)
-        - lg((1 - rho) / delta)
-    )
+    try:  # a tiny delta takes lgamma past the float range
+        log_q = (
+            lg(1 / delta)
+            + lg(rho / delta + k)
+            + lg((1 - rho) / delta + n - k)
+            - lg(1 / delta + n)
+            - lg(rho / delta)
+            - lg((1 - rho) / delta)
+        )
+    except OverflowError:
+        raise DomainError(f"the Gamma-ratio form at delta {delta} is past the float "
+                          "range") from None
     return math.exp(log_q)
 
 
@@ -600,28 +605,148 @@ def kl_rate(p: Mapping, q: Mapping, n: int) -> float:
 # Beta limit distribution
 # ----------------------------------------------------------------------
 
+def _log_beta_norm(params: BetaParams) -> float:
+    """log(1 / B(alpha, beta)), the log of the Beta density's normaliser;
+    ``DomainError`` if it is not finite in floats."""
+    a, b = params.alpha, params.beta
+    try:
+        out = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    except OverflowError:
+        out = math.nan
+    if not math.isfinite(out):
+        raise DomainError(f"the Beta normaliser at ({a}, {b}) leaves the float range")
+    return out
+
+
 def beta_pdf(params: BetaParams, x: float) -> float:
     check_real(x, "the pdf's x", 0, 1, "()", error=DomainError)
     a, b = params.alpha, params.beta
-    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    return math.exp(log_norm + (a - 1) * math.log(x) + (b - 1) * math.log(1 - x))
+    return math.exp(_log_beta_norm(params) + (a - 1) * math.log(x) + (b - 1) * math.log(1 - x))
+
+
+# the most continued-fraction steps beta_cdf takes for a value: the mode of
+# Beta(a, a) takes 21 at a = 56.5, 536 at 1e6 and 4889 at 1e9
+BETA_CF_MAX_STEPS = 5000
+# a continued-fraction step whose factor is within this of 1 ends the value
+_BETA_CF_TOL = 2 * np.finfo(float).eps
+# denominators are kept at least this far from zero (the modified Lentz method)
+_BETA_CF_TINY = 1e-300
+# how far past [0, 1] a value may round before it is a DomainError: the
+# prefactor's exp of a log near -700 costs a few hundred ulps, which can
+# carry a value next to 1 past it (by 2.4e-14 at alpha = 1e-300)
+_BETA_CDF_SLACK = 1e-12
 
 
 def beta_cdf(params: BetaParams, x):
-    """Regularized incomplete beta; accepts the closed interval [0, 1].
+    """Regularized incomplete beta I_x(alpha, beta); accepts the closed
+    interval [0, 1].
 
-    ``x`` is a float, giving a float, or an array, giving an array from one
-    ``betainc`` call; a value outside [0, 1] (or NaN) is a ``DomainError``."""
+    ``x`` is a float, giving a float, or an array, giving an array; both go
+    through one vectorised evaluation of the continued fraction for
+    I_x(a, b) by the modified Lentz method (Press et al., *Numerical
+    Recipes*, section 6.4), taken for I_{1-x}(b, a) where x > (a + 1) /
+    (a + b + 2), so that it converges fast, and times its prefactor
+    x^a (1-x)^b / B(a, b) (:func:`_log_beta_front`).  A value outside
+    [0, 1] (or NaN) is a ``DomainError``, and so is a continued fraction
+    that has not converged within ``BETA_CF_MAX_STEPS`` steps, or a result
+    more than ``_BETA_CDF_SLACK`` outside [0, 1]; a result within it is
+    clipped to [0, 1]."""
     xs = np.asarray(x, dtype=np.float64)
     outside = ~((xs >= 0) & (xs <= 1))
     if outside.any():
         bad = x if xs.ndim == 0 else xs[outside][0]
         raise DomainError(f"cdf is defined on [0, 1], got {bad}")
-    # imported here: only fig4's KS distance needs scipy.special
-    from scipy.special import betainc
+    a, b = params.alpha, params.beta
+    flat = xs.ravel()
+    front = np.exp(_log_beta_front(params, flat))
+    mirrored = flat > (a + 1) / (a + b + 2)
+    cdf = np.zeros_like(flat)
+    # where the prefactor x^a (1-x)^b / B(a, b) is 0, so is the fraction's term
+    for side, (p, q, y) in ((~mirrored, (a, b, flat)), (mirrored, (b, a, 1 - flat))):
+        side = side & (front > 0)
+        cdf[side] = front[side] * _beta_cf(p, q, y[side]) / p
+    cdf[mirrored] = 1 - cdf[mirrored]
+    cdf[flat == 1] = 1  # also where (a + 1) / (a + b + 2) rounds to 1
+    if not ((cdf >= -_BETA_CDF_SLACK) & (cdf <= 1 + _BETA_CDF_SLACK)).all():
+        raise DomainError(f"the Beta CDF at ({a}, {b}) is not resolved in floats")
+    np.clip(cdf, 0, 1, out=cdf)
+    return float(cdf[0]) if xs.ndim == 0 else cdf.reshape(xs.shape)
 
-    cdf = betainc(params.alpha, params.beta, xs)
-    return float(cdf) if xs.ndim == 0 else cdf
+
+# from this size of alpha or beta up, the prefactor of beta_cdf is taken
+# from Stirling's series: lgamma's large terms would cancel
+_STIRLING_MIN = 10.0
+
+
+def _log_beta_front(params: BetaParams, x: np.ndarray) -> np.ndarray:
+    """log(x^a (1-x)^b / B(a, b)) at each ``x``, -inf at x = 0 or 1.
+
+    Where a and b are both at least ``_STIRLING_MIN`` it is summed as
+    a log(x/p) + b log((1-x)/q) + log(ab / (2 pi (a+b))) / 2 plus the
+    tails of Stirling's series, with p = a / (a+b), q = 1 - p: the two
+    logs, as log1p of (x - p) / p and (p - x) / q, are small near the
+    mode, where lgamma(a+b) - lgamma(a) - lgamma(b) would lose about
+    log2(a log a) bits.  Where only the larger one, c, is, lgamma(a+b) -
+    lgamma(c), which would lose about log2(c log c) bits, is summed from
+    the series as d log c + (a + b - 1/2) log1p(d / c) - d plus its tails,
+    with d the smaller one."""
+    a, b = params.alpha, params.beta
+    small, big = sorted((a, b))
+    with np.errstate(divide="ignore"):  # log(0) is -inf, whose exp is 0
+        if big < _STIRLING_MIN:
+            return _log_beta_norm(params) + a * np.log(x) + b * np.log1p(-x)
+        if a + b == math.inf:
+            raise DomainError(f"alpha + beta at ({a}, {b}) leaves the float range")
+        if small < _STIRLING_MIN:
+            log_norm = (small * math.log(big) + (a + b - 0.5) * math.log1p(small / big)
+                        - small + _stirling_tail(a + b) - _stirling_tail(big)
+                        - math.lgamma(small))
+            return log_norm + a * np.log(x) + b * np.log1p(-x)
+        p = a / (a + b)
+        q = 1 - p
+        return (a * np.log1p((x - p) / p) + b * np.log1p((p - x) / q)
+                + 0.5 * math.log(p * b / (2 * math.pi))
+                + _stirling_tail(a + b) - _stirling_tail(a) - _stirling_tail(b))
+
+
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2) for z >= 10, by
+    seven terms of Stirling's series (the next is below 1e-16 / z)."""
+    w = 1 / (z * z)
+    return (1 / 12 + w * (-1 / 360 + w * (1 / 1260 + w * (-1 / 1680 + w * (
+        1 / 1188 + w * (-691 / 360360 + w / 156)))))) / z
+
+
+def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The continued fraction of I_x(a, b) at each ``x``, by the modified
+    Lentz method; a value leaves the iteration once its step's factor is
+    within ``_BETA_CF_TOL`` of 1."""
+    def nonzero(v):
+        return np.where(np.abs(v) < _BETA_CF_TINY, _BETA_CF_TINY, v)
+
+    out = np.empty_like(x)
+    left = np.arange(x.size)  # the values still iterating, as indices into out
+    c = np.ones_like(x)
+    d = 1 / nonzero(1 - (a + b) * x / (a + 1))
+    h = d.copy()
+    m = 0
+    while left.size:
+        m += 1
+        if m > BETA_CF_MAX_STEPS:
+            raise DomainError(f"the Beta CDF's continued fraction at ({a}, {b}) did not "
+                              f"converge within {BETA_CF_MAX_STEPS} steps")
+        # the even step, then the odd one, each numerator as bounded ratios
+        for aa in (m / (a + 2 * m) * ((b - m) / (a + 2 * m - 1)) * x,
+                   -(a + m) / (a + 2 * m) * ((a + b + m) / (a + 2 * m + 1)) * x):
+            d = 1 / nonzero(1 + aa * d)
+            c = nonzero(1 + aa / c)
+            factor = d * c
+            h *= factor
+        done = np.abs(factor - 1) <= _BETA_CF_TOL
+        out[left[done]] = h[done]
+        keep = ~done
+        left, x, c, d, h = left[keep], x[keep], c[keep], d[keep], h[keep]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -710,10 +835,8 @@ def complete_node_marginal_probs(rho: float, delta: float, node_count: int,
     from :func:`binomial_pmf`, once per step.
     """
     PolyaParams(rho, delta)  # the rho and delta checks
-    try:  # exact inputs are welcome, but the DP runs in floats
-        rho, delta = float(rho), float(delta)
-    except OverflowError:
-        raise DomainError(f"delta {delta} is past the float range") from None
+    # exact inputs are welcome, but the DP runs in floats
+    rho, delta = float(rho), to_float(delta, "delta")
     check_real(rho, "rho in floats", 0, 1, "()", error=DomainError)
     n_nodes = check_int(node_count, "node_count", minimum=1)
     n = check_int(horizon, "horizon", minimum=1)

@@ -13,7 +13,9 @@ order), so identical configurations produce bit-identical statistics.
 chunk and more than one worker, chunks run in processes forked from the
 caller (:func:`_map_chunks`), each returning only its chunk's small
 partials; the parent merges them in chunk order, so the worker count never
-changes an output bit.  Where ``fork`` is unavailable chunks run serially.
+changes an output bit.  Each worker runs BLAS on one thread
+(:func:`_one_blas_thread`).  Where ``fork`` is unavailable chunks run
+serially.
 
 Runs share a stream when their configs have the same seed, trials,
 horizon, node count, resolved chunk size and worker count: they draw the
@@ -412,6 +414,32 @@ def _run_chunk(cfgs: Sequence[RunConfig], lo: int,
     return [run.result() for run in runs]
 
 
+# the thread-count setters of the OpenBLAS builds that numpy wheels bundle:
+# numpy 2's, then numpy 1's
+_OPENBLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+
+
+def _one_blas_thread() -> None:
+    """Run this process's BLAS on one thread, where it is the OpenBLAS
+    bundled with numpy's wheel (found by its path there, so no other
+    library is loaded); with any other BLAS it does nothing.
+    A forked worker calls this first: its dense pooling products would
+    otherwise be threaded across the cores that the other workers use,
+    which made fig4's 100-node case four times as slow on two cores."""
+    import ctypes
+    import glob
+    import os
+
+    numpy_dir = os.path.dirname(np.__file__)
+    for path in (glob.glob(os.path.join(numpy_dir + ".libs", "*openblas*"))
+                 + glob.glob(os.path.join(numpy_dir, ".dylibs", "*openblas*"))):
+        lib = ctypes.CDLL(path)  # the loaded library: dlopen returns its handle
+        for name in _OPENBLAS_SET_THREADS:
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                return
+
+
 def _map_chunks(cfgs: tuple[RunConfig, ...], chunk: int):
     """``_run_chunk`` of the group ``cfgs`` on every chunk of ``chunk``
     trials, yielded in chunk order: serially, or on up to ``threads``
@@ -432,7 +460,8 @@ def _map_chunks(cfgs: tuple[RunConfig, ...], chunk: int):
         if "fork" in multiprocessing.get_all_start_methods():
             contagion.import_pooling(first.net)  # once here, not once per worker
             pool = ProcessPoolExecutor(max_workers=workers,
-                                       mp_context=multiprocessing.get_context("fork"))
+                                       mp_context=multiprocessing.get_context("fork"),
+                                       initializer=_one_blas_thread)
             try:
                 yield from pool.map(partial(_run_chunk, cfgs), starts,
                                     (min(lo + chunk, first.trials) for lo in starts))

@@ -11,6 +11,7 @@ command's CSV and the fig5 ``sis_reference_*.csv`` files.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,7 +41,14 @@ class SisState:
 
 def default_initial_probs(init: UrnInit) -> np.ndarray:
     """Couple the comparator to an urn setup: P_i(0) = initial red fraction."""
-    return np.array([float(r) / float(t) for r, t in zip(init.red, init.totals)])
+    return np.array([_red_fraction(r, t) for r, t in zip(init.red, init.totals)])
+
+
+def _red_fraction(red, total) -> float:
+    try:
+        return float(red) / float(total)
+    except OverflowError:  # exact masses past the float range; their ratio is not
+        return float(Fraction(red) / Fraction(total))
 
 
 def _recursion(net: Network, params: SisParams):

@@ -233,15 +233,53 @@ def test_importing_the_cli_loads_no_heavy_scipy_module():
 
 def test_commands_that_need_no_scipy_load_none(tmp_path):
     k4, k100 = str(tmp_path / "k4.edges"), str(tmp_path / "k100.edges")
+    ba100 = str(tmp_path / "ba100.edges")
     argvs = [["graph-gen", "--kind", "complete", "--nodes", "4", "--out", k4],
              ["graph-gen", "--kind", "complete", "--nodes", "100", "--out", k100],
              ["enumerate", "--graph", k4, "--horizon", "2", "--out", str(tmp_path / "t.csv")],
              ["sis", "--graph", k4, "--beta", "0.2", "--delta-sis", "0.9", "--horizon", "20",
               "--out", str(tmp_path / "sis.csv")],
              ["fit", "--graph", k100, "--delta", "1", "--horizon", "6",
-              "--out", str(tmp_path / "fit.json")]]
+              "--out", str(tmp_path / "fit.json")],
+             # fig4's ba100 leg pools by dense products, its KS distance
+             # takes the numpy Beta CDF
+             ["reproduce", "fig4", "--trials", "40", "--threads", "1",
+              "--out-dir", str(tmp_path / "fig4")],
+             ["graph-gen", "--kind", "ba", "--nodes", "100", "--attach", "2", "--out", ba100],
+             ["simulate", "--graph", ba100, "--delta", "1", "--horizon", "20", "--trials", "8",
+              "--threads", "1"]]
+    assert cg.DENSE_POOLING_MAX_NODES >= 100
     assert _heavy_scipy_modules_after(argvs) == [[0] * len(argvs), []]
     assert json.loads((tmp_path / "fit.json").read_text())["node"] == 0
+
+
+def test_a_run_above_the_dense_cap_loads_only_scipy_sparse(tmp_path):
+    path = str(tmp_path / "big.edges")
+    n = str(cg.DENSE_POOLING_MAX_NODES + 1)
+    argvs = [["graph-gen", "--kind", "ba", "--nodes", n, "--attach", "2", "--out", path],
+             ["simulate", "--graph", path, "--delta", "1", "--horizon", "20", "--trials", "8",
+              "--threads", "1"]]
+    codes, loaded = _heavy_scipy_modules_after(argvs)
+    assert codes == [0, 0] and "scipy.sparse" in loaded
+    assert all(m.startswith("scipy.sparse") for m in loaded), loaded
+
+
+@pytest.mark.parametrize("flags, sched, memory", [
+    (["--delta-red", "1", "--delta-black", "2", "--memory", "2"],
+     cg.ConstantDelta(F(1), F(2)), 2),
+    (["--delta-red", "1", "--curing-multiplier", "3/2"], cg.CuringDelta(F(1), F(3, 2)), None),
+], ids=["memory", "curing"])
+def test_enumerate_writes_finite_memory_and_curing_tables(tmp_path, flags, sched, memory):
+    net = graph.build_network(3, [(0, 1), (1, 2)])
+    path, out = tmp_path / "path3.edges", tmp_path / "table.csv"
+    graph.write_edge_list(net, path)
+    assert run("enumerate", "--graph", str(path), "--red", "1,2,1", "--black", "2,1,1",
+               "--horizon", "3", *flags, "--out", str(out)) == 0
+    init = cg.UrnInit(red=(F(1), F(2), F(1)), black=(F(2), F(1), F(1)))
+    expected = io.StringIO()
+    exact.enumerate_joint(net, init, sched, 3, memory=memory).write_csv(
+        expected, header_lines=["nodes=3 horizon=3 exact=True"])
+    assert out.read_bytes() == expected.getvalue().encode()
 
 
 def test_config_file_with_flag_override(k2_path, tmp_path, capsys):
@@ -562,6 +600,8 @@ PINNED_OPTIONS = {
                  _store("--out", "out")},
     "enumerate": {_HELP, _store("--config", "config"), *_NET_FLAGS, _store("--delta", "delta"),
                   _store("--delta-red", "delta_red"), _store("--delta-black", "delta_black"),
+                  _store("--curing-multiplier", "curing_multiplier"),
+                  _store("--memory", "memory"),
                   _store("--horizon", "horizon"), _store("--cap", "cap"),
                   (("--float",), "float", "_StoreConstAction", True, None, None),
                   _store("--out", "out")},

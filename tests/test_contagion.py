@@ -444,15 +444,21 @@ BA40 = graph.generate("ba", 40, m=2, seed=3)
 BA40_INIT = cg.UrnInit(red=tuple(1.0 + 0.1 * i for i in range(40)),
                        black=tuple(2.0 - 0.03 * i for i in range(40)))
 BA40_MASSES = tuple(0.2 + 0.05 * i for i in range(40))
+# one node above the dense-pooling cap: CSR neighbourhood sums
+CSR_N = cg.DENSE_POOLING_MAX_NODES + 1
+BA_CSR = graph.generate("ba", CSR_N, m=2, seed=3)
+BA_CSR_INIT = cg.UrnInit(red=tuple(1.0 + 0.1 * (i % 40) for i in range(CSR_N)),
+                         black=tuple(2.0 - 0.03 * (i % 40) for i in range(CSR_N)))
+BA_CSR_MASSES = tuple(0.2 + 0.05 * (i % 40) for i in range(CSR_N))
 
 
 @pytest.mark.parametrize("net, init, sched, memory", [
     (BA7, BA7_INIT, BA7_SCHED, 3),
     (BA7, BA7_INIT, BA7_SCHED, None),
     # masses computed from the state: the scalar engine's Python sums give
-    # the same s as CSR sums (more than 32 nodes), so the masses agree to
-    # the bit; a dense-pooled network takes s from BLAS products instead
-    (BA40, BA40_INIT, cg.CuringDelta(0.3, multiplier=1.5), None),
+    # the same s as CSR sums (above the dense-pooling cap), so the masses
+    # agree to the bit; a dense-pooled network takes s from BLAS products
+    (BA_CSR, BA_CSR_INIT, cg.CuringDelta(0.3, multiplier=1.5), None),
 ], ids=["3", "None", "ba40_curing"])
 def test_batch_driven_by_scalar_draws_ends_with_the_same_float_masses(net, init, sched, memory):
     # one update rule in two arithmetics: the same draws and masses give the
@@ -496,8 +502,8 @@ def test_urn_batch_pools_large_networks_without_dense_arrays():
     big = graph.generate("ba", 3000, m=2, seed=1)
     cg.UrnBatch(big, cg.uniform_init(3000, 1.0, 1.0), 2)
     assert "adjacency" not in vars(big) and "closed_adjacency" not in vars(big)
-    net = graph.generate("ba", 40, m=2, seed=3)
-    batch = cg.UrnBatch(net, cg.uniform_init(40, 1.0, 2.0), 3)
+    net = BA_CSR
+    batch = cg.UrnBatch(net, cg.uniform_init(CSR_N, 1.0, 2.0), 3)
     dense_built = csr_matrix(net.closed_adjacency)
     for name in ("indptr", "indices", "data"):
         ours, theirs = getattr(batch._csr, name), getattr(dense_built, name)
@@ -513,16 +519,16 @@ def test_urn_batch_pools_large_networks_without_dense_arrays():
 
 
 @pytest.mark.parametrize("equal", [cg.ConstantDelta(0.75),
-                                   cg.ConstantDelta(BA40_MASSES, BA40_MASSES)])
+                                   cg.ConstantDelta(BA_CSR_MASSES, BA_CSR_MASSES)])
 @pytest.mark.parametrize("memory", [None, 5])
 def test_shared_total_row_matches_total_planes_after_every_step(memory, equal):
     # equal masses on a CSR-pooled network keep one total row; the same
     # masses tabulated take the per-plane path, with the same bits
     h = 16
-    masses = tuple(np.broadcast_to(equal.equal_masses, 40).tolist())
+    masses = tuple(np.broadcast_to(equal.equal_masses, CSR_N).tolist())
     tabulated = cg.TabulatedDelta([masses] * h, [masses] * h)
-    shared = cg.UrnBatch(BA40, BA40_INIT, 4, memory=memory, sched=equal)
-    planes = cg.UrnBatch(BA40, BA40_INIT, 4, memory=memory, sched=tabulated)
+    shared = cg.UrnBatch(BA_CSR, BA_CSR_INIT, 4, memory=memory, sched=equal)
+    planes = cg.UrnBatch(BA_CSR, BA_CSR_INIT, 4, memory=memory, sched=tabulated)
     assert not shared.total.flags.writeable and planes.total.flags.writeable
     rng = np.random.default_rng(6)
     for t in range(1, h + 1):
@@ -539,7 +545,7 @@ def test_shared_total_row_matches_total_planes_after_every_step(memory, equal):
         assert np.array_equal(shared.total, planes.total)
         assert np.array_equal(shared.proportions(), planes.proportions())
         assert np.array_equal(shared.super_urn(), planes.super_urn())
-    assert shared.red.shape == (12, 40) and shared.pooled_totals_finite()
+    assert shared.red.shape == (12, CSR_N) and shared.pooled_totals_finite()
 
 
 def test_shared_total_row_driven_by_scalar_draws_ends_with_the_same_float_masses():

@@ -315,13 +315,18 @@ def test_a_bad_number_raises_a_typed_error_or_gives_a_finite_result(func, argume
     lambda: cg.curing_delta_bound(cg.initial_state(K2, cg.uniform_init(2, 1e300, 1.0)), K2, 0, 1),
     lambda: cg.step_masses(STATE, K2, cg.CuringDelta(F(1)), (1, 1)),
     lambda: exact.enumerate_joint(K2, INIT2, SCHED, 20, cap=math.nan),
+    lambda: approx.SearchConfig(delta_max=1.0, coarse_points=10 ** 30),
+    lambda: exact.classical_polya_joint_gamma(exact.PolyaParams(0.5, 1e-308), (1, 0)),
+    lambda: exact.BetaParams.from_polya(exact.PolyaParams(F(1, 2), F(1, 10 ** 400))),
 ], ids=["beta_inf", "beta_nan", "drift_nan", "drift_inf", "curing_nan", "classify_tol_nan",
         "kl_rate_n", "eigenvalue_tol_nan", "eigenvalue_max_steps", "polya_str", "urn_str",
-        "delta_str", "curing_s_rounds_to_one", "curing_s_one", "enumerate_cap_nan"])
+        "delta_str", "curing_s_rounds_to_one", "curing_s_one", "enumerate_cap_nan",
+        "coarse_points_huge", "gamma_form_lgamma_overflow", "beta_from_polya_overflow"])
 def test_values_that_used_to_pass_or_raise_raw_errors_are_refused(call):
     # each returned NaN, a number for a meaningless input, or raised a raw
-    # TypeError or ZeroDivisionError; largest_eigenvalue ran 10,000 steps,
-    # and a NaN cap passed the cap check (K2 at horizon 20 is 2^40 cells)
+    # TypeError, ZeroDivisionError or OverflowError; largest_eigenvalue ran
+    # 10,000 steps, a NaN cap passed the cap check (K2 at horizon 20 is
+    # 2^40 cells), and a grid of 10^30 points failed in numpy's linspace
     start = time.perf_counter()
     with pytest.raises(PolyaNetError):
         call()

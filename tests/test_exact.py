@@ -631,6 +631,61 @@ def test_beta_domain_errors():
         exact.beta_cdf(b, 1.5)
 
 
+# fig4's three limit laws, then lopsided and tiny or large parameters
+BETA_GRID = [(1.0, 1.0), (2.25, 2.25), (56.5, 56.5), (0.01, 1000.0), (1000.0, 0.01),
+             (0.1, 50.0), (7.3, 0.2), (2.0, 1e4), (12.0, 500.0), (9.99, 12.0), (1e5, 1e5)]
+BETA_EDGES = [0.0, 1.0, 2.0 ** -1074, 1 - 2.0 ** -53]
+
+
+@pytest.mark.parametrize("alpha, beta", BETA_GRID)
+def test_beta_cdf_matches_scipy(alpha, beta):
+    from scipy.special import betainc
+
+    xs = np.concatenate([np.linspace(0, 1, 1001), BETA_EDGES])
+    params = exact.BetaParams(alpha, beta)
+    ours, theirs = exact.beta_cdf(params, xs), betainc(alpha, beta, xs)
+    # scipy is itself off by up to 1.1e-8 at these lopsided edges, where
+    # the closed forms below hold the values
+    tol = 1e-12 if min(alpha, beta) >= 0.1 else 2e-8
+    assert np.abs(ours - theirs).max() <= tol
+    if (alpha, beta) in BETA_GRID[:3]:  # fig4's KS distances
+        assert np.abs(ours - theirs).max() <= 1.1e-14
+    assert ours[-4:-2].tolist() == [0.0, 1.0]
+    assert [exact.beta_cdf(params, x) for x in xs[::100]] == ours[::100].tolist()
+
+
+@pytest.mark.parametrize("alpha, beta, closed_form", [
+    (1.0, 1.0, lambda x: x),
+    (0.5, 0.5, lambda x: 2 / np.pi * np.arctan2(np.sqrt(x), np.sqrt(1 - x))),
+    (0.01, 1.0, lambda x: x ** 0.01),
+    (1.0, 1000.0, lambda x: -np.expm1(1000 * np.log1p(-x))),
+    # one parameter below 10 and one far above: lgamma(1e9) alone has an ulp
+    # of 4e-6, so the prefactor takes the large one from Stirling's series
+    (1.0, 1e9, lambda x: -np.expm1(1e9 * np.log1p(-x))),
+    (1e9, 1.0, lambda x: np.exp(1e9 * np.log(x))),
+    # almost all mass at 0: 1 - I_x is below 1e-295, and values that round
+    # up to 2.4e-14 past 1 are clipped
+    (1e-300, 5.0, lambda x: np.ones_like(x)),
+    (1e-300, 1e300, lambda x: np.ones_like(x)),
+])
+def test_beta_cdf_matches_closed_forms_at_the_edges(alpha, beta, closed_form):
+    # scipy's betainc(0.5, 0.5, 1 - 2^-53) is 2.8e-9 off; the prefactor's
+    # exp of a log near -700 costs a few hundred ulps
+    xs = np.array([2.0 ** -1074, 1e-300, 1e-10, 0.3, 1 - 1e-10, 1 - 2.0 ** -53])
+    ours = exact.beta_cdf(exact.BetaParams(alpha, beta), xs)
+    assert np.allclose(ours, closed_form(xs), rtol=2e-13, atol=0)
+
+
+def test_beta_cdf_that_does_not_converge_raises():
+    # the mode of Beta(1e9, 1e9) takes 4889 steps; this one more than the cap
+    with pytest.raises(DomainError, match=f"within {exact.BETA_CF_MAX_STEPS} steps"):
+        exact.beta_cdf(exact.BetaParams(1e12, 1e12), 0.5)
+    # far from the mode the term underflows to 0 and needs no step
+    assert exact.beta_cdf(exact.BetaParams(1e12, 1e12), np.array([0.4, 0.6])).tolist() == [0, 1]
+    with pytest.raises(DomainError):
+        exact.beta_cdf(exact.BetaParams(1e308, 1e308), 0.5)
+
+
 @pytest.mark.parametrize("net,delta,n", [(K2, F(1), 3), (K3, F(2), 3)])
 def test_complete_node_marginal_matches_enumeration(net, delta, n):
     nn = net.node_count

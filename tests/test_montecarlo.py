@@ -93,6 +93,9 @@ def test_run_trials_curing_schedule_matches_scalar_reference():
 
 
 BA60 = graph.generate("ba", 60, m=2, seed=5)
+# one node above the dense-pooling cap: CSR neighbourhood sums
+CSR_N = cg.DENSE_POOLING_MAX_NODES + 1
+BA_CSR = graph.generate("ba", CSR_N, m=2, seed=5)
 
 
 def scalar_tallies(cfg):
@@ -114,11 +117,11 @@ def scalar_tallies(cfg):
 @pytest.mark.parametrize("memory", [None, 4])
 @pytest.mark.parametrize("kind", ["constant", "tabulated", "curing"])
 def test_sparse_multi_block_run_matches_scalar_reference(kind, memory):
-    net, h = BA60, 300
+    net, h = BA_CSR, 300
     n = net.node_count
     block = mc._time_block(h, n)
     # CSR neighbourhood sums, at least three uniform blocks, a partial last one
-    assert n > 32 and h > 2 * block and h % block
+    assert n > cg.DENSE_POOLING_MAX_NODES and h > 2 * block and h % block
     rng = np.random.default_rng(21)
     init = cg.UrnInit(red=tuple(rng.integers(1, 4, n) * 1.0),
                       black=tuple(rng.integers(1, 4, n) * 1.0))
@@ -212,14 +215,15 @@ def per_step_float_sums(cfg):
 
 
 @pytest.mark.parametrize("net, sched, memory, horizon", [
-    (BA60, cg.ConstantDelta(1.0), None, 151),
-    (BA60, cg.ConstantDelta(1.0), 7, 151),
-    (BA60, cg.ConstantDelta(1.0, 2.0), 7, 151),
-    (BA60, cg.CuringDelta(2.0, multiplier=1.5), None, 151),
+    (BA_CSR, cg.ConstantDelta(1.0), None, 151),
+    (BA_CSR, cg.ConstantDelta(1.0), 7, 151),
+    (BA_CSR, cg.ConstantDelta(1.0, 2.0), 7, 151),
+    (BA_CSR, cg.CuringDelta(2.0, multiplier=1.5), None, 151),
     (BA20, cg.ConstantDelta(1.0), None, 449),
     (BA20, cg.ConstantDelta(1.0, 2.0), 3, 449),
+    (BA60, cg.ConstantDelta(1.0), 7, 151),
 ], ids=["csr_shared_row", "csr_shared_row_memory", "csr_memory", "csr_curing",
-        "dense", "dense_memory"])
+        "dense", "dense_memory", "dense_shared_row_memory"])
 def test_float_statistics_equal_per_step_sums(net, sched, memory, horizon):
     n = net.node_count
     # a prime horizon, so no time block and no statistics tile shorter than
@@ -265,11 +269,11 @@ def test_streams_resume_each_trial_at_an_offset(offset):
 
 
 def test_chunks_position_streams_without_trial_generators(monkeypatch):
-    cfg = mc.RunConfig(net=BA60, init=float_init(60), sched=cg.ConstantDelta(1.0, 2.0),
+    cfg = mc.RunConfig(net=BA_CSR, init=float_init(CSR_N), sched=cg.ConstantDelta(1.0, 2.0),
                        horizon=300, trials=5, seed=9, chunk_size=2, threads=2,
                        collect_pair_freq=True, collect_sample_averages=True)
     # three time blocks, CSR neighbourhood sums
-    assert cfg.horizon > 2 * mc._time_block(cfg.horizon, 60)
+    assert cfg.horizon > 2 * mc._time_block(cfg.horizon, CSR_N)
     expected = mc.run_trials(cfg)
 
     def refuse(*args):
@@ -343,7 +347,7 @@ def cap_record(monkeypatch, cfg, steps):
     assert mc._record_block(cfg.horizon, cfg.net.node_count, cfg.chunk_size) == steps
 
 
-@pytest.mark.parametrize("net, memory", [(BA60, None), (BA60, 4), (BA5, None), (BA5, 3)],
+@pytest.mark.parametrize("net, memory", [(BA_CSR, None), (BA_CSR, 4), (BA5, None), (BA5, 3)],
                          ids=["csr", "csr_memory", "dense", "dense_memory"])
 def test_a_capped_record_changes_no_statistic(monkeypatch, net, memory):
     n = net.node_count
@@ -410,7 +414,7 @@ def stream_group(net, horizon, **common):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("net, horizon", [(BA20, 449), (BA60, 300)], ids=["dense", "csr"])
+@pytest.mark.parametrize("net, horizon", [(BA20, 449), (BA_CSR, 300)], ids=["dense", "csr"])
 def test_a_group_equals_its_runs_one_by_one(net, horizon, threads):
     cfgs = stream_group(net, horizon, trials=7, chunk_size=3, threads=threads)
     # three chunks (3, 3 and 1 trials), each over several blocks of steps
@@ -546,6 +550,17 @@ def test_pooled_totals_that_overflow_in_csr_sums_raise():
     # every urn total is finite, but the super urns of nodes of degree >= 3
     # overflow; scipy's CSR sums raise no float flag, and the red sums stay
     # finite, so the super-urn proportions read 0 instead of NaN
+    net = graph.generate("ba", CSR_N, m=2, seed=3)
+    cfg = mc.RunConfig(net=net, init=cg.uniform_init(CSR_N, 1.0, 5e307),
+                       sched=cg.ConstantDelta(1.0), horizon=5, trials=6, seed=0,
+                       chunk_size=2, threads=2)
+    with pytest.raises(DomainError, match="during steps 1-5"):
+        mc.run_trials(cfg)
+
+
+def test_pooled_totals_that_overflow_in_dense_sums_raise():
+    # the same overflow on 40 nodes, pooled by BLAS products: the shared
+    # total row by its own product beside the red rows'
     net = graph.generate("ba", 40, m=2, seed=3)
     cfg = mc.RunConfig(net=net, init=cg.uniform_init(40, 1.0, 5e307),
                        sched=cg.ConstantDelta(1.0), horizon=5, trials=6, seed=0,
@@ -565,25 +580,25 @@ def test_pooled_totals_that_overflow_for_one_step_raise():
         mc.run_trials(cfg)
 
 
-BA40 = graph.generate("ba", 40, m=2, seed=3)
+# BA40's masses every 40 nodes: 2.0 - 0.03 * i turns negative past 66
+CSR_MASSES = tuple(0.2 + 0.05 * (i % 40) for i in range(CSR_N))
 
 
 @pytest.mark.parametrize("equal", [cg.ConstantDelta(1.0),
-                                   cg.ConstantDelta(tuple(0.2 + 0.05 * i for i in range(40)),
-                                                    tuple(0.2 + 0.05 * i for i in range(40)))],
+                                   cg.ConstantDelta(CSR_MASSES, CSR_MASSES)],
                          ids=["scalar", "per_node"])
 @pytest.mark.parametrize("memory", [None, 7])
 def test_equal_mass_runs_equal_the_same_masses_tabulated(memory, equal):
     # equal masses keep the urn total as one row per chunk (CSR pooling);
     # tabulated masses have no equal_masses and keep the total planes
     h = 250
-    masses = tuple(np.broadcast_to(equal.equal_masses, 40).tolist())
+    masses = tuple(np.broadcast_to(equal.equal_masses, CSR_N).tolist())
     tabulated = cg.TabulatedDelta([masses] * h, [masses] * h)
     assert tabulated.equal_masses is None
-    init = cg.UrnInit(red=tuple(1.0 + 0.1 * i for i in range(40)),
-                      black=tuple(2.0 - 0.03 * i for i in range(40)))
+    init = cg.UrnInit(red=tuple(1.0 + 0.1 * (i % 40) for i in range(CSR_N)),
+                      black=tuple(2.0 - 0.03 * (i % 40) for i in range(CSR_N)))
     runs = [mc.run_trials(mc.RunConfig(
-                net=BA40, init=init, sched=sched, horizon=h, trials=10, seed=21, memory=memory,
+                net=BA_CSR, init=init, sched=sched, horizon=h, trials=10, seed=21, memory=memory,
                 chunk_size=5, collect_pair_freq=True, collect_sample_averages=True))
             for sched in (equal, tabulated)]
     for name in ("red_draw_counts", "susceptibility_sum", "increment_sum",
@@ -611,11 +626,12 @@ def test_threads_and_scheduling_do_not_change_results():
 
 
 POOL_CONFIGS = {
-    # <= 32 nodes: dense neighbourhood sums, with a finite-memory ring buffer
+    # at most the dense-pooling cap: dense neighbourhood sums, with a
+    # finite-memory ring buffer
     "dense": dict(net=graph.generate("ba", 6, m=2, seed=1), horizon=3, trials=90, seed=7,
                   memory=2, chunk_size=11, collect_assignments=True),
-    # > 32 nodes: CSR neighbourhood sums, several time blocks
-    "csr": dict(net=graph.generate("ba", 40, m=2, seed=3), horizon=300, trials=30, seed=9,
+    # above the dense-pooling cap: CSR neighbourhood sums, several time blocks
+    "csr": dict(net=BA_CSR, horizon=300, trials=30, seed=9,
                 chunk_size=4),
 }
 
@@ -635,6 +651,26 @@ def test_worker_processes_do_not_change_results(name):
             assert np.array_equal(getattr(stats, f), getattr(runs[0], f)), f
     if runs[0].assignment_counts is not None:
         assert runs[0].assignment_counts.sum() == kw["trials"]
+
+
+@pytest.mark.parametrize("n", [cg.DENSE_POOLING_MAX_NODES, cg.DENSE_POOLING_MAX_NODES + 1],
+                         ids=["dense_at_cap", "csr_above_cap"])
+def test_pooling_at_and_above_the_cap_counts_alike_for_any_workers_and_chunks(n):
+    # equal masses: one shared total row, pooled by BLAS at the cap and by
+    # CSR above it; the integer statistics do not depend on the chunking,
+    # and no statistic depends on the worker count
+    net = graph.generate("ba", n, m=2, seed=3)
+    runs = {(chunk, threads): mc.run_trials(mc.RunConfig(
+                net=net, init=float_init(n), sched=cg.ConstantDelta(1.0), horizon=40,
+                trials=12, seed=4, chunk_size=chunk, threads=threads,
+                collect_pair_freq=True, collect_sample_averages=True))
+            for chunk in (3, 5, 12) for threads in (1, 2, 4)}
+    base = runs[12, 1]
+    for (chunk, threads), stats in runs.items():
+        for f in ("red_draw_counts", "pair_counts", "sample_averages"):
+            assert np.array_equal(getattr(stats, f), getattr(base, f)), (chunk, threads, f)
+        for f in ("susceptibility_sum", "increment_sum", "increment_sumsq"):
+            assert np.array_equal(getattr(stats, f), getattr(runs[chunk, 1], f)), (chunk, f)
 
 
 def test_worker_processes_have_exited_after_a_run_and_after_a_failure():
@@ -669,8 +705,9 @@ def test_a_single_chunk_starts_no_pool(monkeypatch):
 _FORK_SEES_SPARSE = """
 import json, os, sys
 from polya_net import contagion as cg, graph, montecarlo as mc
-net = graph.generate("ba", 40, m=2, seed=3)
-cfg = mc.RunConfig(net=net, init=cg.uniform_init(40, 1.0, 1.0), sched=cg.ConstantDelta(1.0),
+n = cg.DENSE_POOLING_MAX_NODES + 1
+net = graph.generate("ba", n, m=2, seed=3)
+cfg = mc.RunConfig(net=net, init=cg.uniform_init(n, 1.0, 1.0), sched=cg.ConstantDelta(1.0),
                    horizon=5, trials=20, seed=1, chunk_size=10, threads=2)
 seen, fork = [], os.fork
 def recording_fork():
@@ -684,7 +721,7 @@ print(json.dumps([before, seen]))
 
 
 def test_a_pool_imports_csr_support_before_it_forks():
-    # above 32 nodes the urns pool by CSR sums; the parent imports
+    # above the dense-pooling cap the urns pool by CSR sums; the parent imports
     # scipy.sparse once, so no worker pays for the import
     src = os.path.dirname(os.path.dirname(mc.__file__))
     done = subprocess.run([sys.executable, "-c", _FORK_SEES_SPARSE],
@@ -694,6 +731,37 @@ def test_a_pool_imports_csr_support_before_it_forks():
     before, seen = json.loads(done.stdout)
     assert not before
     assert seen == [True, True]
+
+
+_WORKER_BLAS_THREADS = """
+import ctypes, glob, json, os
+import numpy as np
+from polya_net import contagion as cg, graph, montecarlo as mc
+[path] = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*"))
+lib = ctypes.CDLL(path)
+name = next(name for name in mc._OPENBLAS_SET_THREADS if hasattr(lib, name))
+blas_threads = getattr(lib, name.replace("_set_", "_get_"))
+def report(cfgs, lo, hi):  # each worker reports its own count, not a chunk's statistics
+    return blas_threads()
+report.__module__, report.__qualname__ = mc.__name__, "_run_chunk"  # pickled by name
+mc._run_chunk = report
+cfg = mc.RunConfig(net=graph.generate("ba", 10, m=2, seed=3), init=cg.uniform_init(10, 1.0, 1.0),
+                   sched=cg.ConstantDelta(1.0), horizon=5, trials=20, seed=1, threads=2)
+print(json.dumps([blas_threads(), list(mc._map_chunks((cfg,), 5)), blas_threads()]))
+"""
+
+
+def test_workers_run_blas_on_one_thread():
+    # the parent is given two BLAS threads; each forked worker drops to one,
+    # so that workers' dense products do not compete for the same cores
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    done = subprocess.run([sys.executable, "-c", _WORKER_BLAS_THREADS],
+                          env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, workers, after = json.loads(done.stdout)
+    assert workers == [1, 1, 1, 1]
+    assert before == after  # two, on a machine with two cores or more
 
 
 def test_a_runtime_error_in_a_worker_exits_two_with_one_line(tmp_path):

@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,12 @@ def test_run_rejects_bad_initial():
 def test_default_initial_probs_from_urns():
     init = cg.UrnInit(red=(1.0, 3.0), black=(3.0, 1.0))
     assert np.allclose(sis.default_initial_probs(init), [0.25, 0.75])
+
+
+def test_default_initial_probs_of_masses_past_the_float_range():
+    # each mass overflows a float, but the red fractions do not
+    init = cg.UrnInit(red=(F(10) ** 400, 1), black=(1, F(10) ** 400))
+    assert sis.default_initial_probs(init).tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("delta_sis,expected", [
