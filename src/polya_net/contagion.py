@@ -18,7 +18,9 @@ Under equal, time-constant red and black masses every copy's urn totals
 are the same, so a float batch of more than 32 nodes keeps them as one
 shared row after its red rows, pooled beside them and added and expired
 with them; a batch of at most 32 nodes keeps a total plane, for its
-BLAS products' bits and its speed on narrow rows.
+BLAS products' bits and its speed on narrow rows; either gains the equal
+mass itself.  A batch divides out its urn proportions only when they are
+read (:meth:`UrnBatch.proportions`).
 """
 
 from __future__ import annotations
@@ -114,8 +116,14 @@ class DeltaSchedule:
     @property
     def equal_masses(self):
         """The float masses (a scalar or one per node) when every node's red
-        and black masses are equal and constant in time, else ``None``."""
+        and black masses are equal, as given, and constant in time, else
+        ``None``."""
         return None
+
+    @property
+    def reads_proportions(self) -> bool:
+        """Whether ``masses`` reads the values of ``u``, not only its dtype."""
+        return False
 
     def check_size(self, node_count: int, steps: int) -> None:
         """Raise ``SizeMismatch`` unless the schedule gives masses for
@@ -148,10 +156,13 @@ class ConstantDelta(DeltaSchedule):
     def masses(self, t, u, s):
         return self._params(u)
 
-    @property
+    @cached_property
     def equal_masses(self):
+        red, black = (np.asarray(v, dtype=object) for v in self._given)
+        if np.any(red != black):  # as given: exact masses may round to equal floats
+            return None
         red, black = self._floats
-        return None if np.any(red != black) else red if np.ndim(red) else black
+        return red if np.ndim(red) else black
 
     def check_size(self, node_count, steps):
         for v in (self.red, self.black):
@@ -227,6 +238,8 @@ class CuringDelta(DeltaSchedule):
     def masses(self, t, u, s):
         dr, mult = self._params(u)
         return dr, _curing_mass(dr, u, s, mult)
+
+    reads_proportions = True
 
     def describe(self):
         return {
@@ -519,16 +532,21 @@ class UrnBatch:
     def _set_planes(self, planes: np.ndarray) -> None:
         self._planes = planes
         # without a ring, each step's gains are written over the last one's
-        self._gains = np.empty_like(planes) if self.memory is None else None
+        self._gains = np.zeros_like(planes) if self.memory is None else None
         if self._shared:
             self.red, row = planes[0, :-1], planes[0, -1]
             self.total = np.broadcast_to(row, self.red.shape)
         else:
             self.red, self.total = planes
-        self._u = self.red / self.total
+        self._u = None  # red / total, made by the first read
+        self._fresh = False  # whether _u holds red / total
 
     def proportions(self) -> np.ndarray:
-        """``red / total``, kept up to date by :meth:`step`; read-only."""
+        """``red / total``, divided out on the first read after a
+        :meth:`step` or :meth:`take` into one array; read-only."""
+        if not self._fresh:
+            self._u = np.divide(self.red, self.total, out=self._u)
+            self._fresh = True
         return self._u
 
     def super_urn(self, out: np.ndarray | None = None) -> np.ndarray:
@@ -582,10 +600,13 @@ class UrnBatch:
         add the gains ``z*dr`` (red) and ``(1-z)*db + z*dr`` (total), no
         float entering an exact batch.  The draw mask selects finite
         masses exactly; the curing mass is infinite only where s == 1 or
-        the urn proportion is 0.  A shared total row gains
-        ``db``, which is that total gain for a 0/1 ``z`` when the masses are
-        equal; ``sched`` is then the schedule the batch was built with."""
-        dr, db = sched.masses(t, self._u, s)
+        the urn proportion is 0.  Under ``sched.equal_masses`` that total
+        gain is ``db`` for a 0/1 ``z``, to the bit, so the totals (a plane,
+        or a shared row, whose batch was built with ``sched``) gain ``db``
+        itself.  The urn proportions are divided out here only for a
+        schedule that ``reads_proportions``."""
+        u = self.proportions() if sched.reads_proportions else self.red  # else only its dtype
+        dr, db = sched.masses(t, u, s)
         if self._ring is None:
             gains = self._gains
         else:
@@ -595,11 +616,13 @@ class UrnBatch:
         np.multiply(z, dr, out=gains[0, :len(z)])
         if self._shared:
             gains[0, -1] = db
+        elif sched.equal_masses is not None:
+            gains[1] = db
         else:
             np.multiply(1 - z, db, out=gains[1])
             gains[1] += gains[0]
         self._planes += gains
-        np.divide(self.red, self.total, out=self._u)
+        self._fresh = False
 
 
 def finite_memory_conditional(state: NetworkState, net: Network, i: int):

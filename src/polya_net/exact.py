@@ -646,7 +646,10 @@ def beta_cdf(params: BetaParams, x):
     I_x(a, b) by the modified Lentz method (Press et al., *Numerical
     Recipes*, section 6.4), taken for I_{1-x}(b, a) where x > (a + 1) /
     (a + b + 2), so that it converges fast, and times its prefactor
-    x^a (1-x)^b / B(a, b) (:func:`_log_beta_front`).  A value outside
+    x^a (1-x)^b / B(a, b) (:func:`_log_beta_front`).  Below x = 1/2, where
+    1 - x rounds, the mirrored side takes the fraction of I_{-z}(b, 1-a-b)
+    over x instead, z = (1 - x) / x: by Pfaff's transformation, Cephes'
+    ``incbd`` in z, whose complement x is exact.  A value outside
     [0, 1] (or NaN) is a ``DomainError``, and so is a continued fraction
     that has not converged within ``BETA_CF_MAX_STEPS`` steps, or a result
     more than ``_BETA_CDF_SLACK`` outside [0, 1]; a result within it is
@@ -660,11 +663,16 @@ def beta_cdf(params: BetaParams, x):
     flat = xs.ravel()
     front = np.exp(_log_beta_front(params, flat))
     mirrored = flat > (a + 1) / (a + b + 2)
+    low = mirrored & (flat < 0.5)
     cdf = np.zeros_like(flat)
-    # where the prefactor x^a (1-x)^b / B(a, b) is 0, so is the fraction's term
-    for side, (p, q, y) in ((~mirrored, (a, b, flat)), (mirrored, (b, a, 1 - flat))):
+    # the fraction's variable, from x; 1 - x is exact from 1/2 up
+    for side, p, q, y in ((~mirrored, a, b, lambda x: x),
+                          (mirrored & ~low, b, a, lambda x: 1 - x),
+                          (low, b, 1 - a - b, lambda x: (x - 1) / x)):
+        # where the prefactor x^a (1-x)^b / B(a, b) is 0, so is the fraction's term
         side = side & (front > 0)
-        cdf[side] = front[side] * _beta_cf(p, q, y[side]) / p
+        cdf[side] = front[side] * _beta_cf(p, q, y(flat[side])) / p
+    cdf[low] /= flat[low]
     cdf[mirrored] = 1 - cdf[mirrored]
     cdf[flat == 1] = 1  # also where (a + 1) / (a + b + 2) rounds to 1
     if not ((cdf >= -_BETA_CDF_SLACK) & (cdf <= 1 + _BETA_CDF_SLACK)).all():

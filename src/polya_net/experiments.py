@@ -95,6 +95,7 @@ def histogram_case(name: str, trials: int = HIST_TRIALS, seed: int = HIST_SEED,
         trials=trials,
         seed=seed,
         collect_sample_averages=True,
+        collect_trajectory=False,  # the histogram reads the sample averages only
         threads=threads,
     )
     stats = mc.run_trials(cfg)

@@ -36,7 +36,8 @@ block's first double (:func:`_streams`), a fill group of trials at a time
 transposed into the record.  Each step compares its uniforms with the super
 urns, pooled into one reused C-contiguous (k, N) buffer, into one of its
 config's two (k, N) draw slabs, and tallies the slab's counts at once, so
-no block of draws is kept.  The float statistics are reduced a tile of
+no block of draws is kept.  A step computes only what its config collects
+(:meth:`_ChunkRun.steps`).  The float statistics are reduced a tile of
 steps at a time (:func:`_stats_tile`): each step writes its per-trial mean
 urn proportions as one contiguous row, and one ``sum(axis=1)`` per
 statistic reduces the tile's rows, each by the same pairwise sum as the
@@ -94,7 +95,10 @@ def trial_generator(master_seed: int, trial: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce a batch of trials bit-for-bit."""
+    """Everything needed to reproduce a batch of trials bit-for-bit.  The
+    ``collect_*`` flags choose the statistics, at least one; the trajectory
+    is the per-step red-draw counts, susceptibility sums and increments.  No
+    flag changes a draw or a value, so none is in :meth:`describe`'s hash."""
 
     net: Network
     init: UrnInit
@@ -106,6 +110,7 @@ class RunConfig:
     collect_sample_averages: bool = False
     collect_pair_freq: bool = False
     collect_assignments: bool = False
+    collect_trajectory: bool = True
     chunk_size: int | None = None
     threads: int = 1  # worker processes; the count never changes a result
 
@@ -117,6 +122,9 @@ class RunConfig:
                 # kept as an int, which describe() can serialise
                 object.__setattr__(self, name, check_int(
                     value, name, minimum=None if name == "seed" else 1))
+        if not (self.collect_trajectory or self.collect_sample_averages
+                or self.collect_pair_freq or self.collect_assignments):
+            raise InvalidParameter("a run must collect at least one statistic")
         if self.trials >= 1 << 64:
             raise InvalidParameter(f"trials must be below 2^64, the range of the trial "
                                    f"word of a Philox key, got {self.trials}")
@@ -155,15 +163,19 @@ def config_hash(cfg: RunConfig) -> str:
 class TrialStatistics:
     """Aggregates over independent trials; time indices go 1..horizon
     (index 0 of per-step arrays is unused except for susceptibility, where
-    it holds the deterministic initial value)."""
+    it holds the deterministic initial value).  An array that the run did
+    not collect is ``None``, and a property that reads it raises
+    ``InvalidParameter``."""
 
     trials: int
     horizon: int
     node_count: int
-    red_draw_counts: np.ndarray          # (horizon+1, N) int64
-    susceptibility_sum: np.ndarray       # (horizon+1,) sums over trials of mean urn fraction
-    increment_sum: np.ndarray            # (horizon+1,) per-trial susceptibility increments
-    increment_sumsq: np.ndarray
+    red_draw_counts: np.ndarray | None = None  # (horizon+1, N) int64
+    # (horizon+1,) sums over trials of the mean urn fraction, of its
+    # per-trial increments and of their squares
+    susceptibility_sum: np.ndarray | None = None
+    increment_sum: np.ndarray | None = None
+    increment_sumsq: np.ndarray | None = None
     pair_counts: np.ndarray | None = None      # (horizon+1, N) int64, t >= 2
     sample_averages: np.ndarray | None = None  # (trials, N)
     assignment_counts: np.ndarray | None = None
@@ -174,39 +186,47 @@ class TrialStatistics:
         optional arrays that ``cfg`` collects (assignment counts excepted:
         they are bincounted once a whole run's codes are in)."""
         n, h = cfg.net.node_count, cfg.horizon
+        traj = cfg.collect_trajectory
         return cls(
             trials=trials,
             horizon=h,
             node_count=n,
-            red_draw_counts=np.zeros((h + 1, n), dtype=np.int64),
-            susceptibility_sum=np.zeros(h + 1),
-            increment_sum=np.zeros(h + 1),
-            increment_sumsq=np.zeros(h + 1),
+            red_draw_counts=np.zeros((h + 1, n), dtype=np.int64) if traj else None,
+            susceptibility_sum=np.zeros(h + 1) if traj else None,
+            increment_sum=np.zeros(h + 1) if traj else None,
+            increment_sumsq=np.zeros(h + 1) if traj else None,
             pair_counts=np.zeros((h + 1, n), dtype=np.int64) if cfg.collect_pair_freq else None,
             sample_averages=np.zeros((trials, n)) if cfg.collect_sample_averages else None,
         )
 
+    @staticmethod
+    def _collected(array: np.ndarray | None, what: str) -> np.ndarray:
+        if array is None:
+            raise InvalidParameter(f"{what} were not collected")
+        return array
+
     @property
     def infection_rate(self) -> np.ndarray:
         """Empirical fraction of red draws averaged over nodes, per step."""
-        out = self.red_draw_counts.sum(axis=1) / (self.trials * self.node_count)
+        counts = self._collected(self.red_draw_counts, "red-draw counts")
+        out = counts.sum(axis=1) / (self.trials * self.node_count)
         out[0] = np.nan
         return out
 
     @property
     def susceptibility(self) -> np.ndarray:
-        return self.susceptibility_sum / self.trials
+        return self._collected(self.susceptibility_sum, "susceptibility sums") / self.trials
 
     @property
     def increment_mean(self) -> np.ndarray:
-        out = self.increment_sum / self.trials
+        out = self._collected(self.increment_sum, "susceptibility increments") / self.trials
         out[0] = np.nan
         return out
 
     @property
     def increment_sem(self) -> np.ndarray:
         n = self.trials
-        mean = self.increment_sum / n
+        mean = self._collected(self.increment_sum, "susceptibility increments") / n
         var = (self.increment_sumsq - n * mean ** 2) / max(n - 1, 1)
         out = np.sqrt(np.maximum(var, 0.0) / n)
         out[0] = np.nan
@@ -214,9 +234,7 @@ class TrialStatistics:
 
     @property
     def pair_freq(self) -> np.ndarray:
-        if self.pair_counts is None:
-            raise InvalidParameter("pair frequencies were not collected")
-        out = self.pair_counts / self.trials
+        out = self._collected(self.pair_counts, "pair frequencies") / self.trials
         out[:2] = np.nan
         return out
 
@@ -324,24 +342,28 @@ class _ChunkRun:
         # the one before it; a tile's statistics are reduced over these
         # contiguous rows at once, and a row's sum is the same pairwise sum
         # as a (k,) array's
-        self.means = np.empty((tile + 1, k))
-        _row_mean(self.batch.proportions(), out=self.means[0])
-        self.stats.susceptibility_sum[0] = self.means[0].sum()
+        self.means = None
+        if cfg.collect_trajectory:
+            self.means = np.empty((tile + 1, k))
+            _row_mean(self.batch.proportions(), out=self.means[0])
+            self.stats.susceptibility_sum[0] = self.means[0].sum()
 
     def steps(self, uniforms: np.ndarray, t0: int, b: int, s: np.ndarray,
               ones: np.ndarray) -> None:
         """Steps ``t0 + 1 .. t0 + b``: each compares its uniforms with the
         super urns, pooled into ``s``, into its draw slab, steps the batch
         and tallies the slab at once (``s``, which the step has read, then
-        holds the pair products); the float statistics are reduced a tile
-        of steps at a time.  Every tally adds 0/1 values (the codes:
+        holds the pair products) into what the config collects.  Only the
+        trajectory reads the urn proportions: with it, each step divides
+        them out for its row mean, and the float statistics are reduced a
+        tile of steps at a time.  Every tally adds 0/1 values (the codes:
         distinct powers of two), so it is exact in any order."""
         batch, sched, means, draws = self.batch, self.cfg.sched, self.means, self.draws
         stats, codes, n = self.stats, self.codes, self.stats.node_count
         red, pair, averages = stats.red_draw_counts, stats.pair_counts, stats.sample_averages
         susc_sum, inc_sum, inc_sumsq = (stats.susceptibility_sum, stats.increment_sum,
                                         stats.increment_sumsq)
-        tile = means.shape[0] - 1
+        tile = b if means is None else means.shape[0] - 1
         fault = (f"urn masses left the float range during steps {t0 + 1}-{t0 + b}; "
                  "use smaller urn masses or reinforcements")
         # numpy flags a float range fault to the guard; a pooled sum that
@@ -354,22 +376,24 @@ class _ChunkRun:
                     batch.super_urn(out=s)
                     z = np.less(uniforms[i], s, out=draws[t % 2])
                     batch.step(t, z, s, sched)
-                    _row_mean(batch.proportions(), out=means[i - i0 + 1])
-                    red[t] = ones @ z
+                    if means is not None:
+                        _row_mean(batch.proportions(), out=means[i - i0 + 1])
+                        red[t] = ones @ z
                     if pair is not None and t > 1:
                         pair[t] = ones @ np.multiply(z, draws[(t - 1) % 2], out=s)
                     if averages is not None:
                         averages += z
                     if codes is not None:  # bit (t-1) * N + i: node i's draw at t
                         codes += z @ 2.0 ** np.arange(n * (t - 1), n * t)
-                t = t0 + i0 + 1
-                susc_sum[t:t + m] = means[1:m + 1].sum(axis=1)
-                # each increment overwrites the row before it, in place
-                # with no temporary; row m starts the next tile
-                inc = np.subtract(means[1:m + 1], means[:m], out=means[:m])
-                inc_sum[t:t + m] = inc.sum(axis=1)
-                inc_sumsq[t:t + m] = np.square(inc, out=inc).sum(axis=1)
-                means[0] = means[m]
+                if means is not None:
+                    t = t0 + i0 + 1
+                    susc_sum[t:t + m] = means[1:m + 1].sum(axis=1)
+                    # each increment overwrites the row before it, in place
+                    # with no temporary; row m starts the next tile
+                    inc = np.subtract(means[1:m + 1], means[:m], out=means[:m])
+                    inc_sum[t:t + m] = inc.sum(axis=1)
+                    inc_sumsq[t:t + m] = np.square(inc, out=inc).sum(axis=1)
+                    means[0] = means[m]
             if not batch.pooled_totals_finite():
                 raise DomainError(fault)
 
@@ -503,12 +527,11 @@ def run_many(cfgs: Sequence[RunConfig]) -> list[TrialStatistics]:
     for i, parts in enumerate(_map_chunks(cfgs, chunk)):
         # merged in chunk order: scheduling cannot change output
         for stats, (part, part_codes), cfg_codes in zip(merged, parts, codes):
-            stats.red_draw_counts += part.red_draw_counts
-            stats.susceptibility_sum += part.susceptibility_sum
-            stats.increment_sum += part.increment_sum
-            stats.increment_sumsq += part.increment_sumsq
-            if stats.pair_counts is not None:
-                stats.pair_counts += part.pair_counts
+            for name in ("red_draw_counts", "susceptibility_sum", "increment_sum",
+                         "increment_sumsq", "pair_counts"):
+                total = getattr(stats, name)
+                if total is not None:  # collected
+                    total += getattr(part, name)
             if stats.sample_averages is not None:
                 stats.sample_averages[i * chunk:i * chunk + part.trials] = part.sample_averages
             if part_codes is not None:

@@ -96,6 +96,23 @@ def test_exact_enumeration_writes_pinned_bytes(table, digest, tmp_path):
     assert hashlib.sha256(table(tmp_path)).hexdigest() == digest
 
 
+FIG4_HISTOGRAM_DIGESTS = {
+    "classical": "68e0a1d117a491d11346765a57bef4e17da384bea43b10d198e00ab5acf6e0c1",
+    "ba5": "54009bd31e4ed7ffa34e25b19a9ace12726a9a0d35b6cd4907a460a99e69ef8b",
+    "ba100": "88537eab2c70938ba9be2704c58fd6c877e249b437ccb6e77c20adc220defe64",
+}
+
+
+def test_fig4_histograms_write_pinned_bytes(tmp_path):
+    # a histogram is binned from integer draw counts, so a change to the
+    # steps that moved one draw changes these bytes
+    assert run("reproduce", "fig4", "--trials", "40", "--threads", "1",
+               "--out-dir", str(tmp_path)) == 0
+    digests = {name: hashlib.sha256((tmp_path / f"histogram_{name}.csv").read_bytes()).hexdigest()
+               for name in FIG4_HISTOGRAM_DIGESTS}
+    assert digests == FIG4_HISTOGRAM_DIGESTS
+
+
 def test_sis_writes_pinned_bytes(tmp_path):
     # the recursion takes each neighbourhood's product by reduceat and the
     # rest elementwise, with no BLAS product, so these bytes are the same on

@@ -558,3 +558,75 @@ def test_shared_total_row_driven_by_scalar_draws_ends_with_the_same_float_masses
         batch.step(t, np.array([draws], dtype=float), batch.super_urn(), sched)
     assert np.array_equal(batch.red[0], state.red_mass)
     assert np.array_equal(batch.total[0], state.total_mass)
+
+
+def test_only_curing_masses_read_the_urn_proportions():
+    assert cg.CuringDelta(1).reads_proportions
+    for sched in (cg.ConstantDelta(1), cg.ConstantDelta(1, 2),
+                  cg.TabulatedDelta([[1, 1]], [[1, 2]])):
+        assert not sched.reads_proportions
+
+
+def test_exact_masses_that_round_to_equal_floats_are_not_equal():
+    assert cg.ConstantDelta(F(1, 3), F(1, 3) + F(1, 10 ** 30)).equal_masses is None
+    assert cg.ConstantDelta((F(1, 3), 1), (F(1, 3), 1)).equal_masses is not None
+
+
+CYCLE4 = graph.generate_cycle(4)
+
+
+def _in(exact, *values):
+    """``values`` (Fractions, or tuples of them) as given, or as floats."""
+    if exact:
+        return values
+    return tuple(tuple(map(float, v)) if isinstance(v, tuple) else float(v) for v in values)
+
+
+def _stepped_batches(sched, exact):
+    """A 3-row batch on the 4-cycle after each of 8 steps of ``sched``
+    (rows reordered and repeated before step 5)."""
+    init = cg.UrnInit(*_in(exact, (F(1), F(2), F(3), F(1)), (F(2), F(1), F(1), F(3))))
+    batch = cg.UrnBatch(CYCLE4, init, 3, memory=3, sched=sched, exact=exact)
+    rng = np.random.default_rng(3)
+    for t in range(1, 9):
+        if t == 5:
+            batch.take(np.array([1, 0, 0, 2, 1]))
+        s = batch.super_urn()
+        z = (rng.random(s.shape) < s.astype(float)).astype(int)
+        batch.step(t, z.astype(object) if exact else z.astype(float), s, sched)
+        yield batch
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and bool((a == b).all())
+
+
+@pytest.mark.parametrize("build, masses", [
+    (cg.ConstantDelta, (F(1), F(2))), (cg.ConstantDelta, (F(3, 2),)),
+    (cg.CuringDelta, (F(1), F(3, 2))),
+], ids=["unequal", "equal", "curing"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_proportions_read_after_a_step_or_take_are_red_over_total(build, masses, exact):
+    sched = build(*_in(exact, *masses))
+    held = None
+    for batch in _stepped_batches(sched, exact):
+        if held is not None:  # the step (or take) left the array read before as it was
+            assert _same(held, stale)
+        held = batch.proportions()
+        stale = held.copy()
+        assert _same(held, batch.red / batch.total)
+
+
+@pytest.mark.parametrize("masses", [F(3, 2), (F(1), F(2), F(1, 2), F(3))],
+                         ids=["scalar", "per_node"])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_equal_mass_total_planes_equal_the_product_form(masses, exact):
+    # under equal masses a total plane gains db itself; the same masses
+    # tabulated gain (1 - z) * db + z * dr, with the same bits and Fractions
+    equal = cg.ConstantDelta(*_in(exact, masses, masses))
+    row = _in(exact, tuple(np.broadcast_to(np.array(masses, dtype=object), 4)))[0]
+    tabulated = cg.TabulatedDelta([row] * 8, [row] * 8)
+    assert equal.equal_masses is not None and tabulated.equal_masses is None
+    for ours, theirs in zip(_stepped_batches(equal, exact), _stepped_batches(tabulated, exact)):
+        assert ours.total.flags.writeable  # 4 nodes: a total plane, no shared row
+        assert _same(ours.red, theirs.red) and _same(ours.total, theirs.total)

@@ -676,6 +676,18 @@ def test_beta_cdf_matches_closed_forms_at_the_edges(alpha, beta, closed_form):
     assert np.allclose(ours, closed_form(xs), rtol=2e-13, atol=0)
 
 
+@pytest.mark.parametrize("beta, xs", [
+    (1e9, np.linspace(1e-9, 2e-8, 401)),
+    (1e5, np.linspace(1.8e-5, 2.2e-5, 401)),
+], ids=["1e9", "1e5"])
+def test_beta_cdf_keeps_its_precision_past_the_mean_of_a_lopsided_law(beta, xs):
+    # past (a + 1) / (a + b + 2) and below 1/2 the CDF is taken from the
+    # mirrored side, where a fraction in 1 - x, rounded, lost up to 4.4e-9
+    ours = exact.beta_cdf(exact.BetaParams(1.0, beta), xs)
+    closed = -np.expm1(beta * np.log1p(-xs))
+    assert np.max(np.abs(ours - closed) / closed) <= 1e-14
+
+
 def test_beta_cdf_that_does_not_converge_raises():
     # the mode of Beta(1e9, 1e9) takes 4889 steps; this one more than the cap
     with pytest.raises(DomainError, match=f"within {exact.BETA_CF_MAX_STEPS} steps"):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -604,6 +605,111 @@ def test_equal_mass_runs_equal_the_same_masses_tabulated(memory, equal):
     for name in ("red_draw_counts", "susceptibility_sum", "increment_sum",
                  "increment_sumsq", "pair_counts", "sample_averages"):
         assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name)), name
+
+
+BA40 = graph.generate("ba", 40, m=2, seed=3)
+_RNG = np.random.default_rng(13)
+TRAJECTORY_CASES = {
+    # dense pooling, total planes, unequal masses
+    "dense": dict(net=BA20, sched=cg.ConstantDelta(1.0, 2.0)),
+    # equal masses on at most 32 nodes: a total plane that gains db itself
+    "dense_equal_plane": dict(net=BA5, sched=cg.ConstantDelta(1.0), memory=3),
+    # equal masses on 40 nodes: the shared total row, pooled by BLAS
+    "dense_shared_row": dict(net=BA40, sched=cg.ConstantDelta(1.0)),
+    # above the dense-pooling cap: the shared total row, pooled by CSR
+    "csr_shared_row": dict(net=BA_CSR, sched=cg.ConstantDelta(0.5), memory=4),
+    "csr_unequal": dict(net=BA_CSR, sched=cg.ConstantDelta(1.0, 0.5)),
+    # masses that read the urn proportions
+    "curing": dict(net=BA20, sched=cg.CuringDelta(2.0, multiplier=1.5), memory=9),
+    "csr_curing": dict(net=BA_CSR, sched=cg.CuringDelta(0.3)),
+    "tabulated": dict(net=BA20, sched=cg.TabulatedDelta((_RNG.random((60, 20)) * 2).tolist(),
+                                                        (_RNG.random((60, 20)) * 2).tolist()),
+                      memory=5),
+}
+
+
+TRAJECTORY_FIELDS = ("red_draw_counts", "susceptibility_sum", "increment_sum",
+                     "increment_sumsq")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(TRAJECTORY_CASES))
+def test_a_run_without_the_trajectory_equals_the_run_with_it(case, threads):
+    kw = dict(TRAJECTORY_CASES[case])
+    n = kw["net"].node_count
+    init = cg.UrnInit(red=tuple(1.0 + 0.1 * (i % 7) for i in range(n)),
+                      black=tuple(2.0 - 0.2 * (i % 5) for i in range(n)))
+    # three chunks of 3, 3 and 1 trials
+    cfg = mc.RunConfig(init=init, horizon=60, trials=7, seed=29, chunk_size=3, threads=threads,
+                       collect_pair_freq=True, collect_sample_averages=True, **kw)
+    full = mc.run_trials(cfg)
+    bare = mc.run_trials(dataclasses.replace(cfg, collect_trajectory=False))
+    for name in ("pair_counts", "sample_averages"):
+        assert np.array_equal(getattr(bare, name), getattr(full, name)), name
+    for name in TRAJECTORY_FIELDS:
+        assert getattr(bare, name) is None and getattr(full, name) is not None, name
+
+
+def test_a_run_without_the_trajectory_counts_the_same_assignments():
+    cfg = small_cfg(net=CYCLE4, init=float_init(4), horizon=5, trials=60, chunk_size=25,
+                    collect_assignments=True)
+    bare = mc.run_trials(dataclasses.replace(cfg, collect_trajectory=False))
+    assert np.array_equal(bare.assignment_counts, mc.run_trials(cfg).assignment_counts)
+
+
+def test_a_run_that_collects_nothing_is_refused():
+    with pytest.raises(InvalidParameter, match="at least one statistic"):
+        small_cfg(collect_trajectory=False)
+
+
+@pytest.mark.parametrize("read", [
+    lambda stats: stats.infection_rate, lambda stats: stats.susceptibility,
+    lambda stats: stats.increment_mean, lambda stats: stats.increment_sem,
+    lambda stats: stats.pair_freq,
+], ids=["infection_rate", "susceptibility", "increment_mean", "increment_sem", "pair_freq"])
+def test_statistics_that_were_not_collected_raise(read):
+    stats = mc.run_trials(small_cfg(collect_trajectory=False, collect_sample_averages=True))
+    with pytest.raises(InvalidParameter, match="not collected"):
+        read(stats)
+
+
+def test_a_trajectory_csv_of_a_run_without_the_trajectory_is_refused(tmp_path):
+    cfg = small_cfg(collect_trajectory=False, collect_pair_freq=True)
+    with pytest.raises(InvalidParameter, match="not collected"):
+        mc.write_trajectory_csv(mc.run_trials(cfg), cfg, tmp_path / "t.csv", pair_node=0)
+
+
+def test_collection_flags_are_not_in_the_config_hash():
+    cfg = small_cfg(collect_pair_freq=True)
+    other = dataclasses.replace(cfg, collect_trajectory=False, collect_sample_averages=True)
+    assert mc.config_hash(other) == mc.config_hash(cfg)
+
+
+def test_histogram_runs_collect_no_trajectory():
+    cfg, stats, node, beta, ks = ex.histogram_case("classical", trials=20)
+    assert not cfg.collect_trajectory and stats.red_draw_counts is None
+    assert stats.sample_averages.shape == (20, 1)
+
+
+def test_an_overflowing_run_without_the_trajectory_raises():
+    cfg = small_cfg(sched=cg.ConstantDelta(2e304), horizon=10_000, trials=2,
+                    collect_trajectory=False, collect_sample_averages=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="during steps 4097-8192"):
+            mc.run_trials(cfg)
+
+
+@pytest.mark.parametrize("n", [40, CSR_N], ids=["dense", "csr"])
+def test_pooled_totals_that_overflow_without_the_trajectory_raise(n):
+    # every urn total is finite, but the super urns of nodes of degree >= 3
+    # overflow: a flag in BLAS products, none in scipy's CSR sums
+    cfg = mc.RunConfig(net=graph.generate("ba", n, m=2, seed=3),
+                       init=cg.uniform_init(n, 1.0, 5e307), sched=cg.ConstantDelta(1.0),
+                       horizon=5, trials=6, seed=0, chunk_size=2,
+                       collect_trajectory=False, collect_pair_freq=True)
+    with pytest.raises(DomainError, match="during steps 1-5"):
+        mc.run_trials(cfg)
 
 
 def test_identical_configs_reproduce_bitwise():
