@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from . import exact
 from .contagion import ConstantDelta, UrnInit, check_node
-from .errors import DegenerateMarginal, DomainError, InvalidParameter, check_int, check_real
+from .errors import (DegenerateMarginal, DomainError, InvalidParameter, check_int, check_real,
+                     to_float)
 from .graph import Network
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -59,7 +61,9 @@ def _node_params(net: Network, init: UrnInit, i: int, delta):
     check_real(delta, "delta", 0)
     nbrs = net.closed_neighbors[i]
     total = sum(init.totals[j] for j in nbrs)
-    d = net.node_count * delta / total
+    # a float delta divides by the total as a float, which an exact total may be past
+    d = net.node_count * delta / (total if isinstance(delta, (int, Fraction))
+                                  else to_float(total, f"node {i}'s super-urn total"))
     if isinstance(d, float) and not math.isfinite(d):
         raise DomainError(f"the node correlation parameter {net.node_count} x {delta} / "
                           f"{total} is outside the float range; use a smaller reinforcement")

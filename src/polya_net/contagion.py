@@ -19,8 +19,11 @@ are the same, so a float batch of more than 32 nodes keeps them as one
 shared row after its red rows, pooled beside them and added and expired
 with them; a batch of at most 32 nodes keeps a total plane, for its
 BLAS products' bits and its speed on narrow rows; either gains the equal
-mass itself.  A batch divides out its urn proportions only when they are
-read (:meth:`UrnBatch.proportions`).
+mass itself.  Such a shared-row batch whose urns and masses are
+integers, and whose pooled totals stay below 2^24 up to its horizon,
+holds its masses in float32: its sums are exact and its divides
+float64, so it keeps the float64 batch's bits.  A batch divides out its
+urn proportions only when they are read (:meth:`UrnBatch.proportions`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DomainError, HypothesisViolation, InvalidParameter, SizeMismatch,
-                     check_int, check_real)
+                     check_int, check_real, to_float)
 from .graph import Network
 
 
@@ -463,9 +466,30 @@ def import_pooling(net: Network) -> None:
         import scipy.sparse  # noqa: F401
 
 
+def _pools_exactly(net: Network, first: np.ndarray, masses, horizon: int | None) -> bool:
+    """Whether a float32 batch holds and pools ``first``, float64 red and
+    total rows, and ``horizon`` steps' gains of the equal ``masses`` (a
+    scalar or one per node) exactly: whether every one of these values is
+    an integer and every closed-neighbourhood sum of the urn totals after
+    ``horizon`` steps, the largest value the batch holds or pools, is below
+    2^24.  Float32 holds every integer up to 2^24, so any sum of such
+    values, in any order, equals the float64 sum.  Never for an unknown
+    ``horizon``."""
+    if horizon is None or horizon >= 1 << 24:
+        return False
+    masses = np.broadcast_to(masses, first.shape[1:])
+    values = np.concatenate([first.ravel(), masses])
+    # every value below 2^24 before any product, so that none overflows
+    if not (np.all(values < 1 << 24) and np.all(values == np.floor(values))):
+        return False
+    last = first[1].astype(np.int64) + horizon * masses.astype(np.int64)
+    return bool(np.add.reduceat(last[net.indices], net.indptr[:-1]).max() < 1 << 24)
+
+
 class UrnBatch:
     """Urn masses of many copies of the process (rows x N ``red`` and
-    ``total``): float64, or ``Fraction`` objects in an ``exact`` batch.
+    ``total``): float64 (float32 where pooling is exact, below), or
+    ``Fraction`` objects in an ``exact`` batch.
     The mass planes, (P, rows, N), hold ``red`` and, unless the total is a
     shared row (below), ``total``; each step's gains have the same planes.
     With finite memory M a ring keeps the last M steps' gains so they can
@@ -491,6 +515,22 @@ class UrnBatch:
     product beside the red rows' (rows, N) one.  Batches of at most 32
     nodes keep the total plane: the row's broadcast divide is slower on
     narrow rows, and their bits stay those of a product per plane.
+
+    A shared-row batch decides when it is built whether its pooling is
+    exact (:func:`_pools_exactly`): whether its initial red and total
+    masses and its equal masses are integers and every closed-neighbourhood
+    sum of the totals after ``horizon`` steps is below 2^24.  It then holds
+    its planes, gains and ring in float32 and pools them with a float32
+    copy of the closed adjacency, or of the CSR matrix above the
+    dense-pooling cap.  Float32 holds every integer up to 2^24, so each sum
+    is the float64 sum, in any order and BLAS kernel; finite memory only
+    subtracts integers; and every divide (:meth:`super_urn`,
+    :meth:`proportions`) is float64, so the batch has the float64 batch's
+    bits.  Exact pooling is therefore not an output-bit rule: for integer
+    urns and masses, float32 and float64, dense and CSR pooling give the
+    same bits on any CPU.  Every other batch (at most 32 nodes, non-integer
+    or unequal masses, curing and tabulated schedules, no ``horizon``, and
+    enumeration's, built without a schedule) stays float64.
     """
 
     def __init__(self, net: Network, init: UrnInit, rows: int, memory: int | None = None,
@@ -517,9 +557,17 @@ class UrnBatch:
             # the network's own neighbourhood arrays, never N x N dense ones
             self._csr = csr_matrix(
                 (np.ones(len(net.indices)), net.indices, net.indptr), shape=(n, n))
-        first = np.array([start.red_mass, start.total_mass], dtype=object if exact else float)
+        masses = [start.red_mass, start.total_mass]
+        if not exact:  # an exact mass past the float range is a DomainError
+            masses = [[to_float(m, "an initial urn mass") for m in row] for row in masses]
+        first = np.array(masses, dtype=object if exact else float)
+        self._ratio = first.dtype  # the urn and super-urn proportions' dtype
         self._shared = (not exact and n > TOTAL_PLANE_MAX_NODES and sched is not None
                         and sched.equal_masses is not None)
+        if self._shared and _pools_exactly(net, first, sched.equal_masses, horizon):
+            first = first.astype(np.float32)
+            self._dense, self._csr = (a if a is None else a.astype(np.float32)
+                                      for a in (self._dense, self._csr))
         planes = np.repeat(first[:, None, :], rows, axis=1)
         if self._shared:  # the red rows, then the one total row
             planes = np.concatenate([planes[:1], first[None, 1:]], axis=1)
@@ -545,7 +593,7 @@ class UrnBatch:
         """``red / total``, divided out on the first read after a
         :meth:`step` or :meth:`take` into one array; read-only."""
         if not self._fresh:
-            self._u = np.divide(self.red, self.total, out=self._u)
+            self._u = np.divide(self.red, self.total, out=self._u, dtype=self._ratio)
             self._fresh = True
         return self._u
 
@@ -559,7 +607,8 @@ class UrnBatch:
         if self._csr is None:
             # one product per plane (or shared row): a stacked product moves
             # rows across the BLAS kernels' row tails, which changes last bits
-            return np.divide(self.red @ self._dense, self._totals() @ self._dense, out=out)
+            return np.divide(self.red @ self._dense, self._totals() @ self._dense, out=out,
+                             dtype=self._ratio)
         # the closed adjacency is symmetric, so csr @ m.T sums every
         # neighbourhood in the same ascending order as m @ csr, without the
         # transposed copy of csr that scipy builds for m @ csr
@@ -567,7 +616,7 @@ class UrnBatch:
         pooled = (self._csr @ planes.reshape(-1, planes.shape[-1]).T).T
         # a shared total row is the last pooled row, else the total rows
         return np.divide(pooled[:rows], pooled[rows] if self._shared else pooled[rows:],
-                         out=out)
+                         out=out, dtype=self._ratio)
 
     def _totals(self) -> np.ndarray:
         """The urn totals as stored: the shared (N,) row, or the total plane."""
@@ -595,16 +644,17 @@ class UrnBatch:
             self._ring = pick(self._ring)
 
     def step(self, t: int, z: np.ndarray, s: np.ndarray, sched: DeltaSchedule) -> None:
-        """Apply step t's draws ``z`` (0/1, rows x N; ints in an exact batch)
-        drawn at super-urn proportions ``s``: expire step t-M's gains, then
-        add the gains ``z*dr`` (red) and ``(1-z)*db + z*dr`` (total), no
-        float entering an exact batch.  The draw mask selects finite
-        masses exactly; the curing mass is infinite only where s == 1 or
-        the urn proportion is 0.  Under ``sched.equal_masses`` that total
-        gain is ``db`` for a 0/1 ``z``, to the bit, so the totals (a plane,
-        or a shared row, whose batch was built with ``sched``) gain ``db``
-        itself.  The urn proportions are divided out here only for a
-        schedule that ``reads_proportions``."""
+        """Apply step t's draws ``z`` (0/1, rows x N, in either float dtype;
+        ints in an exact batch) drawn at super-urn proportions ``s``:
+        expire step t-M's gains, then add the gains ``z*dr`` (red) and
+        ``(1-z)*db + z*dr`` (total), no float entering an exact batch.
+        The draw mask selects finite masses exactly; the curing mass is
+        infinite only where s == 1 or the urn proportion is 0.  Under
+        ``sched.equal_masses`` that total gain is ``db`` for a 0/1 ``z``,
+        to the bit, so the totals (a plane, or a shared row, whose batch
+        was built with ``sched``) gain ``db`` itself.  The urn proportions
+        are divided out here only for a schedule that
+        ``reads_proportions``."""
         u = self.proportions() if sched.reads_proportions else self.red  # else only its dtype
         dr, db = sched.masses(t, u, s)
         if self._ring is None:
@@ -613,7 +663,8 @@ class UrnBatch:
             gains = self._ring[(t - 1) % self.memory]
             if t > self.memory:
                 self._planes -= gains
-        np.multiply(z, dr, out=gains[0, :len(z)])
+        # in the gains' dtype: a float32 batch's masses are integers below 2^24
+        np.multiply(z, dr, out=gains[0, :len(z)], dtype=gains.dtype)
         if self._shared:
             gains[0, -1] = db
         elif sched.equal_masses is not None:

@@ -514,6 +514,9 @@ def classical_polya_joint(params: PolyaParams, draws: Sequence[int]):
     """
     rho, delta = params.rho, params.delta
     prob = Fraction(1) if isinstance(rho, (int, Fraction)) and isinstance(delta, (int, Fraction)) else 1.0
+    if isinstance(prob, float):  # the largest denominator, the last step's, must be finite
+        check_real(1 + (len(draws) - 1) * to_float(delta, "delta"),
+                   f"the urn total after {len(draws) - 1} steps", error=DomainError)
     reds = 0
     for t, a in enumerate(draws, start=1):
         denom = 1 + (t - 1) * delta
@@ -561,7 +564,8 @@ def classical_count_log_probs(params: PolyaParams, n: int) -> np.ndarray:
     ``DomainError`` if a value is not finite in floats."""
     n = check_int(n, "n", minimum=0)
     check_cell_budget(1, n, "classical count log-probabilities")
-    return _count_log_prob_rows(float(params.rho), np.array([float(params.delta)]), n)[0]
+    return _count_log_prob_rows(float(params.rho), np.array([to_float(params.delta, "delta")]),
+                                n)[0]
 
 
 def _count_log_prob_rows(rho: float, deltas: np.ndarray, n: int) -> np.ndarray:

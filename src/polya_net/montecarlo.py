@@ -4,10 +4,16 @@ RNG scheme: trial k of a run with master seed s consumes uniforms from a
 ``Philox4x64-10`` counter-based generator keyed with the 128-bit key
 (s mod 2^64, k), counter starting at zero, doubles taken in step-major,
 node-minor order.  Streams therefore depend only on (master seed, trial
-index): results are independent of chunking or of how chunks are
-scheduled, and a single trial can be replayed in isolation.  Aggregation is
-associative (integer draw counts, per-chunk float partials merged in chunk
-order), so identical configurations produce bit-identical statistics.
+index), not on chunking or on how chunks are scheduled, and a single trial
+can be replayed in isolation.  Aggregation is associative (integer draw
+counts, per-chunk float partials merged in chunk order), so identical
+configurations produce bit-identical statistics, whatever the worker count.
+The chunk size is part of the result: the float sums (susceptibility and
+increments) are reduced chunk by chunk, and on networks of at most 100
+nodes dense BLAS products can round a trial's super-urn sums by its row in
+the product's shape, so a draw within the last bit of its proportion can
+move an integer count.  Runs on integer urns with integer masses pool
+exactly, so their integer statistics do not depend on the chunk size.
 
 ``RunConfig.threads`` is the number of worker processes.  With more than one
 chunk and more than one worker, chunks run in processes forked from the
@@ -35,13 +41,13 @@ block's first double (:func:`_streams`), a fill group of trials at a time
 (:func:`_fill_group`) into a ``(group, block, N)`` scratch, and copied
 transposed into the record.  Each step compares its uniforms with the super
 urns, pooled into one reused C-contiguous (k, N) buffer, into one of its
-config's two (k, N) draw slabs, and tallies the slab's counts at once, so
-no block of draws is kept.  A step computes only what its config collects
-(:meth:`_ChunkRun.steps`).  The float statistics are reduced a tile of
-steps at a time (:func:`_stats_tile`): each step writes its per-trial mean
-urn proportions as one contiguous row, and one ``sum(axis=1)`` per
-statistic reduces the tile's rows, each by the same pairwise sum as the
-row alone, so the bits are those of per-step sums.
+config's two (k, N) draw slabs, in its urn batch's float dtype, and tallies
+the slab's counts at once, so no block of draws is kept.  A step computes
+only what its config collects (:meth:`_ChunkRun.steps`).  The float
+statistics are reduced a tile of steps at a time (:func:`_stats_tile`):
+each step writes its per-trial mean urn proportions as one contiguous row,
+and one ``sum(axis=1)`` per statistic reduces the tile's rows, each by the
+same pairwise sum as the row alone, so the bits are those of per-step sums.
 """
 
 from __future__ import annotations
@@ -335,8 +341,13 @@ class _ChunkRun:
                               horizon=h)
         self.stats = TrialStatistics.zeros(cfg, k)
         # step t's (k, N) draws go to slab t % 2, so the slab of step t - 1
-        # is still there for the pair counts
-        self.draws = np.empty((2, k, n))
+        # is still there for the pair counts; the draws, and the sample
+        # averages' draw counts, are in the batch's float dtype, so that a
+        # float32 batch adds them without a cast (float32 holds 0/1 and the
+        # counts up to its horizon, below 2^24, exactly)
+        dtype = self.batch.red.dtype
+        self.draws = np.empty((2, k, n), dtype)
+        self.counts = np.zeros((k, n), dtype) if cfg.collect_sample_averages else None
         self.codes = np.zeros(k) if cfg.collect_assignments else None
         # row j of means holds the row mean after a tile's j-th step, row 0
         # the one before it; a tile's statistics are reduced over these
@@ -360,7 +371,7 @@ class _ChunkRun:
         distinct powers of two), so it is exact in any order."""
         batch, sched, means, draws = self.batch, self.cfg.sched, self.means, self.draws
         stats, codes, n = self.stats, self.codes, self.stats.node_count
-        red, pair, averages = stats.red_draw_counts, stats.pair_counts, stats.sample_averages
+        red, pair, counts = stats.red_draw_counts, stats.pair_counts, self.counts
         susc_sum, inc_sum, inc_sumsq = (stats.susceptibility_sum, stats.increment_sum,
                                         stats.increment_sumsq)
         tile = b if means is None else means.shape[0] - 1
@@ -381,8 +392,8 @@ class _ChunkRun:
                         red[t] = ones @ z
                     if pair is not None and t > 1:
                         pair[t] = ones @ np.multiply(z, draws[(t - 1) % 2], out=s)
-                    if averages is not None:
-                        averages += z
+                    if counts is not None:
+                        counts += z
                     if codes is not None:  # bit (t-1) * N + i: node i's draw at t
                         codes += z @ 2.0 ** np.arange(n * (t - 1), n * t)
                 if means is not None:
@@ -398,8 +409,8 @@ class _ChunkRun:
                 raise DomainError(fault)
 
     def result(self) -> tuple[TrialStatistics, np.ndarray | None]:
-        if self.stats.sample_averages is not None:
-            self.stats.sample_averages /= self.cfg.horizon  # draw counts become averages
+        if self.counts is not None:  # draw counts become averages, in float64
+            np.divide(self.counts, self.cfg.horizon, out=self.stats.sample_averages, dtype=float)
         return self.stats, None if self.codes is None else self.codes.astype(np.int64)
 
 

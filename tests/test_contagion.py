@@ -572,6 +572,68 @@ def test_exact_masses_that_round_to_equal_floats_are_not_equal():
     assert cg.ConstantDelta((F(1, 3), 1), (F(1, 3), 1)).equal_masses is not None
 
 
+def _plane_dtype(n=40, init=None, sched=cg.ConstantDelta(1.0), horizon=100, **kw):
+    net = BA40 if n == 40 else graph.generate("ba", n, m=2, seed=3)
+    init = init or cg.uniform_init(n, 1.0, 2.0)
+    return cg.UrnBatch(net, init, 2, sched=sched, horizon=horizon, **kw).red.dtype
+
+
+def test_float32_planes_only_for_integer_equal_mass_runs_of_more_than_32_nodes():
+    # dense products up to the cap, CSR sums above it
+    assert _plane_dtype(33) == _plane_dtype(100) == _plane_dtype(CSR_N) == np.float32
+    assert _plane_dtype(40, memory=5) == np.float32
+    assert _plane_dtype(sched=cg.ConstantDelta((2.0,) * 40, (2.0,) * 40)) == np.float32
+    for kw in (dict(n=32),  # a total plane
+               dict(horizon=None), dict(exact=True),  # enumeration
+               dict(init=BA40_INIT), dict(sched=cg.ConstantDelta(0.5)),  # not integers
+               dict(sched=cg.ConstantDelta(1.0, 2.0)), dict(sched=cg.CuringDelta(1.0)),
+               dict(sched=cg.TabulatedDelta([(1.0,) * 40] * 100, [(1.0,) * 40] * 100))):
+        assert _plane_dtype(**kw) in (np.float64, object), kw
+
+
+def test_the_float32_bound_is_a_strict_bound_on_pooled_totals_after_the_horizon():
+    # BA40's largest closed neighbourhood holds 18 urns, each of total 3 + h
+    degree = max(BA40.degrees) + 1
+    horizon = -(-(1 << 24) // degree) - 3  # the fewest steps that reach 2^24
+    assert degree * (3 + horizon - 1) < 1 << 24 <= degree * (3 + horizon)
+    assert _plane_dtype(horizon=horizon - 1) == np.float32
+    assert _plane_dtype(horizon=horizon) == np.float64
+
+
+def test_integer_masses_past_float32_are_refused_before_any_product():
+    # 5e307 is an integer-valued float: h * 5e307 and its pooled sums would
+    # overflow, which the test configuration turns into an error
+    assert _plane_dtype(init=cg.uniform_init(40, 1.0, 5e307)) == np.float64
+    assert _plane_dtype(sched=cg.ConstantDelta(5e307)) == np.float64
+    assert _plane_dtype(horizon=1 << 60, sched=cg.ConstantDelta(0.0)) == np.float64
+
+
+@pytest.mark.parametrize("memory", [None, 3])
+def test_float32_batches_divide_out_the_float64_batches_bits(monkeypatch, memory):
+    init = cg.UrnInit(red=tuple(1.0 + i % 3 for i in range(40)), black=(2.0,) * 40)
+    sched = cg.ConstantDelta(tuple(1.0 + i % 4 for i in range(40)),
+                             tuple(1.0 + i % 4 for i in range(40)))
+    ours = cg.UrnBatch(BA40, init, 4, memory=memory, sched=sched, horizon=30)
+    monkeypatch.setattr(cg, "_pools_exactly", lambda *args: False)
+    theirs = cg.UrnBatch(BA40, init, 4, memory=memory, sched=sched, horizon=30)
+    assert ours.red.dtype == np.float32 and theirs.red.dtype == np.float64
+    rng = np.random.default_rng(8)
+    for t in range(1, 31):
+        if t == 12:
+            rows = np.array([3, 0, 0, 2, 1, 3, 1])
+            ours.take(rows)
+            theirs.take(rows)
+        s = ours.super_urn()
+        assert s.dtype == np.float64 and np.array_equal(s, theirs.super_urn())
+        z = (rng.random(s.shape) < s).astype(float)
+        ours.step(t, z, s, sched)
+        theirs.step(t, z, s, sched)
+        assert np.array_equal(ours.red, theirs.red) and np.array_equal(ours.total, theirs.total)
+        u = ours.proportions()
+        assert u.dtype == np.float64 and np.array_equal(u, theirs.proportions())
+    assert ours.pooled_totals_finite()
+
+
 CYCLE4 = graph.generate_cycle(4)
 
 

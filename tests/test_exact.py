@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polya_net import contagion as cg, exact, graph
+from polya_net import approx, contagion as cg, exact, graph
 from polya_net.errors import CapExceeded, DomainError, InvalidParameter, SupportMismatch
 
 K2 = graph.generate_complete(2)
@@ -319,18 +319,29 @@ def small_tables(draw):
     return tables
 
 
+def code_bit(table, i, t):
+    """Node i's draw at time t in every code of the table, by code."""
+    return (np.arange(len(table.probs)) >> ((t - 1) * table.node_count + i)) & 1
+
+
+def sum_cells(table, selected):
+    """The cells where ``selected`` holds, added in code order: as
+    ``Fraction``s in an exact table, left to right as floats otherwise."""
+    return sum(table.probs[selected].tolist())
+
+
 def reference_marginal(table, i, lo, hi):
-    out = {}
-    for code, p in enumerate(table.probs):
-        key = tuple((code >> ((t - 1) * table.node_count + i)) & 1 for t in range(lo, hi + 1))
-        out[key] = out.get(key, 0) + p
-    return out
+    # key value v holds node i's draw at time lo + k in its bit k
+    keys = sum(code_bit(table, i, t) << (t - lo) for t in range(lo, hi + 1))
+    return {tuple((v >> k) & 1 for k in range(hi - lo + 1)): sum_cells(table, keys == v)
+            for v in range(1 << (hi - lo + 1))}
 
 
 def reference_event(table, fixed):
-    return sum(p for code, p in enumerate(table.probs)
-               if all((code >> ((t - 1) * table.node_count + i)) & 1 == bit
-                      for (i, t), bit in fixed.items()))
+    selected = np.ones(len(table.probs), dtype=bool)
+    for (i, t), bit in fixed.items():
+        selected &= code_bit(table, i, t) == bit
+    return sum_cells(table, selected)
 
 
 @settings(max_examples=20, deadline=None)
@@ -956,6 +967,10 @@ def test_integer_arguments_are_checked_with_a_typed_error():
     assert table.node_marginal_probs(np.int64(1), (np.int32(2), 3)).sum() == 1
 
 
+# exact urns whose float masses are past the float range
+HUGE_URNS = cg.UrnInit((F(10) ** 400,) * 3, (1,) * 3)
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: exact.classical_polya_table(exact.PolyaParams(0.5, 1.0), 2.5), InvalidParameter),
     (lambda: exact.classical_polya_table(exact.PolyaParams(0.5, 1.0), -1), InvalidParameter),
@@ -968,12 +983,20 @@ def test_integer_arguments_are_checked_with_a_typed_error():
     (lambda: exact.nonstationarity_witness(0.5, 3e102), DomainError),
     (lambda: exact.complete_node_marginal_probs(0.5, F(10) ** 400, 3, 3), DomainError),
     (lambda: exact.complete_node_marginal_probs(F(1, 10 ** 400), 1.0, 3, 3), DomainError),
+    (lambda: exact.classical_polya_table(exact.PolyaParams(0.5, 1e308), 3), DomainError),
+    (lambda: exact.classical_count_log_probs(exact.PolyaParams(F(1, 2), F(10 ** 400)), 5),
+     DomainError),
+    (lambda: approx.fit_node(K3, HUGE_URNS, 1.0, 0, 3), DomainError),
+    (lambda: exact.enumerate_joint(K3, HUGE_URNS, cg.ConstantDelta(1.0), 3, exact=False),
+     DomainError),
 ], ids=["table_2.5", "table_-1", "table_10^30", "pmf_10^30", "pmf_scalar", "counts_10^30",
-        "witness_1e308", "witness_3e102", "count_dp_10^400", "count_dp_rho_10^-400"])
+        "witness_1e308", "witness_3e102", "count_dp_10^400", "count_dp_rho_10^-400",
+        "table_1e308", "counts_delta_10^400", "fit_urns_10^400", "float_table_urns_10^400"])
 def test_sizes_and_float_ranges_are_checked_with_typed_errors(call, error):
     # each raised a raw TypeError, ValueError, IndexError or OverflowError,
     # except the witness at 3e102, whose denominator overflowed to inf
-    # without a raise and gave a pair probability of 0
+    # without a raise and gave a pair probability of 0, and the table at
+    # delta 1e308, whose urn totals overflowed into NaN cells
     with pytest.raises(error):
         call()
 

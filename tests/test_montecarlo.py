@@ -382,6 +382,13 @@ STAT_FIELDS = ("red_draw_counts", "susceptibility_sum", "increment_sum", "increm
                "pair_counts", "sample_averages", "assignment_counts")
 
 
+def assert_same_statistics(got, expected):
+    for name in STAT_FIELDS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert (a is None) == (b is None), name
+        assert b is None or np.array_equal(a, b), name
+
+
 def assert_runs_one_by_one(cfgs):
     """``run_many(cfgs)`` equals each config run alone, field by field."""
     group = mc.run_many(cfgs)
@@ -389,10 +396,7 @@ def assert_runs_one_by_one(cfgs):
     for cfg, stats in zip(cfgs, group):
         alone = mc.run_trials(cfg)
         assert stats.trials == alone.trials
-        for name in STAT_FIELDS:
-            got, expected = getattr(stats, name), getattr(alone, name)
-            assert (got is None) == (expected is None), name
-            assert expected is None or np.array_equal(got, expected), name
+        assert_same_statistics(stats, alone)
 
 
 def stream_group(net, horizon, **common):
@@ -777,6 +781,103 @@ def test_pooling_at_and_above_the_cap_counts_alike_for_any_workers_and_chunks(n)
             assert np.array_equal(getattr(stats, f), getattr(base, f)), (chunk, threads, f)
         for f in ("susceptibility_sum", "increment_sum", "increment_sumsq"):
             assert np.array_equal(getattr(stats, f), getattr(runs[chunk, 1], f)), (chunk, f)
+
+
+def pools_in_float32(cfg):
+    """Whether ``cfg``'s urn batches hold their masses in float32."""
+    batch = cg.UrnBatch(cfg.net, cfg.init, 1, memory=cfg.memory, sched=cfg.sched,
+                        horizon=cfg.horizon)
+    return batch.red.dtype == np.float32
+
+
+# a 39-node cycle and a leaf, node 39, on node 0: node 0's closed
+# neighbourhood, {0, 1, 38, 39}, holds the largest pooled total, and only the
+# leaf and the cycle's nodes away from node 0 gain mass (8 and 1 a step)
+LEAF40 = graph.build_network(40, [(i, (i + 1) % 39) for i in range(39)] + [(0, 39)])
+LEAF_MASSES = tuple(8.0 if i == 39 else 0.0 if i in (0, 1, 38) else 1.0 for i in range(40))
+LEAF_HORIZON = 20
+
+
+def leaf_case(leaf_total):
+    """Config fields of a run on LEAF40 whose leaf starts with urn total
+    ``leaf_total`` (about half red), every other urn with 1 red and 1
+    black: its largest pooled total after h steps is 6 + leaf_total + 8h,
+    the leaf's own total leaf_total + 8h."""
+    red, black = [1.0] * 40, [1.0] * 40
+    red[39] = float(1 << 23)
+    black[39] = leaf_total - red[39]
+    return dict(net=LEAF40, init=cg.UrnInit(red=tuple(red), black=tuple(black)),
+                sched=cg.ConstantDelta(LEAF_MASSES, LEAF_MASSES), horizon=LEAF_HORIZON)
+
+
+_INTEGER_INIT = cg.UrnInit(red=tuple(1.0 + i % 3 for i in range(40)),
+                           black=tuple(1.0 + i % 5 for i in range(40)))
+EXACT_POOLING_CASES = {
+    # the canned fig4 ba100 leg's network, urns and masses, fewer steps
+    "ba100": dict(net=graph.generate("ba", 100, m=2, seed=3), init=float_init(100),
+                  sched=cg.ConstantDelta(1.0), horizon=120),
+    # above the dense-pooling cap: float32 CSR sums
+    "csr": dict(net=BA_CSR, init=float_init(CSR_N, 2.0, 3.0), sched=cg.ConstantDelta(3.0),
+                horizon=60, memory=9),
+    "memory": dict(net=BA40, init=_INTEGER_INIT, sched=cg.ConstantDelta(2.0), horizon=90,
+                   memory=7),
+    "per_node": dict(net=BA40, init=_INTEGER_INIT,
+                     sched=cg.ConstantDelta(*[tuple(1.0 + i % 4 for i in range(40))] * 2),
+                     horizon=90),
+    # the largest pooled total after the last step is 2^24 - 1
+    "below_the_bound": leaf_case((1 << 24) - 7 - 8 * LEAF_HORIZON),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", sorted(EXACT_POOLING_CASES))
+def test_float32_pooling_equals_float64_dense_and_csr_pooling(monkeypatch, case, threads):
+    # integer urns below the bound: float32 planes and sums give every
+    # statistic's bits, the trajectory's (which reads the urn proportions)
+    # included, as float64 ones do, pooled by dense products and by CSR sums
+    cfg = mc.RunConfig(**EXACT_POOLING_CASES[case], trials=24, seed=3, chunk_size=16,
+                       threads=threads, collect_pair_freq=True, collect_sample_averages=True)
+    assert pools_in_float32(cfg)
+    ours = mc.run_trials(cfg)
+    monkeypatch.setattr(cg, "_pools_exactly", lambda *args: False)  # float64 planes
+    assert not pools_in_float32(cfg)
+    assert_same_statistics(ours, mc.run_trials(cfg))
+    # then the other pooling: CSR sums, or dense products
+    n, cap = cfg.net.node_count, cg.DENSE_POOLING_MAX_NODES
+    monkeypatch.setattr(cg, "DENSE_POOLING_MAX_NODES", 32 if n <= cap else n)
+    assert_same_statistics(ours, mc.run_trials(cfg))
+
+
+def test_a_run_one_step_past_the_bound_pools_in_float64(monkeypatch):
+    # the largest pooled total after the last step is 2^24 + 7, and the
+    # leaf's own total 2^24 + 1, which float32 rounds: a bound one step
+    # short would let float32 planes change the last step's trajectory
+    cfg = mc.RunConfig(**leaf_case((1 << 24) + 1 - 8 * LEAF_HORIZON), trials=24, seed=3,
+                       chunk_size=16)
+    assert not pools_in_float32(cfg)
+    stats = mc.run_trials(cfg)
+    monkeypatch.setattr(cg, "_pools_exactly", lambda *args: False)
+    assert_same_statistics(stats, mc.run_trials(cfg))
+    monkeypatch.setattr(cg, "_pools_exactly", lambda *args: True)  # float32 regardless
+    rounded = mc.run_trials(cfg).susceptibility_sum
+    assert np.array_equal(rounded[:-1], stats.susceptibility_sum[:-1])
+    assert rounded[-1] != stats.susceptibility_sum[-1]
+
+
+def test_integer_pooled_runs_count_alike_for_any_chunks_and_workers():
+    # the canned fig4 ba100 leg, fewer steps: float32 pooling is exact, so
+    # every integer statistic is the same for any chunk size (the float sums
+    # are reduced per chunk, and are not compared across chunk sizes); no
+    # assignment codes, which need N * h <= 24
+    cfg = canned_config("ba100", 166)
+    runs = {(chunk, threads): mc.run_trials(dataclasses.replace(
+                cfg, horizon=60, chunk_size=chunk, threads=threads, collect_pair_freq=True))
+            for chunk in (16, 83, 166) for threads in (1, 2)}
+    assert pools_in_float32(dataclasses.replace(cfg, horizon=60))
+    base = runs[166, 1]
+    for key, stats in runs.items():
+        for name in ("red_draw_counts", "pair_counts", "sample_averages"):
+            assert np.array_equal(getattr(stats, name), getattr(base, name)), (key, name)
 
 
 def test_worker_processes_have_exited_after_a_run_and_after_a_failure():
