@@ -345,10 +345,12 @@ def _cmd_reproduce(args) -> int:
         trials = args.trials or experiments.SIS_TRIALS
         net = experiments.sis_comparison_network()
         lam = net.spectral_radius
-        for name, ratio in experiments.sis_ratio_cases(net).items():
-            # the infinite- and finite-memory runs share a stream: one group
-            for cfg, stats in experiments.run_sis_comparison(ratio, trials=trials,
-                                                             threads=threads):
+        cases = experiments.sis_ratio_cases(net)
+        # every ratio's infinite- and finite-memory runs share a stream: one group
+        groups = experiments.run_sis_comparison(tuple(cases.values()), trials=trials,
+                                                threads=threads)
+        for (name, ratio), runs in zip(cases.items(), groups):
+            for cfg, stats in runs:
                 tag = "inf" if cfg.memory is None else f"m{cfg.memory}"
                 path = os.path.join(out_dir, f"sis_comparison_{name}_{tag}.csv")
                 mc.write_trajectory_csv(stats, cfg, path)

@@ -9,11 +9,14 @@ floats stay floats.  States are values (copy, never mutate in place).
 :class:`UrnBatch` holds many copies of the process at once (Monte Carlo
 trials, enumerated histories), in float64 or, for exact tables, in
 ``Fraction`` objects pooled by closed-neighbourhood sums.  Both engines
-take a step's masses from ``DeltaSchedule.masses``, record gains as (red,
+take a step's masses from ``DeltaSchedule.masses``, add gains as (red,
 total), like the urns, and with finite memory M expire step t-M's gains
-before adding step t's, so the same draws give equal ``Fraction``s, and
-the same float bits wherever the super-urn proportions agree: always
-under CSR pooling, while dense BLAS pooling may round them otherwise.
+before adding step t's: a state keeps the gains of its window, a batch
+keeps each step's draws, a byte each, and masses, and makes their gains
+again by the arithmetic that added them.  So the same draws give equal
+``Fraction``s, and the same float bits wherever the super-urn
+proportions agree: always under CSR pooling, while dense BLAS pooling
+may round them otherwise.
 Under equal, time-constant red and black masses every copy's urn totals
 are the same, so a float batch of more than 32 nodes keeps them as one
 shared row after its red rows, pooled beside them and added and expired
@@ -492,9 +495,12 @@ class UrnBatch:
     ``Fraction`` objects in an ``exact`` batch.
     The mass planes, (P, rows, N), hold ``red`` and, unless the total is a
     shared row (below), ``total``; each step's gains have the same planes.
-    With finite memory M a ring keeps the last M steps' gains so they can
-    be expired, as in :func:`apply_draws`; a memory of at least
-    ``horizon``, the steps the batch will take, never expires a gain.
+    With finite memory M a ring keeps the last M steps' draws, a (M, rows,
+    N) uint8 array, and the masses ``sched.masses`` gave each of them;
+    step t-M's gains are made again from these, by the arithmetic that
+    added them (:meth:`_fill_gains`), and expired, as in
+    :func:`apply_draws`.  A memory of at least ``horizon``, the steps the
+    batch will take, never expires a gain.
 
     An exact batch adds up each closed neighbourhood, as
     :func:`super_urn_proportion` does; float batches on at most
@@ -520,7 +526,7 @@ class UrnBatch:
     exact (:func:`_pools_exactly`): whether its initial red and total
     masses and its equal masses are integers and every closed-neighbourhood
     sum of the totals after ``horizon`` steps is below 2^24.  It then holds
-    its planes, gains and ring in float32 and pools them with a float32
+    its planes and gains in float32 and pools them with a float32
     copy of the closed adjacency, or of the CSR matrix above the
     dense-pooling cap.  Float32 holds every integer up to 2^24, so each sum
     is the float64 sum, in any order and BLAS kernel; finite memory only
@@ -542,8 +548,8 @@ class UrnBatch:
             memory = None  # a run of ``horizon`` steps never expires a gain
         n = net.node_count
         rows = check_int(rows, "rows", minimum=1)
-        # the red and total planes' bytes, and a ring of memory x those
-        if 16 * rows * n * (1 + (memory or 0)) > sys.maxsize:
+        # the red and total planes' bytes, and a ring of a byte a draw
+        if rows * n * (16 + (memory or 0)) > sys.maxsize:
             raise InvalidParameter(f"{rows} rows of {n} nodes and a ring of {memory or 0} "
                                    "steps of them are more than an array holds")
         self._segments = self._dense = self._csr = None
@@ -573,19 +579,22 @@ class UrnBatch:
             planes = np.concatenate([planes[:1], first[None, 1:]], axis=1)
         self.memory = memory
         self._set_planes(planes)
-        # slot (t-1) % M holds step t's gains, planes ordered as _planes'
-        self._ring = (None if memory is None
-                      else np.zeros_like(planes, shape=(memory, *planes.shape)))
+        # slot (t-1) % M of _draws and of _masses holds step t's draws, a byte
+        # each, and the masses that sched.masses gave it; _masses grows to M
+        # slots over the first M steps
+        self._draws = None if memory is None else np.zeros((memory, rows, n), np.uint8)
+        self._masses = []
 
     def _set_planes(self, planes: np.ndarray) -> None:
         self._planes = planes
-        # without a ring, each step's gains are written over the last one's
-        self._gains = np.zeros_like(planes) if self.memory is None else None
+        self._gains = gains = np.zeros_like(planes)  # each step's, written over the last
         if self._shared:
             self.red, row = planes[0, :-1], planes[0, -1]
             self.total = np.broadcast_to(row, self.red.shape)
+            self._gained = gains[0, :-1], gains[0, -1]  # red rows' gains, the row's
         else:
             self.red, self.total = planes
+            self._gained = tuple(gains)
         self._u = None  # red / total, made by the first read
         self._fresh = False  # whether _u holds red / total
 
@@ -640,8 +649,29 @@ class UrnBatch:
             return np.concatenate([taken, a[..., count:, :]], axis=-2) if self._shared else taken
 
         self._set_planes(pick(self._planes))
-        if self._ring is not None:
-            self._ring = pick(self._ring)
+        if self._draws is not None:
+            self._draws = np.take(self._draws, rows, axis=-2)
+            # a mass with a row axis (curing's black mass) follows its rows
+            self._masses = [tuple(np.take(m, rows, axis=-2) if np.ndim(m) == 2 else m
+                                  for m in masses) for masses in self._masses]
+
+    def _fill_gains(self, z: np.ndarray, masses: tuple, sched: DeltaSchedule) -> None:
+        """Write the gains of draws ``z`` (0/1, rows x N) at ``masses``, a
+        step's ``sched.masses``, into ``_gains``, in its dtype: ``z*dr``
+        (red) and ``(1-z)*db + z*dr`` (total).  ``z`` may be the gains' own
+        red rows, which are read before they are written."""
+        dr, db = masses
+        red, total = self._gained
+        product = not self._shared and sched.equal_masses is None
+        if product:
+            np.subtract(1, z, out=total, dtype=total.dtype)
+        # in the gains' dtype: a float32 batch's masses are integers below 2^24
+        np.multiply(z, dr, out=red, dtype=red.dtype)
+        if product:
+            total *= db
+            total += red
+        else:
+            total[...] = db
 
     def step(self, t: int, z: np.ndarray, s: np.ndarray, sched: DeltaSchedule) -> None:
         """Apply step t's draws ``z`` (0/1, rows x N, in either float dtype;
@@ -654,25 +684,25 @@ class UrnBatch:
         to the bit, so the totals (a plane, or a shared row, whose batch
         was built with ``sched``) gain ``db`` itself.  The urn proportions
         are divided out here only for a schedule that
-        ``reads_proportions``."""
+        ``reads_proportions``.  With finite memory the ring keeps ``z`` and
+        the masses, and step t-M's gains are made again from them by the
+        same arithmetic (:meth:`_fill_gains`), so they are the gains that
+        step added, to the bit."""
         u = self.proportions() if sched.reads_proportions else self.red  # else only its dtype
-        dr, db = sched.masses(t, u, s)
-        if self._ring is None:
-            gains = self._gains
-        else:
-            gains = self._ring[(t - 1) % self.memory]
+        masses = sched.masses(t, u, s)
+        if self._draws is not None:
+            slot = (t - 1) % self.memory
             if t > self.memory:
-                self._planes -= gains
-        # in the gains' dtype: a float32 batch's masses are integers below 2^24
-        np.multiply(z, dr, out=gains[0, :len(z)], dtype=gains.dtype)
-        if self._shared:
-            gains[0, -1] = db
-        elif sched.equal_masses is not None:
-            gains[1] = db
-        else:
-            np.multiply(1 - z, db, out=gains[1])
-            gains[1] += gains[0]
-        self._planes += gains
+                old = self._gained[0]
+                np.copyto(old, self._draws[slot])
+                self._fill_gains(old, self._masses[slot], sched)
+                self._planes -= self._gains
+                self._masses[slot] = masses
+            else:
+                self._masses.append(masses)
+            self._draws[slot] = z
+        self._fill_gains(z, masses, sched)
+        self._planes += self._gains
         self._fresh = False
 
 

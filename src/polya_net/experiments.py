@@ -143,12 +143,14 @@ def sis_ratio_cases(net: graph.Network) -> dict:
     return {"low": lam / 10.0, "met": 1.01 * lam, "same": 1.0}
 
 
-def run_sis_comparison(ratio: float, memories=(None, SIS_MEMORY), *,
+def run_sis_comparison(ratios, memories=(None, SIS_MEMORY), *,
                        trials: int = SIS_TRIALS, seed: int = SIS_SEED, threads: int = 1):
-    """Urn-process trajectories at reinforcement ratio delta_black/delta_red,
-    one for each memory in ``memories`` (None: infinite), as a list of
-    (cfg, stats).  The runs share a stream, so they run as one group
-    (:func:`montecarlo.run_many`), which draws each block's uniforms once."""
+    """Urn-process trajectories at each reinforcement ratio
+    delta_black/delta_red in ``ratios``, one for each memory in
+    ``memories`` (None: infinite): per ratio, a list of (cfg, stats) in
+    ``memories``' order.  All the runs share a stream, so they run as one
+    group (:func:`montecarlo.run_many`), which draws each block's uniforms
+    once."""
     net = sis_comparison_network()
     init = sis_comparison_init(net)
     cfgs = [mc.RunConfig(
@@ -160,8 +162,9 @@ def run_sis_comparison(ratio: float, memories=(None, SIS_MEMORY), *,
         seed=seed,
         memory=memory,
         threads=threads,
-    ) for memory in memories]
-    return list(zip(cfgs, mc.run_many(cfgs)))
+    ) for ratio in ratios for memory in memories]
+    runs = list(zip(cfgs, mc.run_many(cfgs)))
+    return [runs[i:i + len(memories)] for i in range(0, len(runs), len(memories))]
 
 
 def run_sis_reference(ratio: float, horizon: int = SIS_HORIZON):

@@ -29,8 +29,10 @@ same uniforms in the same chunks.  :func:`run_many` runs such a group and
 draws each block of uniforms once into one record, which no step
 overwrites; each config then steps its own urn batch over the block in
 turn.  Each config's statistics are bit-identical to its run alone,
-:func:`run_trials` being a group of one.  fig5 runs each ratio's infinite-
-and finite-memory runs as one group.
+:func:`run_trials` being a group of one.  fig5's six runs, three ratios
+at infinite and finite memory, are one group, which draws fig5's uniforms
+once; its three finite-memory runs each keep a ring of their last M steps'
+draws, a byte a draw (:class:`contagion.UrnBatch`).
 
 A chunk of k trials works through the horizon in blocks of steps
 (:func:`_record_block`).  The block's uniforms live in a step-major record
@@ -347,6 +349,8 @@ class _ChunkRun:
         # counts up to its horizon, below 2^24, exactly)
         dtype = self.batch.red.dtype
         self.draws = np.empty((2, k, n), dtype)
+        # a slab's column sums, exact in float32 too below 2^24 trials
+        self.ones = np.ones(k, dtype if k < 1 << 24 else float)
         self.counts = np.zeros((k, n), dtype) if cfg.collect_sample_averages else None
         self.codes = np.zeros(k) if cfg.collect_assignments else None
         # row j of means holds the row mean after a tile's j-th step, row 0
@@ -359,17 +363,18 @@ class _ChunkRun:
             _row_mean(self.batch.proportions(), out=self.means[0])
             self.stats.susceptibility_sum[0] = self.means[0].sum()
 
-    def steps(self, uniforms: np.ndarray, t0: int, b: int, s: np.ndarray,
-              ones: np.ndarray) -> None:
+    def steps(self, uniforms: np.ndarray, t0: int, b: int, s: np.ndarray) -> None:
         """Steps ``t0 + 1 .. t0 + b``: each compares its uniforms with the
         super urns, pooled into ``s``, into its draw slab, steps the batch
-        and tallies the slab at once (``s``, which the step has read, then
-        holds the pair products) into what the config collects.  Only the
-        trajectory reads the urn proportions: with it, each step divides
-        them out for its row mean, and the float statistics are reduced a
-        tile of steps at a time.  Every tally adds 0/1 values (the codes:
-        distinct powers of two), so it is exact in any order."""
-        batch, sched, means, draws = self.batch, self.cfg.sched, self.means, self.draws
+        and tallies the slab at once (the slab of the step before, read for
+        the last time, then holds the pair products) into what the config
+        collects.  Only the trajectory reads the urn proportions: with it,
+        each step divides them out for its row mean, and the float
+        statistics are reduced a tile of steps at a time.  Every tally adds
+        0/1 values (the codes: distinct powers of two), so it is exact in
+        any order."""
+        batch, sched, means, draws, ones = (self.batch, self.cfg.sched, self.means,
+                                            self.draws, self.ones)
         stats, codes, n = self.stats, self.codes, self.stats.node_count
         red, pair, counts = stats.red_draw_counts, stats.pair_counts, self.counts
         susc_sum, inc_sum, inc_sumsq = (stats.susceptibility_sum, stats.increment_sum,
@@ -391,7 +396,8 @@ class _ChunkRun:
                         _row_mean(batch.proportions(), out=means[i - i0 + 1])
                         red[t] = ones @ z
                     if pair is not None and t > 1:
-                        pair[t] = ones @ np.multiply(z, draws[(t - 1) % 2], out=s)
+                        before = draws[(t - 1) % 2]
+                        pair[t] = ones @ np.multiply(z, before, out=before)
                     if counts is not None:
                         counts += z
                     if codes is not None:  # bit (t-1) * N + i: node i's draw at t
@@ -435,7 +441,6 @@ def _run_chunk(cfgs: Sequence[RunConfig], lo: int,
     buf_steps, scratch_steps = buf.view(step_item)[..., 0], scratch.view(step_item)[..., 0]
     runs = [_ChunkRun(cfg, k, _stats_tile(h, k)) for cfg in cfgs]
     s = np.empty((k, n))  # the super urns, C-contiguous like each draw slab
-    ones = np.ones(k)
     for t0 in range(0, h, block):
         b = min(block, h - t0)
         streams = _streams(first.seed, lo, k, t0 * n)
@@ -445,7 +450,7 @@ def _run_chunk(cfgs: Sequence[RunConfig], lo: int,
                 next(streams).random(out=scratch[j, :b])
             np.copyto(buf_steps[:b, g0:g0 + g], scratch_steps[:g, :b].T)
         for run in runs:
-            run.steps(buf, t0, b, s, ones)
+            run.steps(buf, t0, b, s)
     return [run.result() for run in runs]
 
 

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -632,6 +633,20 @@ def test_float32_batches_divide_out_the_float64_batches_bits(monkeypatch, memory
         u = ours.proportions()
         assert u.dtype == np.float64 and np.array_equal(u, theirs.proportions())
     assert ours.pooled_totals_finite()
+
+
+def test_a_finite_memory_ring_holds_a_byte_a_draw():
+    # 50 steps of 500 x 20 draws are 500 kB of bytes; two float64 gain
+    # planes a step would be 8 MB
+    net = graph.generate("ba", 20, m=2, seed=7)
+    tracemalloc.start()
+    try:
+        cg.UrnBatch(net, cg.uniform_init(20, 1.0, 2.0), 500, memory=50,
+                    sched=cg.ConstantDelta(2.0, 1.0), horizon=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 CYCLE4 = graph.generate_cycle(4)

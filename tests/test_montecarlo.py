@@ -466,6 +466,25 @@ def test_a_group_holds_one_record():
     assert peak <= record + mc._FILL_SCRATCH_BYTES + 2 * held + rings + tiles + slabs
 
 
+@pytest.mark.parametrize("chunk", [None, 6], ids=["one_chunk", "two_chunks"])
+def test_fig5_ratios_in_one_group_equal_each_ratio_alone(chunk):
+    # fig5's six runs, three ratios at infinite and finite memory, are one
+    # stream group; each ratio alone is a group of its two memories
+    ratios = tuple(ex.sis_ratio_cases(ex.sis_comparison_network()).values())
+    runs = [run for pair in ex.run_sis_comparison(ratios, trials=12) for run in pair]
+    assert [cfg.memory for cfg, _ in runs] == [None, ex.SIS_MEMORY] * 3
+    if chunk is None:
+        group = [stats for _, stats in runs]
+        alone = [stats for ratio in ratios
+                 for _, stats in ex.run_sis_comparison((ratio,), trials=12)[0]]
+    else:
+        cfgs = [dataclasses.replace(cfg, chunk_size=chunk) for cfg, _ in runs]
+        group = mc.run_many(cfgs)
+        alone = [stats for i in range(0, 6, 2) for stats in mc.run_many(cfgs[i:i + 2])]
+    for got, expected in zip(group, alone, strict=True):
+        assert_same_statistics(got, expected)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_group_collecting_assignments_equals_its_runs_one_by_one(threads):
     common = dict(net=CYCLE4, init=float_init(4), horizon=6, trials=40, seed=8,
