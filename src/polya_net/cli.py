@@ -305,7 +305,7 @@ def _cmd_sis(args) -> int:
         mc.write_csv(s["out"], {"beta": beta, "delta_sis": delta_sis,
                                 "classification": verdict, "version": __version__},
                      ["t", *(f"P_{i + 1}" for i in range(net.node_count)), "mean"],
-                     ((t, *traj.probs[t], traj.mean[t]) for t in range(horizon + 1)))
+                     [range(horizon + 1), *traj.probs.T, traj.mean])
     print(f"classification={verdict} lambda_max={net.spectral_radius:.6f} "
           f"final_mean={traj.mean[-1]:.3e}")
     return 0
@@ -334,10 +334,10 @@ def _cmd_reproduce(args) -> int:
             hist = mc.histogram(stats.sample_averages[:, node], bins=40)
             path = os.path.join(out_dir, f"histogram_{name}.csv")
             mc.write_histogram_csv(hist, cfg, path)
+            xs = np.linspace(0.005, 0.995, 199).tolist()
             mc.write_csv(os.path.join(out_dir, f"beta_density_{name}.csv"),
                          {"alpha": beta.alpha, "beta": beta.beta, "node": node}, ["x", "pdf"],
-                         ((f"{x:.3f}", exact.beta_pdf(beta, x))
-                          for x in np.linspace(0.005, 0.995, 199)))
+                         [[f"{x:.3f}" for x in xs], [exact.beta_pdf(beta, x) for x in xs]])
             print(f"wrote {path}; node={node} beta=({beta.alpha:.4f},{beta.beta:.4f}) "
                   f"ks={ks:.4f}")
         return 0
@@ -349,17 +349,17 @@ def _cmd_reproduce(args) -> int:
         # every ratio's infinite- and finite-memory runs share a stream: one group
         groups = experiments.run_sis_comparison(tuple(cases.values()), trials=trials,
                                                 threads=threads)
-        for (name, ratio), runs in zip(cases.items(), groups):
+        references = experiments.run_sis_references(tuple(cases.values()))
+        for (name, ratio), runs, traj in zip(cases.items(), groups, references):
             for cfg, stats in runs:
                 tag = "inf" if cfg.memory is None else f"m{cfg.memory}"
                 path = os.path.join(out_dir, f"sis_comparison_{name}_{tag}.csv")
                 mc.write_trajectory_csv(stats, cfg, path)
                 print(f"wrote {path}; ratio={ratio:.4f} "
                       f"final={stats.infection_rate[cfg.horizon]:.4f}")
-            traj = experiments.run_sis_reference(ratio)
             path = os.path.join(out_dir, f"sis_reference_{name}.csv")
             mc.write_csv(path, {"ratio": ratio, "beta": experiments.SIS_BETA, "lambda_max": lam},
-                         ["t", "mean"], enumerate(traj.mean))
+                         ["t", "mean"], [range(len(traj.mean)), traj.mean])
             print(f"wrote {path}")
         return 0
     raise ValidationError(f"unknown figure {args.figure!r}")
@@ -397,28 +397,42 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+_SUBCOMMANDS = (*_COMMANDS, "reproduce")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand or, given one of their names, of
+    that subcommand alone; its options, help and errors read the same in
+    either."""
+    if command not in (None, *_SUBCOMMANDS):
+        raise ValueError(f"no subcommand {command!r}")
     parser = _Parser(prog="polya-net",
                      description="Network contagion via super-urn sampling")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, keys) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+    for name, (func, help_text, keys) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its fields")
         for key in keys:
             p.add_argument("--" + key.replace("_", "-"), **_FLAG_EXTRAS.get(key, {}))
         p.set_defaults(func=func)
 
-    rep = sub.add_parser("reproduce", help="run a canned figure experiment")
-    rep.add_argument("figure", choices=["fig2", "fig4", "fig5"])
-    rep.add_argument("--out-dir", dest="out_dir")
-    rep.add_argument("--trials", type=int, help="override the canned trial count")
-    rep.add_argument("--threads", type=int, help=_THREADS_HELP)
-    rep.set_defaults(func=_cmd_reproduce)
+    if command in (None, "reproduce"):
+        rep = sub.add_parser("reproduce", help="run a canned figure experiment")
+        rep.add_argument("figure", choices=["fig2", "fig4", "fig5"])
+        rep.add_argument("--out-dir", dest="out_dir")
+        rep.add_argument("--trials", type=int, help="override the canned trial count")
+        rep.add_argument("--threads", type=int, help=_THREADS_HELP)
+        rep.set_defaults(func=_cmd_reproduce)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call builds only the subcommand it names first; any other first
+    # argument (none, -h, an unknown name) gets every subcommand's parser
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _Usage as e:

@@ -548,8 +548,10 @@ class UrnBatch:
             memory = None  # a run of ``horizon`` steps never expires a gain
         n = net.node_count
         rows = check_int(rows, "rows", minimum=1)
-        # the red and total planes' bytes, and a ring of a byte a draw
-        if rows * n * (16 + (memory or 0)) > sys.maxsize:
+        # the red and total planes' bytes, and a ring of a byte a draw, and
+        # of a float64 black mass a draw where a step's masses are per row
+        per_row = sched is not None and sched.reads_proportions
+        if rows * n * (16 + (memory or 0) * (9 if per_row else 1)) > sys.maxsize:
             raise InvalidParameter(f"{rows} rows of {n} nodes and a ring of {memory or 0} "
                                    "steps of them are more than an array holds")
         self._segments = self._dense = self._csr = None

@@ -167,12 +167,15 @@ def run_sis_comparison(ratios, memories=(None, SIS_MEMORY), *,
     return [runs[i:i + len(memories)] for i in range(0, len(runs), len(memories))]
 
 
-def run_sis_reference(ratio: float, horizon: int = SIS_HORIZON):
-    """Deterministic SIS recursion coupled to the same network and urns."""
+def run_sis_references(ratios, horizon: int = SIS_HORIZON):
+    """Deterministic SIS recursions coupled to the same network and urns,
+    one for each reinforcement ratio in ``ratios``, run as the rows of one
+    recursion (:func:`sis.sis_run_many`)."""
     net = sis_comparison_network()
     init = sis_comparison_init(net)
-    params = sis.SisParams(beta=SIS_BETA, delta_sis=min(1.0, SIS_BETA * ratio))
-    return sis.sis_run(net, sis.default_initial_probs(init), params, horizon)
+    params = [sis.SisParams(beta=SIS_BETA, delta_sis=min(1.0, SIS_BETA * ratio))
+              for ratio in ratios]
+    return sis.sis_run_many(net, sis.default_initial_probs(init), params, horizon)
 
 
 def default_threads() -> int:

@@ -692,15 +692,29 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: dict, columns: Sequence[str], rows) -> None:
+def _cells(column) -> list[str]:
+    """A column's cells: a numpy column through one ``tolist()``, which
+    makes its values Python ints and floats, then ``str`` of each value; a
+    Python float's ``str`` is its ``repr``.  A ``None`` is an empty cell."""
+    if isinstance(column, np.ndarray):
+        return list(map(str, column.tolist()))
+    return ["" if v is None else str(v) for v in column]
+
+
+def write_csv(path, header: dict, names: Sequence[str], columns: Sequence) -> None:
     """Write one ``# key=value ...`` line, the column names, then one line
-    per row.  Floats (numpy's included) are written as ``repr(float(v))``,
-    so they read back bit for bit; ``None`` is an empty cell."""
+    per row of ``columns``, each a numpy array or a sequence of Python
+    values (not numpy scalars).  Floats, a numpy column's included, are
+    written as ``repr(float(v))``, so they read back bit for bit; ``None``
+    is an empty cell."""
+    cells = [_cells(column) for column in columns]
+    if len(cells) != len(names) or len({len(c) for c in cells}) > 1:
+        raise SizeMismatch(f"{len(names)} column names for columns of lengths "
+                           f"{[len(c) for c in cells]}")
     with open(path, "w") as fh:
         fh.write("# " + " ".join(f"{k}={_cell(v)}" for k, v in header.items()) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+        fh.write(",".join(names) + "\n")
+        fh.write("\n".join([*map(",".join, zip(*cells)), ""]))
 
 
 def _header(cfg: RunConfig) -> dict:
@@ -713,17 +727,14 @@ def _header(cfg: RunConfig) -> dict:
 def write_trajectory_csv(stats: TrialStatistics, cfg: RunConfig, path,
                          pair_node: int | None = None) -> None:
     """Rows t, I_tilde, U_tilde and optionally the pair frequency of a node."""
-    infection = stats.infection_rate
-    susc = stats.susceptibility
-    columns = ["t", "I_tilde", "U_tilde"]
-    rows = [(t, infection[t], susc[t]) for t in range(1, stats.horizon + 1)]
+    columns = {"t": range(1, stats.horizon + 1), "I_tilde": stats.infection_rate[1:],
+               "U_tilde": stats.susceptibility[1:]}
     if pair_node is not None:
         pair = stats.pair_freq[:, contagion.check_node(pair_node, stats.node_count, "pair_node")]
-        columns.append("pair_freq")
-        rows = [(*row, pair[t] if t >= 2 else None) for t, row in enumerate(rows, 1)]
-    write_csv(path, _header(cfg), columns, rows)
+        columns["pair_freq"] = [None, *pair[2:].tolist()]
+    write_csv(path, _header(cfg), list(columns), list(columns.values()))
 
 
 def write_histogram_csv(hist: HistogramResult, cfg: RunConfig, path) -> None:
     write_csv(path, _header(cfg), ["bin_left", "bin_right", "density"],
-              zip(hist.edges[:-1], hist.edges[1:], hist.density))
+              [hist.edges[:-1], hist.edges[1:], hist.density])

@@ -5,11 +5,15 @@ The escape probability prod_{j ~ i} (1 - beta P_j) is multiplied per
 segment of the open neighbourhoods, ``net.open_csr``, via
 ``np.multiply.reduceat``: left to right, in ascending node order.  This
 order fixes the output bits of the recursion, and with them of the ``sis``
-command's CSV and the fig5 ``sis_reference_*.csv`` files.
+command's CSV and the fig5 ``sis_reference_*.csv`` files.  Several rate
+pairs run as the rows of one (R, N) state: every update is elementwise and
+the products run along the last axis, so each row keeps the bits of its
+own run.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,17 +55,21 @@ def _red_fraction(red, total) -> float:
         return float(Fraction(red) / Fraction(total))
 
 
-def _recursion(net: Network, params: SisParams):
-    """The update P(t) -> P(t+1) as ``advance(p, out)``."""
+def _recursion(net: Network, params: Sequence[SisParams]):
+    """The update P(t) -> P(t+1) of (R, N) states, row r under
+    ``params[r]``, as ``advance(p, out)``."""
     indptr, indices = net.open_csr
     # exact rates are welcome, but the recursion runs in floats
-    starts, beta, keep = indptr[:-1], float(params.beta), 1.0 - params.delta_sis
+    starts = indptr[:-1]
+    beta = np.array([float(rates.beta) for rates in params])[:, None]
+    keep = np.array([1.0 - rates.delta_sis for rates in params])[:, None]
 
     def advance(p: np.ndarray, out: np.ndarray) -> None:
-        factors = (1.0 - beta * p)[indices]
+        factors = (1.0 - beta * p)[:, indices]
         # reduceat gives an empty segment its start element, not 1; only
         # K1's node has no neighbours, and its escape is the empty product
-        escape = np.multiply.reduceat(factors, starts) if len(factors) else np.ones(1)
+        escape = (np.multiply.reduceat(factors, starts, axis=-1) if len(indices)
+                  else np.ones_like(p))
         np.add(p * keep, (1.0 - p) * (1.0 - escape), out=out)
 
     return advance
@@ -77,9 +85,9 @@ def sis_step(state: SisState, net: Network, params: SisParams) -> SisState:
     p = np.asarray(state.probs, dtype=np.float64)
     if p.shape != (net.node_count,):
         raise SizeMismatch("probability vector does not match the network")
-    nxt = np.empty(net.node_count)
-    _recursion(net, params)(p, nxt)
-    return SisState(time=state.time + 1, probs=nxt)
+    nxt = np.empty((1, net.node_count))
+    _recursion(net, (params,))(p[None], nxt)
+    return SisState(time=state.time + 1, probs=nxt[0])
 
 
 @dataclass(frozen=True)
@@ -94,19 +102,29 @@ class SisTrajectory:
 
 def sis_run(net: Network, init_probs, params: SisParams, horizon: int) -> SisTrajectory:
     """Iterate the recursion, recording the per-node and mean probabilities."""
+    return sis_run_many(net, init_probs, (params,), horizon)[0]
+
+
+def sis_run_many(net: Network, init_probs, params: Sequence[SisParams],
+                 horizon: int) -> list[SisTrajectory]:
+    """:func:`sis_run` from one initial vector under each rate pair in
+    ``params``, as the rows of one recursion: per rate pair, in order, its
+    trajectory, bit-equal to its own :func:`sis_run`.  The trajectories are
+    views of one (R, horizon + 1, N) array."""
     horizon = check_real(check_int(horizon, "horizon"), "horizon", 0, error=ParameterOutOfRange)
-    check_cell_budget(net.node_count, horizon, "a trajectory")
+    check_cell_budget(len(params) * net.node_count, horizon, "a trajectory")
     p0 = np.asarray(init_probs, dtype=np.float64)
     if p0.shape != (net.node_count,):
         raise SizeMismatch("initial probability vector does not match the network")
     if not np.all((p0 >= 0) & (p0 <= 1)):
         raise ParameterOutOfRange("initial probabilities must lie in [0, 1]")
-    probs = np.empty((horizon + 1, net.node_count))
-    probs[0] = p0
+    probs = np.empty((len(params), horizon + 1, net.node_count))
+    probs[:, 0] = p0
     advance = _recursion(net, params)
     for t in range(horizon):
-        advance(probs[t], probs[t + 1])
-    return SisTrajectory(probs=probs, mean=probs.mean(axis=1))
+        advance(probs[:, t], probs[:, t + 1])
+    means = probs.mean(axis=-1)
+    return [SisTrajectory(probs=p, mean=m) for p, m in zip(probs, means)]
 
 
 def threshold_classify(net: Network, params: SisParams, tol: float = 1e-9) -> str:

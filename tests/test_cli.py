@@ -644,6 +644,77 @@ def test_every_subcommand_keeps_its_option_set():
     assert options == PINNED_OPTIONS
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OPTIONS))
+def test_one_subcommands_parser_is_that_of_the_full_parser(command):
+    full = _subparsers(cli.build_parser())[command]
+    alone = _subparsers(cli.build_parser(command))
+    assert list(alone) == [command]
+    options = {(tuple(a.option_strings), a.dest, type(a).__name__, a.const,
+                tuple(a.choices) if a.choices else None, getattr(a.type, "__name__", None))
+               for a in alone[command]._actions}
+    assert options == PINNED_OPTIONS[command]
+    assert alone[command].format_help() == full.format_help()
+
+
+def test_a_parser_of_no_subcommand_is_refused():
+    with pytest.raises(ValueError):
+        cli.build_parser("nope")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    ([], 1, "usage error: the following arguments are required: command"),
+    (["-h"], 0, ""),
+    # the choices' quoting follows the Python version
+    (["nope"], 1, "usage error: argument command: invalid choice: 'nope' "),
+    (["fit", "--bogus"], 1, "usage error: unrecognized arguments: --bogus"),
+])
+def test_calls_that_name_no_subcommand_read_as_with_every_subcommand(argv, code, err, capsys):
+    try:
+        got = cli.main(argv)
+    except SystemExit as e:  # -h prints the help and exits
+        got = e.code
+    out, printed = capsys.readouterr()
+    assert got == code
+    assert printed.startswith(err) and len(printed.splitlines()) == (code != 0)
+    if argv == ["-h"]:
+        assert out == cli.build_parser().format_help()
+
+
+# sha256 of canned outputs whose bits are the same on any CPU: the SIS
+# recursion is elementwise plus reduceat, and the urn runs here pool
+# integer masses, whose sums are exact
+CANNED_DIGESTS = {
+    ("fig5", "8"): {
+        "sis_reference_low.csv":
+            "8d2435155f82eb9d55c47ed6cc4ec4f2660984d938c04dec0cf3caed1308822c",
+        "sis_reference_met.csv":
+            "f8e9996c3526bf61d9b9a5ddca93fa0304e969a9e61a3734834acef0992cfb5c",
+        "sis_reference_same.csv":
+            "9341742e95f17614c225fd652063145c94e1321d5d878a1fdf42fe8fe61b4527",
+        "sis_comparison_same_inf.csv":
+            "c40882c3f39136489b9b23cc5fd932117a63c7fdc71588e469f5cdae585b9812",
+        "sis_comparison_same_m50.csv":
+            "d16245e90038baf2655325d99ce099d46412438ec080b6609b515e14df185eb6",
+    },
+    ("fig2", "32"): {
+        "stationarity.csv": "3e6ade12176892d74251bd2678d17f90ff3878ec20bfa89556dd525d5d256f02",
+    },
+}
+
+
+@pytest.mark.parametrize("figure, trials", sorted(CANNED_DIGESTS))
+def test_canned_outputs_write_pinned_bytes(figure, trials, tmp_path):
+    assert run("reproduce", figure, "--trials", trials, "--threads", "1",
+               "--out-dir", str(tmp_path)) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in CANNED_DIGESTS[figure, trials]}
+    assert digests == CANNED_DIGESTS[figure, trials]
+
+
 # ----------------------------------------------------------------------
 # Property: every argument list ends in a documented exit code
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import copy
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -647,6 +648,18 @@ def test_a_finite_memory_ring_holds_a_byte_a_draw():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_the_size_guard_counts_a_curing_rings_black_masses():
+    # one row of K1: the planes take 16 bytes, a ring slot a byte for the
+    # draw, and under curing 8 more for the slot's (rows, N) black mass
+    memory = sys.maxsize // 4
+    k1, init = graph.generate_complete(1), cg.uniform_init(1, 1.0, 1.0)
+    with pytest.raises(InvalidParameter, match="more than an array holds"):
+        cg.UrnBatch(k1, init, 1, memory=memory, sched=cg.CuringDelta(1.0))
+    # past the guard the ring is only more than memory can hold
+    with pytest.raises(MemoryError):
+        cg.UrnBatch(k1, init, 1, memory=memory, sched=cg.ConstantDelta(1.0))
 
 
 CYCLE4 = graph.generate_cycle(4)

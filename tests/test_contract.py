@@ -211,6 +211,8 @@ ROWS = [
     (sis.SisParams, "delta_sis", lambda x: sis.SisParams(beta=0.5, delta_sis=x)),
     (sis.sis_run, "init_probs", lambda x: sis.sis_run(K2, [x, 0.5], SIS, 3)),
     (sis.sis_run, "horizon", lambda x: sis.sis_run(K2, [0.5, 0.5], SIS, x)),
+    (sis.sis_run_many, "init_probs", lambda x: sis.sis_run_many(K2, [x, 0.5], [SIS, SIS], 3)),
+    (sis.sis_run_many, "horizon", lambda x: sis.sis_run_many(K2, [0.5, 0.5], [SIS, SIS], x)),
     (sis.threshold_classify, "tol", lambda x: sis.threshold_classify(K2, SIS, tol=x)),
     # montecarlo
     (mc.trial_generator, "master_seed", lambda x: mc.trial_generator(x, 0)),

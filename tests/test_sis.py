@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polya_net import contagion as cg, graph, sis
+from polya_net import contagion as cg, experiments, graph, sis
 from polya_net.errors import ParameterOutOfRange, SizeMismatch
 
 K2 = graph.generate_complete(2)
@@ -168,3 +168,36 @@ def test_run_rejects_initial_vectors_that_do_not_fit():
         sis.sis_run(K2, [0.1, float("nan")], params, 1)
     with pytest.raises(ParameterOutOfRange):
         sis.sis_run(K2, [0.1, 0.2], params, -1)
+
+
+def _fig5_rates():
+    net = experiments.sis_comparison_network()
+    rates = [sis.SisParams(experiments.SIS_BETA, min(1.0, experiments.SIS_BETA * ratio))
+             for ratio in experiments.sis_ratio_cases(net).values()]
+    p0 = sis.default_initial_probs(experiments.sis_comparison_init(net))
+    return net, p0, rates, 200
+
+
+@pytest.mark.parametrize("case", [
+    _fig5_rates,
+    lambda: (BIT_NETS["K1"], [0.4], [sis.SisParams(0.3, 0.0), sis.SisParams(0.3, 1.0)], 6),
+    lambda: (K2, [0.3, 0.8], [sis.SisParams(0.6, 0.0), sis.SisParams(F(1, 3), 1),
+                              sis.SisParams(0.0, 0.5)], 30),
+], ids=["fig5", "K1", "K2"])
+def test_rates_run_as_rows_keep_the_bits_of_their_own_runs(case):
+    net, p0, rates, horizon = case()
+    runs = sis.sis_run_many(net, p0, rates, horizon)
+    assert len(runs) == len(rates)
+    for rates_r, run in zip(rates, runs):
+        alone = sis.sis_run(net, p0, rates_r, horizon)
+        assert run.probs.shape == (horizon + 1, net.node_count)
+        assert np.array_equal(run.probs, alone.probs)
+        assert np.array_equal(run.mean, alone.mean)
+        assert np.array_equal(run.probs, per_node_trajectory(net, p0, rates_r, horizon))
+    # each trajectory is a view of the one batched array, not a copy
+    assert runs[0].probs.base.shape == (len(rates), horizon + 1, net.node_count)
+    assert all(run.probs.base is runs[0].probs.base for run in runs)
+
+
+def test_no_rates_run_no_trajectory():
+    assert sis.sis_run_many(K2, [0.5, 0.5], [], 3) == []
