@@ -21,7 +21,7 @@ from . import exact
 from .contagion import ConstantDelta, UrnInit, check_node
 from .errors import (DegenerateMarginal, DomainError, InvalidParameter, check_int, check_real,
                      to_float)
-from .graph import Network
+from .graph import Network, classify
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # the largest coarse grid: each point is a row of n + 1 log-probabilities
@@ -285,8 +285,6 @@ def node_marginal_for_fit(net: Network, init: UrnInit, delta, i: int, n: int) ->
 def _fit_marginal_probs(net, init, delta, i, n, rho, d) -> np.ndarray:
     """``node_marginal_for_fit`` as a (2^n,) float array in code order;
     ``rho`` and ``d`` are node i's from :func:`_node_params`."""
-    from .graph import classify
-
     if classify(net) == "complete":
         return exact.complete_node_marginal_probs(float(rho), float(d), net.node_count, n)
     return exact.float_node_marginal_probs(net, init, ConstantDelta(delta), n, i)
@@ -308,8 +306,6 @@ class ExactRepresentationReport:
 
 def exact_representation_gap(net: Network, init: UrnInit, delta, n: int,
                              node: int = 0) -> ExactRepresentationReport:
-    from .graph import classify
-
     if classify(net) != "complete":
         raise InvalidParameter("the exact-representation check applies to complete networks")
     sched = ConstantDelta(delta)

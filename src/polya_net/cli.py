@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, approx, exact, experiments, graph, montecarlo as mc, sis
+from . import __version__, approx, exact, experiments, graph, montecarlo as mc, output, sis
 from .contagion import ConstantDelta, CuringDelta, UrnInit
 from .errors import InvalidParameter, ParseError, PolyaNetError, ValidationError
 
@@ -206,12 +206,7 @@ def _cmd_graph_gen(args) -> int:
     m = _int_field(s, "attach", default=1, minimum=1) if s["kind"] == "ba" else None
     seed = _int_field(s, "seed", default=0)
     net = graph.generate(s["kind"], n, m=m, seed=seed)
-    if s["out"]:
-        graph.write_edge_list(net, s["out"])
-    else:
-        sys.stdout.write(f"{net.node_count}\n")
-        for i, j in net.edges:
-            sys.stdout.write(f"{i} {j}\n")
+    graph.write_edge_list(net, s["out"] or sys.stdout)
     return 0
 
 
@@ -258,11 +253,9 @@ def _cmd_enumerate(args) -> int:
     table = exact.enumerate_joint(net, init, sched, horizon, exact=not use_float, cap=cap,
                                   memory=_memory(s))
     header = [f"nodes={net.node_count} horizon={horizon} exact={table.exact}"]
+    table.write_csv(s["out"] or sys.stdout, header_lines=header)
     if s["out"]:
-        table.write_csv(s["out"], header_lines=header)
         print(f"wrote {2 ** (net.node_count * horizon)} assignments to {s['out']}")
-    else:
-        table.write_csv(sys.stdout, header_lines=header)
     return 0
 
 
@@ -302,10 +295,10 @@ def _cmd_sis(args) -> int:
     traj = sis.sis_run(net, sis.default_initial_probs(init), params, horizon)
     verdict = sis.threshold_classify(net, params)
     if s["out"]:
-        mc.write_csv(s["out"], {"beta": beta, "delta_sis": delta_sis,
-                                "classification": verdict, "version": __version__},
-                     ["t", *(f"P_{i + 1}" for i in range(net.node_count)), "mean"],
-                     [range(horizon + 1), *traj.probs.T, traj.mean])
+        output.write_csv(s["out"], {"beta": beta, "delta_sis": delta_sis,
+                                    "classification": verdict, "version": __version__},
+                         ["t", *(f"P_{i + 1}" for i in range(net.node_count)), "mean"],
+                         [range(horizon + 1), *traj.probs.T, traj.mean])
     print(f"classification={verdict} lambda_max={net.spectral_radius:.6f} "
           f"final_mean={traj.mean[-1]:.3e}")
     return 0
@@ -335,9 +328,10 @@ def _cmd_reproduce(args) -> int:
             path = os.path.join(out_dir, f"histogram_{name}.csv")
             mc.write_histogram_csv(hist, cfg, path)
             xs = np.linspace(0.005, 0.995, 199).tolist()
-            mc.write_csv(os.path.join(out_dir, f"beta_density_{name}.csv"),
-                         {"alpha": beta.alpha, "beta": beta.beta, "node": node}, ["x", "pdf"],
-                         [[f"{x:.3f}" for x in xs], [exact.beta_pdf(beta, x) for x in xs]])
+            output.write_csv(os.path.join(out_dir, f"beta_density_{name}.csv"),
+                             {"alpha": beta.alpha, "beta": beta.beta, "node": node},
+                             ["x", "pdf"],
+                             [[f"{x:.3f}" for x in xs], [exact.beta_pdf(beta, x) for x in xs]])
             print(f"wrote {path}; node={node} beta=({beta.alpha:.4f},{beta.beta:.4f}) "
                   f"ks={ks:.4f}")
         return 0
@@ -358,8 +352,9 @@ def _cmd_reproduce(args) -> int:
                 print(f"wrote {path}; ratio={ratio:.4f} "
                       f"final={stats.infection_rate[cfg.horizon]:.4f}")
             path = os.path.join(out_dir, f"sis_reference_{name}.csv")
-            mc.write_csv(path, {"ratio": ratio, "beta": experiments.SIS_BETA, "lambda_max": lam},
-                         ["t", "mean"], [range(len(traj.mean)), traj.mean])
+            output.write_csv(path, {"ratio": ratio, "beta": experiments.SIS_BETA,
+                                    "lambda_max": lam},
+                             ["t", "mean"], [range(len(traj.mean)), traj.mean])
             print(f"wrote {path}")
         return 0
     raise ValidationError(f"unknown figure {args.figure!r}")

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (DomainError, HypothesisViolation, InvalidParameter, SizeMismatch,
-                     check_int, check_real, to_float)
+                     check_cells, check_int, check_real, to_float)
 from .graph import Network
 
 
@@ -423,10 +423,9 @@ class DrawRecord:
 def simulate_path(net: Network, init: UrnInit, sched: DeltaSchedule, horizon: int,
                   rng, memory: int | None = None):
     """Reference scalar sampler: returns (DrawRecord, final NetworkState)."""
-    from .exact import check_cell_budget  # exact imports this module
-
     horizon = check_int(horizon, "horizon", minimum=0)
-    check_cell_budget(net.node_count, horizon, "a path")
+    check_cells((horizon + 1) * net.node_count,
+                f"a path of {net.node_count} nodes x {horizon} steps needs a table")
     state = initial_state(net, init, memory=memory)
     sched.check_size(net.node_count, horizon)
     steps = []

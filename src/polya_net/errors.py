@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and real
-checks that raise one.
+"""Exception types shared across the package, and the integer, real and
+table-size checks that raise one.
 
 Input contract: a library entry point given a bad argument raises a
 subclass of :class:`PolyaNetError`, never a raw ``TypeError`` or
@@ -11,6 +11,10 @@ exact values (ints, ``Fraction``) are compared exactly and stay exact.
 import math
 import numbers
 from fractions import Fraction
+
+# 2^ENUMERATION_CAP bounds the draw assignments that exact enumeration
+# visits and the cells of every table sized by its input (check_cells)
+ENUMERATION_CAP = 24
 
 
 class PolyaNetError(Exception):
@@ -123,3 +127,10 @@ def check_real(value, name: str, lower=None, upper=None, brackets: str = "[]",
     else:
         rule = "be a finite real number"
     raise error(f"{name} must {rule}, got {value}")
+
+
+def check_cells(cells: int, what: str) -> None:
+    """``CapExceeded``, "``what`` of ``cells`` cells, more than the cap", if
+    ``cells`` is more than 2^ENUMERATION_CAP."""
+    if cells > 1 << ENUMERATION_CAP:
+        raise CapExceeded(f"{what} of {cells} cells, more than the cap of 2^{ENUMERATION_CAP}")

@@ -14,7 +14,6 @@ live here as well.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import sys
@@ -24,18 +23,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import contagion
+from . import contagion, output
 from .contagion import DeltaSchedule, UrnInit
 from .errors import (
+    ENUMERATION_CAP,
     CapExceeded,
     DomainError,
     InvalidParameter,
     SupportMismatch,
+    check_cells,
     check_int,
     check_real,
     to_float,
 )
-from .graph import ENUMERATION_CAP, Network
+from .graph import Network
 
 
 @dataclass(frozen=True)
@@ -69,30 +70,19 @@ class BetaParams:
         )
 
 
-def _check_cap_limit(cap: int) -> None:
+def _check_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP,
+               error: type = CapExceeded) -> int:
+    """The assignment bits, node_count * horizon; ``error`` past 2^cap."""
     # the cap bounds what is allocated, so it may be lowered but never raised
     if check_int(cap, "cap", minimum=0) > ENUMERATION_CAP:
         raise InvalidParameter(f"cap 2^{cap} is above the largest allowed, 2^{ENUMERATION_CAP}")
-
-
-def _check_cap(node_count: int, horizon: int, cap: int = ENUMERATION_CAP) -> int:
-    _check_cap_limit(cap)
     bits = node_count * horizon
     if bits > cap:
-        raise CapExceeded(
+        raise error(
             f"{node_count} nodes x {horizon} steps = 2^{bits} assignments "
             f"exceeds the cap of 2^{cap}"
         )
     return bits
-
-
-def check_cell_budget(node_count: int, horizon: int, what: str) -> None:
-    """``CapExceeded`` if ``what``, node_count cells per time 0..horizon,
-    has more than 2^ENUMERATION_CAP cells."""
-    cells = (horizon + 1) * node_count
-    if cells > 1 << ENUMERATION_CAP:
-        raise CapExceeded(f"{what} of {node_count} nodes x {horizon} steps: {cells} "
-                          f"cells, more than the cap of 2^{ENUMERATION_CAP}")
 
 
 def _check_assignment(assignment, node_count: int, horizon: int | None = None) -> int:
@@ -191,17 +181,27 @@ class JointTable:
 
     def write_csv(self, target, header_lines: Sequence[str] = ()) -> None:
         """One row per assignment: a_i_t columns node-major, then the
-        probability as num/den (exact) or a float column.  ``target`` is a
-        path or a text stream.  An exact numerator or denominator with more
+        probability as p_num/p_den (exact) or a float column p.  ``target``
+        is a path or a text stream.  The rows go out 2^12 codes at a time,
+        the square root of the largest table, each bit column a shift of
+        the block's codes.  An exact numerator or denominator with more
         digits than the interpreter converts to a string raises
         ``DomainError`` before anything is written."""
         if self.exact:
             self._check_str_digits()
-        if hasattr(target, "write"):
-            self._write_csv(target, header_lines)
-        else:
-            with open(target, "w", newline="") as fh:
-                self._write_csv(fh, header_lines)
+        n, cols = self.node_count, [(i, t) for i in range(self.node_count)
+                                    for t in range(self.horizon)]
+
+        def blocks(size=1 << (ENUMERATION_CAP // 2)):
+            for lo in range(0, self.probs.size, size):
+                probs = self.probs[lo:lo + size]
+                codes = np.arange(lo, lo + probs.size)
+                yield [(codes >> (t * n + i)) & 1 for i, t in cols] + (
+                    [[p.numerator for p in probs], [p.denominator for p in probs]]
+                    if self.exact else [probs])
+
+        output.write_rows(target, header_lines, [f"a_{i + 1}_{t + 1}" for i, t in cols]
+                          + (["p_num", "p_den"] if self.exact else ["p"]), blocks())
 
     def _check_str_digits(self) -> None:
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -215,25 +215,6 @@ class JointTable:
                     f"the exact probability of assignment code {code} has a numerator "
                     f"or denominator of more than {limit} digits, the interpreter's "
                     "int-to-string limit; write a float table instead")
-
-    def _write_csv(self, fh, header_lines) -> None:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        cols = [f"a_{i + 1}_{t + 1}" for i in range(self.node_count)
-                for t in range(self.horizon)]
-        writer.writerow(cols + (["p_num", "p_den"] if self.exact else ["p"]))
-        for code, p in enumerate(self.probs):
-            bits = [
-                (code >> ((t * self.node_count) + i)) & 1
-                for i in range(self.node_count)
-                for t in range(self.horizon)
-            ]
-            if self.exact:
-                frac = Fraction(p)
-                writer.writerow(bits + [frac.numerator, frac.denominator])
-            else:
-                writer.writerow(bits + [repr(float(p))])
 
 
 def _draw_dict(probs) -> dict:
@@ -563,7 +544,7 @@ def classical_count_log_probs(params: PolyaParams, n: int) -> np.ndarray:
     """log Q(a^n) for each red count 0..n (the joint depends only on the count);
     ``DomainError`` if a value is not finite in floats."""
     n = check_int(n, "n", minimum=0)
-    check_cell_budget(1, n, "classical count log-probabilities")
+    check_cells(n + 1, f"the classical count log-probabilities over {n} steps need a table")
     return _count_log_prob_rows(float(params.rho), np.array([to_float(params.delta, "delta")]),
                                 n)[0]
 
@@ -792,23 +773,18 @@ def check_count_dp_cap(node_count: int, horizon: int) -> None:
     horizon 9 take 16,775,080 cells, just under 2^24."""
     node_count = check_int(node_count, "node_count", minimum=0)
     horizon = check_int(horizon, "horizon", minimum=0)
-    cap = ENUMERATION_CAP
     if node_count > COUNT_DP_MAX_NODES:
         raise CapExceeded(
             f"the count DP takes at most {COUNT_DP_MAX_NODES} nodes, got {node_count}")
+    what = f"the count DP for {node_count} nodes x {horizon} steps"
     # 2^horizon alone passes the cap for horizon > cap; that test first
     # keeps a huge horizon from building a huge shifted integer
-    if horizon > cap or (node_count * horizon + 1) << max(horizon, 0) > 1 << cap:
-        raise CapExceeded(
-            f"the count DP for {node_count} nodes x {horizon} steps needs "
-            f"2^{horizon} x {node_count * horizon + 1} cells, more than the cap of 2^{cap}"
-        )
-    table = node_count * (node_count * (horizon - 1) + 1)
-    if table > 1 << cap:
-        raise CapExceeded(
-            f"the count DP's last step for {node_count} nodes x {horizon} steps builds "
-            f"a binomial table of {table} cells, more than the cap of 2^{cap}"
-        )
+    if horizon > ENUMERATION_CAP:
+        raise CapExceeded(f"{what} needs a table of 2^{horizon} x {node_count * horizon + 1} "
+                          f"cells, more than the cap of 2^{ENUMERATION_CAP}")
+    check_cells((node_count * horizon + 1) << horizon, f"{what} needs a table")
+    check_cells(node_count * (node_count * (horizon - 1) + 1),
+                f"{what}: its last step builds a binomial table")
 
 
 def complete_node_marginal(rho: float, delta: float, node_count: int,
@@ -961,9 +937,8 @@ def binomial_pmf(n: int, s) -> np.ndarray:
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 1:
         raise InvalidParameter(f"s must be a 1-D array of probabilities, got {s.ndim}-D")
-    if max(s.size, 1) * (n + 1) > 1 << ENUMERATION_CAP:
-        raise CapExceeded(f"a binomial table of {s.size} x {n + 1} cells is more than the "
-                          f"cap of 2^{ENUMERATION_CAP}")
+    check_cells(max(s.size, 1) * (n + 1),
+                f"the binomial({n}, s) probabilities of {s.size} values of s need a table")
     inside = (s >= 0) & (s <= 1)
     if not inside.all():
         raise DomainError(f"binomial probabilities must lie in [0, 1], got {s[~inside][0]}")

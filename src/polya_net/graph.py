@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import output
 from .errors import (
     CapExceeded,
     Disconnected,
@@ -22,15 +23,13 @@ from .errors import (
     NonConvergence,
     ParseError,
     SelfLoop,
+    check_cells,
     check_int,
     check_real,
 )
 
 POWER_ITERATION_MAX_STEPS = 10_000
 POWER_ITERATION_TOL = 1e-10
-# 2^ENUMERATION_CAP bounds both the draw assignments that exact enumeration
-# visits and the cells of a dense N x N view of a network (N <= 4096)
-ENUMERATION_CAP = 24
 # bounds what one short node count can ask for: the generators build an edge
 # list of Python tuples and the connectivity check lists the neighbourhoods
 # as Python ints, a few hundred bytes an edge, so graph-gen of a complete
@@ -89,9 +88,7 @@ class Network:
         """Adjacency plus identity; column i selects the closed neighborhood of
         i.  ``CapExceeded`` before allocating past 2^ENUMERATION_CAP cells."""
         n = self.node_count
-        if n * n > 1 << ENUMERATION_CAP:
-            raise CapExceeded(f"a dense view of {n} nodes has {n * n} cells, more than "
-                              f"the cap of 2^{ENUMERATION_CAP}")
+        check_cells(n * n, f"a dense view of {n} nodes needs a table")
         c = np.zeros((n, n), dtype=np.float64)
         c[self._rows(), self.indices] = 1.0
         c.setflags(write=False)
@@ -349,12 +346,12 @@ def generate(kind: str, n: int, m: int | None = None, seed: int | None = None) -
     raise InvalidParameter(f"unknown network kind {kind!r}")
 
 
-def write_edge_list(net: Network, path) -> None:
-    """Write the text edge-list format: first line N, then one 'i j' per line."""
-    with open(path, "w") as fh:
+def write_edge_list(net: Network, target) -> None:
+    """Write the text edge-list format, first line N, then one 'i j' per
+    line, to a path or a text stream."""
+    with output.opened(target) as fh:
         fh.write(f"{net.node_count}\n")
-        for i, j in net.edges:
-            fh.write(f"{i} {j}\n")
+        fh.writelines(f"{i} {j}\n" for i, j in net.edges)
 
 
 def read_edge_list(path) -> Network:

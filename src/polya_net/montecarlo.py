@@ -63,10 +63,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import contagion, exact
+from . import __version__, contagion, exact, output
 from .contagion import DeltaSchedule, UrnBatch, UrnInit
 from .errors import (DomainError, HypothesisViolation, InvalidParameter,
-                     PolyaNetError, SizeMismatch, check_int, check_real)
+                     PolyaNetError, SizeMismatch, check_cells, check_int, check_real)
 from .graph import Network, classify
 
 # sets the automatic chunk size (_auto_chunk): a chunk takes as many trials
@@ -138,12 +138,11 @@ class RunConfig:
                                    f"word of a Philox key, got {self.trials}")
         contagion.initial_state(self.net, self.init, memory=self.memory)
         self.sched.check_size(self.net.node_count, self.horizon)
-        exact.check_cell_budget(self.net.node_count, self.horizon, "per-step statistics")
-        if (self.collect_assignments
-                and self.net.node_count * self.horizon > exact.ENUMERATION_CAP):
-            raise InvalidParameter(
-                f"assignment collection needs node_count * horizon <= {exact.ENUMERATION_CAP}"
-            )
+        n, h = self.net.node_count, self.horizon
+        check_cells((h + 1) * n,
+                    f"per-step statistics of {n} nodes x {h} steps need a table")
+        if self.collect_assignments:
+            exact._check_cap(n, h, error=InvalidParameter)
 
     def describe(self) -> dict:
         # chunking fixes the float accumulation order, so the resolved value
@@ -684,42 +683,7 @@ def least_squares_trend(y: Sequence[float], t: Sequence[float] | None = None):
 # CSV output
 # ----------------------------------------------------------------------
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _cells(column) -> list[str]:
-    """A column's cells: a numpy column through one ``tolist()``, which
-    makes its values Python ints and floats, then ``str`` of each value; a
-    Python float's ``str`` is its ``repr``.  A ``None`` is an empty cell."""
-    if isinstance(column, np.ndarray):
-        return list(map(str, column.tolist()))
-    return ["" if v is None else str(v) for v in column]
-
-
-def write_csv(path, header: dict, names: Sequence[str], columns: Sequence) -> None:
-    """Write one ``# key=value ...`` line, the column names, then one line
-    per row of ``columns``, each a numpy array or a sequence of Python
-    values (not numpy scalars).  Floats, a numpy column's included, are
-    written as ``repr(float(v))``, so they read back bit for bit; ``None``
-    is an empty cell."""
-    cells = [_cells(column) for column in columns]
-    if len(cells) != len(names) or len({len(c) for c in cells}) > 1:
-        raise SizeMismatch(f"{len(names)} column names for columns of lengths "
-                           f"{[len(c) for c in cells]}")
-    with open(path, "w") as fh:
-        fh.write("# " + " ".join(f"{k}={_cell(v)}" for k, v in header.items()) + "\n")
-        fh.write(",".join(names) + "\n")
-        fh.write("\n".join([*map(",".join, zip(*cells)), ""]))
-
-
 def _header(cfg: RunConfig) -> dict:
-    from . import __version__
-
     return {"config_sha256": config_hash(cfg), "master_seed": cfg.seed,
             "version": __version__}
 
@@ -732,9 +696,9 @@ def write_trajectory_csv(stats: TrialStatistics, cfg: RunConfig, path,
     if pair_node is not None:
         pair = stats.pair_freq[:, contagion.check_node(pair_node, stats.node_count, "pair_node")]
         columns["pair_freq"] = [None, *pair[2:].tolist()]
-    write_csv(path, _header(cfg), list(columns), list(columns.values()))
+    output.write_csv(path, _header(cfg), list(columns), list(columns.values()))
 
 
 def write_histogram_csv(hist: HistogramResult, cfg: RunConfig, path) -> None:
-    write_csv(path, _header(cfg), ["bin_left", "bin_right", "density"],
-              [hist.edges[:-1], hist.edges[1:], hist.density])
+    output.write_csv(path, _header(cfg), ["bin_left", "bin_right", "density"],
+                     [hist.edges[:-1], hist.edges[1:], hist.density])

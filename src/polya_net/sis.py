@@ -20,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .contagion import UrnInit
-from .errors import ParameterOutOfRange, SizeMismatch, check_int, check_real
-from .exact import check_cell_budget
+from .errors import ParameterOutOfRange, SizeMismatch, check_cells, check_int, check_real
 from .graph import Network
 
 
@@ -112,7 +111,8 @@ def sis_run_many(net: Network, init_probs, params: Sequence[SisParams],
     trajectory, bit-equal to its own :func:`sis_run`.  The trajectories are
     views of one (R, horizon + 1, N) array."""
     horizon = check_real(check_int(horizon, "horizon"), "horizon", 0, error=ParameterOutOfRange)
-    check_cell_budget(len(params) * net.node_count, horizon, "a trajectory")
+    check_cells((horizon + 1) * len(params) * net.node_count, f"a trajectory of {len(params)} "
+                f"x {net.node_count} nodes x {horizon} steps needs a table")
     p0 = np.asarray(init_probs, dtype=np.float64)
     if p0.shape != (net.node_count,):
         raise SizeMismatch("initial probability vector does not match the network")

@@ -89,10 +89,13 @@ def _written_csv(sched, horizon, memory=None):
      "813a361c7fc7fac9097718f2c09f29725551aa0b0b597c22910578a21f93e95c"),
     (lambda p: _written_csv(cg.CuringDelta(F(1), F(3, 2)), 4),
      "a5663c423c95023ce69f2a7f2e6c7f5a9d4363a42da6e5a3d221f4f58e43f6e4"),
-], ids=["cycle4_h3", "K2_per_node_h3", "K2_memory2_h4", "K2_curing_h4"])
+    (lambda p: _enumerated_csv(p, "cycle", 4, "--horizon", "3", "--float"),
+     "18a53fed05b883cc19d7a464545217b6cb0ac93b6f22d5347bd908202d3f7314"),
+], ids=["cycle4_h3", "K2_per_node_h3", "K2_memory2_h4", "K2_curing_h4", "cycle4_h3_float"])
 def test_exact_enumeration_writes_pinned_bytes(table, digest, tmp_path):
-    # exact tables use no BLAS product, so these bytes are the same on any
-    # CPU; a change to how tables are built must leave them as they are
+    # exact tables use no BLAS product, and the float table pools integer
+    # urns, whose sums are exact, so these bytes are the same on any CPU; a
+    # change to how tables are built or written must leave them as they are
     assert hashlib.sha256(table(tmp_path)).hexdigest() == digest
 
 
@@ -103,14 +106,52 @@ FIG4_HISTOGRAM_DIGESTS = {
 }
 
 
+FIG4_BETA_DENSITY_DIGESTS = {
+    "classical": "deafe7fad97c51ac5db657a9e07fdc2726b8e53f74c13843f9ef3a5ef58e4bd3",
+    "ba5": "0292188eee6f79e844616194c114a7a6b95a026432cf49e05ca01b8e39371900",
+    "ba100": "cce142fcb52791be948583057f11a9ae6b6fbf248d92240dc481622adb07a3f2",
+}
+
+
 def test_fig4_histograms_write_pinned_bytes(tmp_path):
     # a histogram is binned from integer draw counts, so a change to the
-    # steps that moved one draw changes these bytes
+    # steps that moved one draw changes these bytes; a Beta density takes
+    # only its case's closed-form parameters
     assert run("reproduce", "fig4", "--trials", "40", "--threads", "1",
                "--out-dir", str(tmp_path)) == 0
-    digests = {name: hashlib.sha256((tmp_path / f"histogram_{name}.csv").read_bytes()).hexdigest()
-               for name in FIG4_HISTOGRAM_DIGESTS}
-    assert digests == FIG4_HISTOGRAM_DIGESTS
+    for prefix, pinned in (("histogram", FIG4_HISTOGRAM_DIGESTS),
+                           ("beta_density", FIG4_BETA_DENSITY_DIGESTS)):
+        digests = {name: hashlib.sha256((tmp_path / f"{prefix}_{name}.csv").read_bytes())
+                   .hexdigest() for name in pinned}
+        assert digests == pinned, prefix
+
+
+@pytest.mark.parametrize("kind, nodes, horizon, digest", [
+    ("cycle", 4, "4", "3cf0813163a0d250f740fe10eb3f13f8f5fa201946e239fe01599f6100bf9fb7"),
+    ("ba", 10, "2", "9cde40a8a93601d921d1316d874633f603e79cf7dfeea773c7ffa529568221a0"),
+    ("complete", 100, "12", "5fbca304fb0a3e791e4b5369106ea1aefee0e8c44b28d6b963df6f48a99dcd1a"),
+], ids=["cycle4_h4", "ba10_h2", "K100_h12"])
+def test_fit_writes_pinned_bytes(kind, nodes, horizon, digest, tmp_path, capsys):
+    # the cycle and BA fits merge histories of integer urns; K100 takes the
+    # count DP's products, whose bits can follow the BLAS kernel
+    edges = tmp_path / "g.edges"
+    graph.write_edge_list(graph.generate(kind, nodes, m=2, seed=1), edges)
+    out = tmp_path / "fit.json"
+    assert run("fit", "--graph", str(edges), "--horizon", horizon, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert capsys.readouterr().out == out.read_text()
+
+
+def test_simulate_writes_pinned_bytes(tmp_path):
+    # integer urns and masses pool exactly, so these bytes are the same on
+    # any CPU
+    edges = tmp_path / "cycle4.edges"
+    graph.write_edge_list(graph.generate_cycle(4), edges)
+    out = tmp_path / "sim.csv"
+    assert run("simulate", "--graph", str(edges), "--horizon", "30", "--trials", "64",
+               "--seed", "7", "--pair-node", "1", "--threads", "1", "--out", str(out)) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == "562921337dd250e1c2edabf5ada44022719141f9704333e8650019a3148b5b40")
 
 
 def test_sis_writes_pinned_bytes(tmp_path):

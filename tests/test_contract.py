@@ -6,9 +6,10 @@ sequence of numbers), the other arguments valid.  Every call with every
 value of ``BAD`` must raise a ``PolyaNetError`` or return a finite result,
 within a second, under the suite's ``error::RuntimeWarning`` filter.  A
 companion test holds every public callable of the swept modules to a row,
-to an explicit set of names that take no numeric argument, or to the set
-of result records.  ``RunConfig`` rows only construct a config, and the
-few Monte Carlo runs here are serial, so no worker process starts.
+to an explicit set of names that take no numeric argument, to the set of
+result records, or to the exempt exception types and ``to_float``.
+``RunConfig`` rows only construct a config, and the few Monte Carlo runs
+here are serial, so no worker process starts.
 ``cli`` and ``experiments`` are outside the sweep: the CLI tests pin its
 exit codes, and the experiments run canned figures.
 """
@@ -26,7 +27,8 @@ from typing import Mapping
 import numpy as np
 import pytest
 
-from polya_net import approx, contagion as cg, exact, graph, montecarlo as mc, sis
+from polya_net import (approx, contagion as cg, errors, exact, graph, montecarlo as mc, output,
+                        sis)
 from polya_net.errors import (DomainError, InvalidParameter, ParameterOutOfRange, PolyaNetError,
                               check_real)
 
@@ -59,6 +61,13 @@ def _run_config(**fields):
 
 
 ROWS = [
+    # errors
+    (errors.check_int, "value", lambda x: errors.check_int(x, "n")),
+    (errors.check_int, "minimum", lambda x: errors.check_int(2, "n", minimum=x)),
+    (errors.check_real, "value", lambda x: errors.check_real(x, "x")),
+    (errors.check_real, "lower", lambda x: errors.check_real(0.5, "x", x, 1)),
+    (errors.check_real, "upper", lambda x: errors.check_real(0.5, "x", 0, x)),
+    (errors.check_cells, "cells", lambda x: errors.check_cells(x, "a table")),
     # contagion
     (cg.UrnInit, "red", lambda x: cg.UrnInit((x, 1), (1, 1))),
     (cg.UrnInit, "black", lambda x: cg.UrnInit((1, 1), (1, x))),
@@ -95,8 +104,6 @@ ROWS = [
     (exact.PolyaParams, "delta", lambda x: exact.PolyaParams(0.5, x)),
     (exact.BetaParams, "alpha", lambda x: exact.BetaParams(x, 1.0)),
     (exact.BetaParams, "beta", lambda x: exact.BetaParams(1.0, x)),
-    (exact.check_cell_budget, "node_count", lambda x: exact.check_cell_budget(x, 2, "a run")),
-    (exact.check_cell_budget, "horizon", lambda x: exact.check_cell_budget(2, x, "a run")),
     (exact.joint_probability, "assignment",
      lambda x: exact.joint_probability(K2, INIT2, SCHED, ((x,), (0,)))),
     (exact.joint_probability, "memory",
@@ -242,9 +249,14 @@ NO_NUMERIC_ARGUMENT = {
     cg.import_pooling, cg.network_susceptibility,
     graph.classify, graph.write_edge_list, graph.read_edge_list,
     sis.default_initial_probs, sis.sis_step,
-    mc.config_hash, mc.run_many, mc.run_trials, mc.martingale_residual, mc.write_csv,
-    mc.write_histogram_csv,
+    mc.config_hash, mc.run_many, mc.run_trials, mc.martingale_residual,
+    mc.write_histogram_csv, output.opened, output.write_rows, output.write_csv,
 }
+
+# the exception types, which take a message; and to_float, which like
+# float() passes a NaN or an infinity through for its caller to check
+EXEMPT = {obj for obj in vars(errors).values()
+          if isinstance(obj, type) and issubclass(obj, PolyaNetError)} | {errors.to_float}
 
 # records that the library fills and returns: each holds the values it is
 # given and checks none, and none is an entry point for a caller's numbers
@@ -369,10 +381,10 @@ def test_the_float_range_guard_raises_its_message_after_a_fault():
 
 def test_every_public_callable_is_swept_or_takes_no_number():
     swept = {func for func, _, _ in ROWS}
-    assert not swept & (NO_NUMERIC_ARGUMENT | RESULT_RECORDS)
-    known = swept | NO_NUMERIC_ARGUMENT | RESULT_RECORDS
+    assert not swept & (NO_NUMERIC_ARGUMENT | RESULT_RECORDS | EXEMPT)
+    known = swept | NO_NUMERIC_ARGUMENT | RESULT_RECORDS | EXEMPT
     missing = []
-    for module in (cg, exact, approx, graph, sis, mc):
+    for module in (errors, output, cg, exact, approx, graph, sis, mc):
         for name, obj in vars(module).items():
             if (not name.startswith("_") and callable(obj)
                     and getattr(obj, "__module__", None) == module.__name__

@@ -1287,34 +1287,6 @@ def test_trajectory_csv_headers_and_reproducibility(tmp_path):
     assert text.splitlines()[1] == "t,I_tilde,U_tilde,pair_freq"
 
 
-def test_write_csv_cells(tmp_path):
-    path = tmp_path / "t.csv"
-    mc.write_csv(path, {"x": np.float64(0.1), "n": 3, "tag": "a b"}, ["t", "v", "w", "s", "f"],
-                 [range(1, 3), np.array([1 / 3, 0.25]), [None, 1e-300], ["0.500", "x"],
-                  np.array([0.1, 2.0], dtype=np.float32)])
-    assert path.read_text() == ("# x=0.1 n=3 tag=a b\n"
-                                "t,v,w,s,f\n"
-                                "1,0.3333333333333333,,0.500,0.10000000149011612\n"
-                                "2,0.25,1e-300,x,2.0\n")
-    with pytest.raises(SizeMismatch):
-        mc.write_csv(path, {}, ["t", "v"], [range(3), np.zeros(2)])
-    with pytest.raises(SizeMismatch):
-        mc.write_csv(path, {}, ["t"], [range(3), range(3)])
-
-
-def test_write_csv_keeps_the_bits_of_every_float(tmp_path):
-    # a float column of every magnitude, subnormals and signed zeros
-    # included, reads back bit for bit and as a cell-by-cell repr wrote it
-    rng = np.random.default_rng(5)
-    values = np.concatenate([rng.random(200), rng.standard_normal(200) * 10.0 ** rng.integers(
-        -310, 308, 200), [0.0, -0.0, 5e-324, 1e16, 1e-5, 1e-4, 123456789012345680.0]])
-    path = tmp_path / "f.csv"
-    mc.write_csv(path, {}, ["t", "v"], [range(len(values)), values])
-    lines = path.read_text().splitlines()[2:]
-    assert lines == [f"{t},{float(v)!r}" for t, v in enumerate(values)]
-    assert np.array_equal(np.array([float(line.split(",")[1]) for line in lines]), values)
-
-
 def test_least_squares_trend_recovers_slope():
     rng = np.random.default_rng(0)
     y = 0.002 * np.arange(400) + 0.3 + rng.normal(0, 0.01, 400)
